@@ -3,9 +3,10 @@
 Exit codes: 0 = success / property verified; 1 = operational error (bad
 config, bad inputs); 2 = the machinery ran and refuted the checked property
 (a failed assumption, detected nonuniqueness, a failed optimality check, or a
-non-convergent solve).  The refutation code is deliberate: for the built-in
-counterexample a failing monotonicity check is the correct outcome and must be
-distinguishable from broken tooling.
+non-convergent solve).  detect_nonuniqueness also exits 2 when the solve from
+any warm start fails, and lists those starts in report.txt.  The refutation
+code is deliberate: for the built-in counterexample a failing monotonicity
+check is the correct outcome and must be distinguishable from broken tooling.
 
 All file outputs are deterministic functions of (config, seed); timing is
 printed to stdout only.
@@ -274,11 +275,16 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
     threshold = max(0.01, 100.0 * cfg.tol)
     lines = [f"limits = {len(report.limits)}", f"threshold = {threshold:.3e}"]
     for i, lim in enumerate(report.limits):
-        res = lim.residuals
-        lines.append(
-            f"limit[{i}]: converged={lim.converged} fwd={res.forward:.3e} "
-            f"bwd={res.backward:.3e} term={res.terminal:.3e}"
-        )
+        line = f"limit[{i}]: converged={lim.converged}"
+        res = lim.residuals  # None on the partial report of a divergent start
+        if res is not None:
+            line += (
+                f" fwd={res.forward:.3e} bwd={res.backward:.3e} "
+                f"term={res.terminal:.3e}"
+            )
+        lines.append(line)
+    for start, message in report.failed_starts:
+        lines.append(f"failed_start[{start}]: {message}")
     n = len(report.limits)
     for i in range(n):
         for j in range(i + 1, n):
@@ -289,7 +295,7 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
     lines.append(f"distinct_limits = {distinct}")
     _write_text(os.path.join(out_dir, "report.txt"), lines)
     print("\n".join(lines))
-    return EXIT_REFUTED if distinct else EXIT_OK
+    return EXIT_REFUTED if distinct or report.failed_starts else EXIT_OK
 
 
 def _cmd_verify_smp(cfg: ScenarioConfig, out_dir: str) -> int:

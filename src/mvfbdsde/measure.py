@@ -20,12 +20,11 @@ ASSIGNMENT_CAP = 512
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Weighted sample cloud with cached first and second moments."""
+    """Weighted sample cloud with a cached mean."""
 
     samples: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,), nonnegative, sums to 1
     cached_mean: np.ndarray = field(init=False, repr=False)
-    cached_second_moment: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -43,9 +42,6 @@ class EmpiricalLaw:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "cached_mean", weights @ samples)
-        object.__setattr__(
-            self, "cached_second_moment", float(weights @ np.sum(samples**2, axis=1))
-        )
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalLaw":

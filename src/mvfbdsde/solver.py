@@ -10,6 +10,7 @@ discrete stand-in for the mixed information structure of the problem.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,34 +58,67 @@ class RegressionConfig:
             raise ValueError("ridge must be >= 0")
 
     def features(self, y_k: np.ndarray, btail_k: np.ndarray) -> np.ndarray:
-        m = y_k.shape[0]
-        cols = [np.ones((m, 1))]
+        """Feature rows of one node, (M, d) -> (M, p), or of a stack of
+        nodes, (K, M, d) -> (K, M, p)."""
+        cols = [np.broadcast_to(1.0, y_k.shape[:-1] + (1,))]
         if self.basis in ("affine_y", "poly2_y_plus_Btail"):
             cols.append(y_k)
         if self.basis == "poly2_y_plus_Btail":
-            d = y_k.shape[1]
+            d = y_k.shape[-1]
             for i in range(d):
                 for j in range(i, d):
-                    cols.append((y_k[:, i] * y_k[:, j])[:, None])
+                    cols.append((y_k[..., i] * y_k[..., j])[..., None])
             cols.append(btail_k)
-        return np.concatenate(cols, axis=1)
+        return np.concatenate(cols, axis=-1)
 
 
-def _fit(features: np.ndarray, targets: np.ndarray, ridge: float, node: int) -> np.ndarray:
-    """Fitted values of a ridge regression; escalates the ridge before failing."""
-    gram = features.T @ features
-    rhs = features.T @ targets
-    lam = max(ridge, 0.0)
-    eye = np.eye(gram.shape[0])
-    for _ in range(4):
-        try:
-            beta = np.linalg.solve(gram + lam * eye, rhs)
-        except np.linalg.LinAlgError:
-            beta = None
-        if beta is not None and np.all(np.isfinite(beta)):
-            return features @ beta
-        lam = max(lam * 10.0, 1e-10)
-    raise SolverError(f"regression matrix singular at node {node}")
+def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Node-major features (N, M, p) of nodes 0..N-1 and their Grams
+    (N, p, p), from y and btail of shape (M, N+1, .)."""
+    n = btail.shape[1] - 1
+    phi = reg.features(y[:, :n].transpose(1, 0, 2), btail[:, :n].transpose(1, 0, 2))
+    return phi, np.matmul(phi.transpose(0, 2, 1), phi)
+
+
+def _ridge_fit(
+    phi: np.ndarray,
+    gram: np.ndarray,
+    targets: np.ndarray,
+    ridge: float,
+    nodes: Sequence[int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fitted values of one ridge regression per node, solved as one batch.
+
+    ``phi`` (K, M, p) holds the features of nodes ``nodes`` (one per batch
+    entry), ``gram`` (K, p, p) their Grams and ``targets`` (K, M, t) the
+    regressands.  The ridge goes on every Gram.  A node whose solve raises or
+    returns non-finite coefficients is retried alone, its ridge escalated x10
+    per try (floor 1e-10, 4 tries), in batch order; a node that still fails
+    raises SolverError naming it.  ``out`` receives the fitted values and may
+    be ``targets`` itself.
+    """
+    rhs = np.matmul(phi.transpose(0, 2, 1), targets)
+    eye = np.eye(gram.shape[-1])
+    ridge = max(ridge, 0.0)
+    try:
+        beta = np.linalg.solve(gram + ridge * eye, rhs)
+    except np.linalg.LinAlgError:
+        beta = np.full_like(rhs, np.nan)
+    for i in np.flatnonzero(~np.isfinite(beta).all(axis=(1, 2))):
+        lam = ridge
+        for _ in range(4):
+            try:
+                beta[i] = np.linalg.solve(gram[i] + lam * eye, rhs[i])
+            except np.linalg.LinAlgError:
+                beta[i] = np.nan
+            if np.all(np.isfinite(beta[i])):
+                break
+            lam = max(lam * 10.0, 1e-10)
+        else:
+            raise SolverError(f"regression matrix singular at node {nodes[i]}")
+    return np.matmul(phi, beta, out=out)
 
 
 @dataclass
@@ -157,45 +191,55 @@ def _forward_phase(
     (M, N+1, d, d_w).  z rides the backward increments at the right node and is
     recovered per sweep by regressing the one-step martingale residual on dB;
     the pair is iterated to a small fixed point (at most ``max_sweeps``).
+    y is the cumulative sum of its increments and every node's z regression
+    is solved in one batch.  y and z are built node-major and returned as
+    particle-major views.
     """
     m, n, _ = drivers.dW.shape
     d = x0.shape[1]
     d_b = drivers.dB.shape[2]
     dt = drivers.grid.dt
-    z_nodes = np.zeros((m, n + 1, d, d_b))
-    y = np.zeros((m, n + 1, d))
-    for sweep in range(max_sweeps):
-        y[:, 0] = x0
-        for k in range(n):
-            y[:, k + 1] = (
-                y[:, k]
-                + drifts[:, k] * dt
-                + np.einsum("mij,mj->mi", noises[:, k], drivers.dW[:, k])
-                - np.einsum("mij,mj->mi", z_nodes[:, k + 1], drivers.dB[:, k])
-            )
-        z_new = np.zeros_like(z_nodes)
-        for k in range(n):
-            mart = y[:, k + 1] - y[:, k] - drifts[:, k] * dt
-            target = (mart[:, :, None] * drivers.dB[:, k][:, None, :]).reshape(m, -1)
-            phi = reg.features(y[:, k], btail[:, k])
-            fitted = _fit(phi, target, reg.ridge, k)
-            z_new[:, k + 1] = -fitted.reshape(m, d, d_b) / dt
-        z_new[:, 0] = z_new[:, 1]
-        change = float(np.sqrt(np.mean((z_new - z_nodes) ** 2)))
+    y = np.empty((n + 1, m, d))
+
+    def propagate(z_nodes: np.ndarray | None) -> np.ndarray:
+        """Fill y from its increments; return the martingale residuals
+        noise dW - z dB.  ``None`` stands for z = 0, so that the first sweep
+        holds no array of zeros."""
+        mart = np.einsum("mkij,mkj->kmi", noises[:, :n], drivers.dW)
+        if z_nodes is not None:
+            mart -= np.einsum("kmij,mkj->kmi", z_nodes[1:], drivers.dB)
+        y[0] = x0
+        np.multiply(drifts[:, :n].transpose(1, 0, 2), dt, out=y[1:])
+        y[1:] += mart
+        np.cumsum(y, axis=0, out=y)
+        return mart
+
+    z_nodes = None
+    for _ in range(max_sweeps):
+        # outputs are allocated before the sweep's temporaries, which keeps
+        # the heap from fragmenting around them (peak RSS)
+        z_new = np.empty((n + 1, m, d, d_b))
+        mart = propagate(z_nodes)
+        target = np.einsum("kmi,mkj->kmij", mart, drivers.dB, order="C")
+        del mart
+        phi, gram = _node_features(reg, y.transpose(1, 0, 2), btail)
+        _ridge_fit(
+            phi, gram, target.reshape(n, m, d * d_b), reg.ridge, range(n),
+            out=z_new[1:].reshape(n, m, d * d_b),
+        )
+        del phi, target
+        z_new[1:] /= -dt
+        z_new[0] = z_new[1]
         scale = float(np.sqrt(np.mean(z_new**2)))
+        change = scale
+        if z_nodes is not None:
+            change = float(np.sqrt(np.mean((z_new - z_nodes) ** 2)))
         z_nodes = z_new
         if change <= 1e-10 + 1e-3 * scale:
             break
     # final propagation consistent with the settled z
-    y[:, 0] = x0
-    for k in range(n):
-        y[:, k + 1] = (
-            y[:, k]
-            + drifts[:, k] * dt
-            + np.einsum("mij,mj->mi", noises[:, k], drivers.dW[:, k])
-            - np.einsum("mij,mj->mi", z_nodes[:, k + 1], drivers.dB[:, k])
-        )
-    return y, z_nodes
+    propagate(z_nodes)
+    return y.transpose(1, 0, 2), z_nodes.transpose(1, 0, 2, 3)
 
 
 def _backward_phase(
@@ -213,28 +257,41 @@ def _backward_phase(
     term stays outside the projection because dB_k is known at node k.  Z_k
     regresses the centered Y_{k+1} against dW_k; centering by the fitted
     Y_{k+1} keeps the estimator variance at the cross-sectional spread scale.
+    The drift projections and noise terms of all nodes are formed before the
+    sweep; node k's Gram then serves both its fits.  Y and Z are built
+    node-major and returned as particle-major views.
     """
     m, n, d_w = drivers.dW.shape
     d = terminal.shape[1]
     dt = drivers.grid.dt
-    big_y = np.zeros((m, n + 1, d))
-    big_z = np.zeros((m, n + 1, d, d_w))
-    big_y[:, n] = terminal
+    # outputs first, as in _forward_phase
+    big_y = np.empty((n + 1, m, d))
+    big_z = np.empty((n + 1, m, d, d_w))
+    phi, gram = _node_features(reg, y_path, btail)
+    # big_y[k] holds E_k[drift_k dt] + noiseB_{k+1} dB_k until the sweep
+    # reaches node k.  The projections are fitted in the sweep's descending
+    # node order, so that a failure names the node the sweep reaches first.
+    down = slice(n - 1, None, -1)
+    _ridge_fit(
+        phi[down], gram[down], drifts[:, down].transpose(1, 0, 2), reg.ridge,
+        range(n - 1, -1, -1), out=big_y[down],
+    )
+    big_y[:n] *= dt
+    big_y[:n] += np.einsum("mkij,mkj->kmi", noises_b[:, 1:], drivers.dB)
+    big_y[n] = terminal
+    d_w_nodes = drivers.dW.transpose(1, 0, 2)
     for k in range(n - 1, -1, -1):
-        phi = reg.features(y_path[:, k], btail[:, k])
-        stacked = np.concatenate([big_y[:, k + 1], drifts[:, k] * dt], axis=1)
-        fitted = _fit(phi, stacked, reg.ridge, k)
-        fit_y_next, fit_drift = fitted[:, :d], fitted[:, d:]
-        big_y[:, k] = (
-            fit_y_next
-            - fit_drift
-            - np.einsum("mij,mj->mi", noises_b[:, k + 1], drivers.dB[:, k])
-        )
-        centered = big_y[:, k + 1] - fit_y_next
-        target = (centered[:, :, None] * drivers.dW[:, k][:, None, :]).reshape(m, -1)
-        big_z[:, k] = _fit(phi, target, reg.ridge, k).reshape(m, d, d_w) / dt
-    big_z[:, n] = big_z[:, n - 1]
-    return big_y, big_z
+        node = slice(k, k + 1)
+        fit_y_next = _ridge_fit(
+            phi[node], gram[node], big_y[k + 1][None], reg.ridge, [k]
+        )[0]
+        np.subtract(fit_y_next, big_y[k], out=big_y[k])
+        centered = big_y[k + 1] - fit_y_next
+        target = (centered[:, :, None] * d_w_nodes[k][:, None, :]).reshape(1, m, -1)
+        fitted = _ridge_fit(phi[node], gram[node], target, reg.ridge, [k], out=target)
+        np.divide(fitted.reshape(m, d, d_w), dt, out=big_z[k])
+    big_z[n] = big_z[n - 1]
+    return big_y.transpose(1, 0, 2), big_z.transpose(1, 0, 2, 3)
 
 
 def solve_decoupled_step(
@@ -269,6 +326,7 @@ def solve_decoupled_step(
         g_hat[:, k] = problem.g_at(k, nodes[k], vk, laws[k])
         fb_hat[:, k] = problem.F_at(k, nodes[k], vk, laws[k])
         gb_hat[:, k] = problem.G_at(k, nodes[k], vk, laws[k])
+    del laws, vk  # the sweeps need only the coefficient arrays
 
     btail = drivers.b_tail()
     x0 = problem.initial(m)
@@ -495,14 +553,20 @@ def detect_nonuniqueness(
     max_iter: int = 60,
     damping: float = 1.0,
 ) -> "NonuniquenessReport":
-    """Run the Picard iteration from several warm starts and compare limits."""
+    """Run the Picard iteration from several warm starts and compare limits.
+
+    A start whose solve raises SolverError is listed in ``failed_starts`` with
+    its message; its partial report, when it has one, still joins the limits.
+    """
     limits: list[SolveReport] = []
-    for warm in warm_starts:
+    failed: list[tuple[int, str]] = []
+    for i, warm in enumerate(warm_starts):
         try:
             limits.append(
                 picard_solve(problem, warm, drivers, reg, tol, max_iter, damping)
             )
         except SolverError as err:
+            failed.append((i, str(err)))
             if err.report is not None:
                 limits.append(err.report)
     n = len(limits)
@@ -511,13 +575,16 @@ def detect_nonuniqueness(
         for j in range(i + 1, n):
             dij = d_metric(limits[i].final_state, limits[j].final_state)
             distances[i, j] = distances[j, i] = dij
-    return NonuniquenessReport(limits=limits, pairwise_distances=distances)
+    return NonuniquenessReport(
+        limits=limits, pairwise_distances=distances, failed_starts=failed
+    )
 
 
 @dataclass
 class NonuniquenessReport:
     limits: list[SolveReport]
     pairwise_distances: np.ndarray
+    failed_starts: list[tuple[int, str]] = field(default_factory=list)  # (start, message)
 
     @property
     def max_distance(self) -> float:
@@ -580,6 +647,29 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
     return float(path[n, 1] - h_val), path
 
 
+def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid,
+                      bracket_scale: float) -> None:
+    """Raise ValueError unless g and G vanish on deterministic inputs with
+    z = Z = 0.  Probes y and Y at the bracket ends and at x, on the first,
+    middle and last node, each under its own Dirac law."""
+    reach = bracket_scale * (1.0 + np.abs(x))
+    levels = (-reach, x, reach)
+    nodes = grid.nodes
+    for t in (nodes[0], nodes[grid.steps // 2], nodes[-1]):
+        for y in levels:
+            for big_y in levels:
+                v = Quad.zeros(1, model.dims)
+                v.y[0] = y
+                v.Y[0] = big_y
+                law = quad_law(v)
+                for name, fn in (("g", model.g), ("G", model.G)):
+                    if np.max(np.abs(fn(t, v, law))) > 1e-12:
+                        raise ValueError(
+                            f"oracle needs noise-free dynamics, but {name} is "
+                            f"nonzero at z = Z = 0 (t={t:g})"
+                        )
+
+
 def moment_ode_oracle(
     model: CoefficientSet,
     x: np.ndarray | float,
@@ -599,6 +689,7 @@ def moment_ode_oracle(
     if model.law_dependence not in ("none", "first_moment"):
         raise ValueError("oracle needs a first-moment (or law-free) model")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_noise_free(model, x, grid, bracket_scale)
     d = model.dims.d
     n = grid.steps
     y_out = np.zeros((n + 1, d))

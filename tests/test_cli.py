@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from mvfbdsde import cli
 from mvfbdsde.cli import main
 from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
+from mvfbdsde.solver import NonuniquenessReport, SolveReport
 
 FAST = ["--steps", "40", "--particles", "200"]
 
@@ -137,6 +139,29 @@ class TestCliCommands:
         )
         assert code == 2
         assert "distinct_limits = True" in (out / "report.txt").read_text()
+
+    def test_detect_nonuniqueness_failed_start_exits_2(self, tmp_path, monkeypatch):
+        # one start diverged (partial report, no residuals), the other raised
+        # without a report: both are listed and the run exits 2
+        def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
+            partial = SolveReport(final_state=warm_starts[0], iterations=3)
+            return NonuniquenessReport(
+                limits=[partial], pairwise_distances=np.zeros((1, 1)),
+                failed_starts=[(0, "Picard divergence"),
+                               (1, "regression matrix singular at node 1")],
+            )
+
+        monkeypatch.setattr(cli, "detect_nonuniqueness", fake_detect)
+        code, out = run_cli(
+            ["--scenario", "example1", "--command", "detect_nonuniqueness"] + FAST,
+            tmp_path, "f2",
+        )
+        assert code == 2
+        text = (out / "report.txt").read_text()
+        assert "limit[0]: converged=False\n" in text
+        assert "failed_start[0]: Picard divergence" in text
+        assert "failed_start[1]: regression matrix singular at node 1" in text
+        assert "distinct_limits = False" in text
 
     def test_ito_check(self, tmp_path):
         code, out = run_cli(

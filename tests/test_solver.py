@@ -1,6 +1,8 @@
 """Decoupled step, linear base solve, Picard iteration, continuation ladder,
 the deterministic oracle, and nonuniqueness probing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from mvfbdsde.solver import (
     RegressionConfig,
     SolveReport,
     SolverError,
+    _backward_phase,
+    _forward_phase,
     continuation_solve,
     d_metric,
     detect_nonuniqueness,
@@ -60,6 +64,163 @@ class TestRegressionConfig:
         assert RegressionConfig("affine_y").features(y, btail).shape == (10, 3)
         # 1 + d + d(d+1)/2 + d_b = 1 + 2 + 3 + 3
         assert RegressionConfig("poly2_y_plus_Btail").features(y, btail).shape == (10, 9)
+
+
+# ----------------------------------------------------------------------------
+# Per-node reference sweeps: one regression per node and per target, Euler
+# loops for y.  The solver's node-batched sweeps must agree with them.
+# ----------------------------------------------------------------------------
+
+
+def _reference_fit(features, targets, ridge, node):
+    gram = features.T @ features
+    rhs = features.T @ targets
+    lam = max(ridge, 0.0)
+    eye = np.eye(gram.shape[0])
+    for _ in range(4):
+        try:
+            beta = np.linalg.solve(gram + lam * eye, rhs)
+        except np.linalg.LinAlgError:
+            beta = None
+        if beta is not None and np.all(np.isfinite(beta)):
+            return features @ beta
+        lam = max(lam * 10.0, 1e-10)
+    raise SolverError(f"regression matrix singular at node {node}")
+
+
+def _reference_forward(drifts, noises, drivers, x0, reg, btail, max_sweeps=5):
+    m, n, _ = drivers.dW.shape
+    d = x0.shape[1]
+    d_b = drivers.dB.shape[2]
+    dt = drivers.grid.dt
+    z_nodes = np.zeros((m, n + 1, d, d_b))
+    y = np.zeros((m, n + 1, d))
+
+    def propagate():
+        y[:, 0] = x0
+        for k in range(n):
+            y[:, k + 1] = (
+                y[:, k]
+                + drifts[:, k] * dt
+                + np.einsum("mij,mj->mi", noises[:, k], drivers.dW[:, k])
+                - np.einsum("mij,mj->mi", z_nodes[:, k + 1], drivers.dB[:, k])
+            )
+
+    for _ in range(max_sweeps):
+        propagate()
+        z_new = np.zeros_like(z_nodes)
+        for k in range(n):
+            mart = y[:, k + 1] - y[:, k] - drifts[:, k] * dt
+            target = (mart[:, :, None] * drivers.dB[:, k][:, None, :]).reshape(m, -1)
+            phi = reg.features(y[:, k], btail[:, k])
+            fitted = _reference_fit(phi, target, reg.ridge, k)
+            z_new[:, k + 1] = -fitted.reshape(m, d, d_b) / dt
+        z_new[:, 0] = z_new[:, 1]
+        change = float(np.sqrt(np.mean((z_new - z_nodes) ** 2)))
+        scale = float(np.sqrt(np.mean(z_new**2)))
+        z_nodes = z_new
+        if change <= 1e-10 + 1e-3 * scale:
+            break
+    propagate()
+    return y, z_nodes
+
+
+def _reference_backward(terminal, drifts, noises_b, drivers, y_path, reg, btail):
+    m, n, d_w = drivers.dW.shape
+    d = terminal.shape[1]
+    dt = drivers.grid.dt
+    big_y = np.zeros((m, n + 1, d))
+    big_z = np.zeros((m, n + 1, d, d_w))
+    big_y[:, n] = terminal
+    for k in range(n - 1, -1, -1):
+        phi = reg.features(y_path[:, k], btail[:, k])
+        stacked = np.concatenate([big_y[:, k + 1], drifts[:, k] * dt], axis=1)
+        fitted = _reference_fit(phi, stacked, reg.ridge, k)
+        fit_y_next, fit_drift = fitted[:, :d], fitted[:, d:]
+        big_y[:, k] = (
+            fit_y_next
+            - fit_drift
+            - np.einsum("mij,mj->mi", noises_b[:, k + 1], drivers.dB[:, k])
+        )
+        centered = big_y[:, k + 1] - fit_y_next
+        target = (centered[:, :, None] * drivers.dW[:, k][:, None, :]).reshape(m, -1)
+        big_z[:, k] = _reference_fit(phi, target, reg.ridge, k).reshape(m, d, d_w) / dt
+    big_z[:, n] = big_z[:, n - 1]
+    return big_y, big_z
+
+
+def _sweep_inputs(d, d_w, d_b, m=300, n=12, seed=3):
+    """Random coefficient arrays; every particle starts at the same x, so
+    the node-0 features are collinear and only the ridge makes the affine
+    Gram invertible."""
+    grid = TimeGrid(1.0, n)
+    drivers = sample_driver_pair(grid, d_w, d_b, m, seed=seed)
+    rng = np.random.default_rng(seed)
+    drifts = rng.standard_normal((m, n + 1, d))
+    noises = 0.5 * rng.standard_normal((m, n + 1, d, d_w))
+    fb = rng.standard_normal((m, n + 1, d))
+    noises_b = 0.5 * rng.standard_normal((m, n + 1, d, d_b))
+    x0 = np.tile(np.linspace(1.0, -0.5, d), (m, 1))
+    return drivers, drifts, noises, fb, noises_b, x0
+
+
+class TestSweepsAgainstReference:
+    @pytest.mark.parametrize(
+        "basis, d", [("constant", 1), ("affine_y", 1), ("poly2_y_plus_Btail", 2)]
+    )
+    def test_phases_match_per_node_reference(self, basis, d):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(d, 2, 1)
+        reg = RegressionConfig(basis)
+        btail = drivers.b_tail()
+        y, z = _forward_phase(drifts, noises, drivers, x0, reg, btail)
+        y_ref, z_ref = _reference_forward(drifts, noises, drivers, x0, reg, btail)
+        assert np.max(np.abs(y - y_ref)) <= 1e-10
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert np.max(np.abs(z)) > 0.0
+        terminal = np.sin(y_ref[:, -1])
+        big_y, big_z = _backward_phase(terminal, fb, noises_b, drivers, y_ref, reg, btail)
+        ref_y, ref_z = _reference_backward(
+            terminal, fb, noises_b, drivers, y_ref, reg, btail
+        )
+        # node 0 included: y_0 = x for every particle
+        assert np.all(y_ref[:, 0] == x0)
+        assert np.max(np.abs(big_y - ref_y)) <= 1e-10
+        assert np.max(np.abs(big_z - ref_z)) <= 1e-10
+
+    def test_unridged_singular_node_escalates_like_reference(self):
+        # ridge 0: the node-0 affine Gram is exactly singular, so the node
+        # retries with an escalated ridge
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(1, 1, 1)
+        reg = RegressionConfig("affine_y", ridge=0.0)
+        btail = drivers.b_tail()
+        y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
+        big_y, big_z = _backward_phase(y_ref[:, -1], fb, noises_b, drivers, y_ref, reg, btail)
+        ref_y, ref_z = _reference_backward(
+            y_ref[:, -1], fb, noises_b, drivers, y_ref, reg, btail
+        )
+        assert np.max(np.abs(big_y - ref_y)) <= 1e-10
+        assert np.max(np.abs(big_z - ref_z)) <= 1e-10
+
+    def test_nonfinite_features_name_the_node(self):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 1, 1)
+        reg = RegressionConfig("poly2_y_plus_Btail")
+        btail = drivers.b_tail()
+        y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
+        bad_tail = btail.copy()
+        bad_tail[:, 7] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SolverError, match="singular at node 7$"):
+                _forward_phase(drifts, noises, drivers, x0, reg, bad_tail)
+            with pytest.raises(SolverError, match="singular at node 7$"):
+                _reference_forward(drifts, noises, drivers, x0, reg, bad_tail)
+            bad_path = y_ref.copy()
+            bad_path[:, 4] = np.nan
+            with pytest.raises(SolverError, match="singular at node 4$"):
+                _backward_phase(y_ref[:, -1], fb, noises_b, drivers, bad_path, reg, btail)
+            with pytest.raises(SolverError, match="singular at node 4$"):
+                _reference_backward(
+                    y_ref[:, -1], fb, noises_b, drivers, bad_path, reg, btail
+                )
 
 
 class TestDMetric:
@@ -392,6 +553,18 @@ class TestMomentOracle:
         assert not res.unique
         assert len(res.roots[0]) >= 2
 
+    @pytest.mark.parametrize("maps, named", [(("g", "G"), "g"), (("G",), "G")])
+    def test_noisy_model_rejected(self, maps, named):
+        # shifted by +1, the noise maps are nonzero at z = Z = 0
+        model = builtin_example_meanfield(DIMS)
+        shifted = {
+            name: (lambda fn: lambda t, v, law: fn(t, v, law) + 1.0)(getattr(model, name))
+            for name in maps
+        }
+        noisy = dataclasses.replace(model, **shifted)
+        with pytest.raises(ValueError, match=f"{named} is nonzero"):
+            moment_ode_oracle(noisy, 1.0, TimeGrid(1.0, 20))
+
 
 class TestDetectNonuniqueness:
     def test_single_start(self):
@@ -406,6 +579,7 @@ class TestDetectNonuniqueness:
         )
         assert len(report.limits) == 1
         assert report.max_distance == 0.0
+        assert report.failed_starts == []
 
     def test_reference_model_unique_limits(self):
         model = builtin_example_meanfield(DIMS)
@@ -441,6 +615,26 @@ class TestDetectNonuniqueness:
         assert report.max_distance >= 0.5
         for lim in report.limits:
             assert lim.residuals.max() <= 0.05
+
+
+    def test_failed_start_is_recorded(self):
+        # the second start blows up the features at node 1: its solve raises
+        # without a partial report
+        coeffs, horizon, _, dims = builtin_counterexample()
+        grid = TimeGrid(horizon, 30)
+        m = 200
+        drivers = sample_driver_pair(grid, 1, 1, m, seed=27)
+        prob = HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0,
+                               x=np.zeros(1))
+        huge = EnsembleState.zeros(m, dims, grid)
+        huge.Y[:] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = detect_nonuniqueness(
+                prob, [EnsembleState.zeros(m, dims, grid), huge], drivers, REG,
+                tol=1e-4, damping=0.35,
+            )
+        assert len(report.limits) == 1
+        assert report.failed_starts == [(1, "regression matrix singular at node 1")]
 
 
 class TestCsvExports:
