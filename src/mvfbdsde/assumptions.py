@@ -517,8 +517,7 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
         law = quad_law(v)
         u = np.broadcast_to(u_mid, (4, problem.d_u)).copy()
         t = float(rng.uniform(0.0, problem.grid.horizon))
-        for which in ("g", "G"):
-            fn = problem.paper_noise(which)
+        for fn in (problem.dynamics.g, problem.dynamics.G):
             base_val = fn(t, v, u, law)
             dir_z = rng.standard_normal(v.z.shape)
             dir_z /= np.sqrt(np.sum(dir_z**2, axis=(1, 2)))[:, None, None] + 1e-300
@@ -547,8 +546,9 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
     report.passes["lderivative_caps"] = bool(max_l < lcap)
 
     direction = "A2" if problem.c > 0 else "A2_prime"
+    frozen_u = np.broadcast_to(u_mid, (problem.grid.steps + 1, problem.d_u))
     mono = check_monotonicity(
-        problem.canonical_set(u_mid),
+        problem.coefficients_for(frozen_u),
         problem.theta1,
         problem.theta2,
         problem.alpha1,

@@ -32,8 +32,10 @@ from .model import (
     Dimensions,
     EnsembleState,
     HomotopyProblem,
+    NodeMoments,
     Quad,
     quad_law,
+    split_flat_mean,
 )
 from .paths import BrownianPair, TimeGrid
 from .solver import (
@@ -157,7 +159,9 @@ class CostTerm:
 
 @dataclass
 class RunningCost:
-    """Per-particle running cost (t, v, u, law) -> (M,)."""
+    """Per-particle running cost (t, v, u, law) -> (M,) at one node, or
+    (M, K) on a stack of K nodes (the coefficient maps' node-stack contract,
+    with u of shape (M, d_u) or (M, K, d_u))."""
 
     value: Callable[[float, Quad, np.ndarray, EmpiricalLaw], np.ndarray]
     grads: dict[str, Callable] = field(default_factory=dict)  # keys: y,Y,z,Z,u
@@ -166,7 +170,7 @@ class RunningCost:
 
     @classmethod
     def zero(cls) -> "RunningCost":
-        return cls(value=lambda t, v, u, law: np.zeros(v.particles))
+        return cls(value=lambda t, v, u, law: np.zeros(v.y.shape[:-1]))
 
 
 def _block_get(v: Quad, u: np.ndarray, block: str) -> np.ndarray:
@@ -191,7 +195,7 @@ def _mean_delta(dims: Dimensions, block: str, j: int, h: float) -> np.ndarray:
 class FeedbackControl:
     """Admissible feedback on the forward regression feature: a map
     (node, time, y_k batch) -> (M, d_u) control values, re-evaluated on the
-    current ensemble at every coefficient call."""
+    current ensemble at every coefficient call, one node at a time."""
 
     def __init__(self, fn: Callable[[int, float, np.ndarray], np.ndarray]):
         self._fn = fn
@@ -204,6 +208,8 @@ class FeedbackControl:
 class ControlledDynamics:
     """Display-form coefficient maps with a control argument.
 
+    Each map ``fn(t, v, u, law)`` follows CoefficientSet's node-stack
+    contract, with u of shape (M, d_u) at one node and (M, K, d_u) on a stack.
     ``jacobians`` optionally carries constant derivative tensors keyed as
     ("f", "y"), ("g", "mZ"), ... with shape (*out_shape, *in_shape); anything
     absent is obtained by central differences.
@@ -264,9 +270,6 @@ class ControlProblem:
             np.all(u >= self.u_lo - tol) and np.all(u <= self.u_hi + tol)
         )
 
-    def paper_noise(self, which: str) -> Callable:
-        return self.dynamics.g if which == "g" else self.dynamics.G
-
     def noise_mean_derivative_sq(self, which: str, block: str) -> float:
         """Squared norm of the noise map's derivative in the z/Z mean block."""
         jac = self.dynamics.jacobians.get((which, "m" + block))
@@ -287,7 +290,7 @@ class ControlProblem:
         )
         law = quad_law(v)
         u = np.broadcast_to(self.control_box_center(), (m, self.d_u)).copy()
-        fn = self.paper_noise(which)
+        fn = self.dynamics.map(which)
         base = fn(0.0, v, u, law)
         width = dims.d_b if block == "z" else dims.d_w
         total = 0.0
@@ -296,29 +299,6 @@ class ControlProblem:
             up = fn(0.0, v, u, law.translated(_mean_delta(dims, "m" + block, j, h)))
             total += float(np.max(np.sum((up - base) ** 2, axis=(1, 2)))) / h**2
         return total
-
-    def canonical_set(self, u_const: np.ndarray) -> CoefficientSet:
-        """Canonical coefficient map at a frozen constant control."""
-        u_const = np.asarray(u_const, dtype=float)
-        dyn = self.dynamics
-
-        def with_u(fn, sign=1.0):
-            def wrapped(t, v, law):
-                u = np.broadcast_to(u_const, (v.particles, self.d_u))
-                return sign * fn(t, v, u, law)
-
-            return wrapped
-
-        return CoefficientSet(
-            dims=self.dims,
-            f=with_u(dyn.f),
-            g=with_u(dyn.g),
-            F=with_u(dyn.F, sign=-1.0),
-            G=with_u(dyn.G, sign=-1.0),
-            h=lambda y_t, law: self.c * y_t,
-            law_dependence=dyn.law_dependence,
-            name=self.name + "_frozen_u",
-        )
 
     # -- controls -------------------------------------------------------------
 
@@ -349,26 +329,29 @@ class ControlProblem:
         """Canonical coefficient set with the control baked in by node.
 
         ``control`` is a deterministic (N+1, d_u) array or a FeedbackControl;
-        feedback values are recomputed from the current forward feature y_k at
-        every coefficient evaluation (the adapted proxy).
+        each time in ``t`` reads the control at node round(t / dt).  Feedback
+        values are recomputed from the current forward feature y_k at every
+        coefficient evaluation (the adapted proxy), node by node on a stack.
         """
         dyn = self.dynamics
-        dt = self.grid.dt
-        n = self.grid.steps
         feedback = isinstance(control, FeedbackControl)
 
-        def node_of(t: float) -> int:
-            return min(n, max(0, int(round(t / dt))))
+        def feedback_at(k: int, t: float, y: np.ndarray) -> np.ndarray:
+            u = np.asarray(control(k, t, y), dtype=float)
+            if u.shape != (y.shape[0], self.d_u):
+                raise ValueError("feedback control returned a bad shape")
+            return u
 
         def baked(fn, sign=1.0):
             def wrapped(t, v, law):
-                k = node_of(t)
-                if feedback:
-                    u = np.asarray(control(k, t, v.y), dtype=float)
-                    if u.shape != (v.particles, self.d_u):
-                        raise ValueError("feedback control returned a bad shape")
+                k = _node_index(t, self.grid)
+                if not feedback:
+                    u = np.broadcast_to(control[k], v.y.shape[:-1] + (self.d_u,))
+                elif np.ndim(k) == 0:
+                    u = feedback_at(k, t, v.y)
                 else:
-                    u = np.broadcast_to(control[k], (v.particles, self.d_u))
+                    u = np.stack([feedback_at(int(kk), float(tt), v.y[:, i])
+                                  for i, (kk, tt) in enumerate(zip(k, t))], axis=1)
                 return sign * fn(t, v, u, law)
 
             return wrapped
@@ -380,9 +363,15 @@ class ControlProblem:
             F=baked(dyn.F, sign=-1.0),
             G=baked(dyn.G, sign=-1.0),
             h=lambda y_t, law: self.c * y_t,
-            law_dependence=dyn.law_dependence,
             name=self.name,
         )
+
+
+def _node_index(t, grid: TimeGrid):
+    """The grid node of each time, round(t / dt) clipped to [0, N]: an int
+    for a scalar time, an int array for an array of times."""
+    k = np.clip(np.rint(np.asarray(t) / grid.dt).astype(int), 0, grid.steps)
+    return int(k) if k.ndim == 0 else k
 
 
 # ----------------------------------------------------------------------------
@@ -442,155 +431,125 @@ def _out_shape(dims: Dimensions, coef: str) -> tuple[int, ...]:
 
 def _fd_jacobian(
     fn: Callable,
-    t: float,
+    t,
     v: Quad,
     u: np.ndarray,
-    law: EmpiricalLaw,
+    law,
     block: str,
     dims: Dimensions,
     d_u: int,
 ) -> np.ndarray:
-    """Central-difference derivative tensor, flattened input axis last:
-    (M, prod(out_shape), prod(in_shape))."""
-    m = v.particles
-    in_shape = _block_shape(dims, d_u, block)
-    size = int(np.prod(in_shape))
+    """Central-difference derivative tensor of ``fn(t, v, u, law)`` in one
+    block, flattened, input axis last: (M, out, in) at one node and
+    (M, K, out, in) on a stack of K nodes.  A mean block steps by FD_STEP; a
+    point block by FD_STEP times one plus the block's largest magnitude over
+    the particles of each node."""
+    lead = v.y.shape[:-1]
+    size = int(np.prod(_block_shape(dims, d_u, block)))
     cols = []
     if block.startswith("m"):
+        h = FD_STEP
         for j in range(size):
-            h = FD_STEP
-            up = fn(t, v, u, law.translated(_mean_delta(dims, block, j, h)))
-            dn = fn(t, v, u, law.translated(-_mean_delta(dims, block, j, h)))
-            cols.append(((up - dn) / (2 * h)).reshape(m, -1))
+            delta = _mean_delta(dims, block, j, h)
+            up = fn(t, v, u, law.translated(delta))
+            dn = fn(t, v, u, law.translated(-delta))
+            cols.append(((up - dn) / (2 * h)).reshape(*lead, -1))
     else:
         base_arr = _block_get(v, u, block)
-        scale = 1.0 + float(np.max(np.abs(base_arr), initial=0.0))
-        h = FD_STEP * scale
-        flat = base_arr.reshape(m, -1)
+        flat = base_arr.reshape(*lead, size)
+        h = FD_STEP * (1.0 + np.max(np.abs(flat), axis=(0, -1), initial=0.0))
         for j in range(size):
             up_arr = flat.copy()
             dn_arr = flat.copy()
-            up_arr[:, j] += h
-            dn_arr[:, j] -= h
+            up_arr[..., j] += h
+            dn_arr[..., j] -= h
             v_up, u_up = _block_replace(v, u, block, up_arr.reshape(base_arr.shape))
             v_dn, u_dn = _block_replace(v, u, block, dn_arr.reshape(base_arr.shape))
-            cols.append(
-                ((fn(t, v_up, u_up, law) - fn(t, v_dn, u_dn, law)) / (2 * h)).reshape(
-                    m, -1
-                )
-            )
-    return np.stack(cols, axis=2)
+            diff = fn(t, v_up, u_up, law) - fn(t, v_dn, u_dn, law)
+            cols.append(diff.reshape(*lead, -1) / (2 * h[..., None]))
+    return np.stack(cols, axis=-1)
 
 
 class JacobianBank:
-    """Per-node flattened derivative tensors of the display-form dynamics."""
+    """Flattened derivative tensors of the display-form dynamics along a
+    state trajectory.  A constant Jacobian is one (out, in) matrix; any other
+    is differenced once over all nodes and kept as (M, N+1, out, in)."""
 
     def __init__(self, problem: ControlProblem, state: EnsembleState,
-                 controls: np.ndarray, laws: list[EmpiricalLaw]):
+                 controls: np.ndarray, laws: NodeMoments):
         self.problem = problem
         self.state = state
         self.controls = controls
         self.laws = laws
-        self._cache: dict[tuple[str, str, int], np.ndarray] = {}
+        self._cache: dict[tuple[str, str], np.ndarray] = {}
 
-    def get(self, coef: str, block: str, k: int) -> np.ndarray:
-        key = (coef, block, k)
-        if key in self._cache:
-            return self._cache[key]
-        problem = self.problem
-        const = problem.dynamics.jacobians.get((coef, block))
-        m = self.state.particles
-        out_size = int(np.prod(_out_shape(problem.dims, coef)))
-        in_size = int(np.prod(_block_shape(problem.dims, problem.d_u, block)))
-        if const is not None:
-            arr = np.broadcast_to(
-                np.asarray(const, dtype=float).reshape(1, out_size, in_size),
-                (m, out_size, in_size),
-            )
-        elif block.startswith("m") and problem.dynamics.law_dependence == "none":
-            arr = np.zeros((m, out_size, in_size))
-        else:
-            t = float(self.state.grid.nodes[k])
-            v = self.state.at(k)
-            u = np.broadcast_to(self.controls[k], (m, problem.d_u))
-            arr = _fd_jacobian(
-                problem.dynamics.map(coef), t, v, u, self.laws[k], block,
-                problem.dims, problem.d_u,
-            )
-        self._cache[key] = arr
-        return arr
+    def point(self, k: int | slice | np.ndarray) -> tuple:
+        """(t, v, u, law) of the trajectory at node k or a stack of nodes."""
+        v = self.state.at(k)
+        u = np.broadcast_to(self.controls[k], v.y.shape[:-1] + (self.problem.d_u,))
+        return self.state.grid.nodes[k], v, u, self.laws[k]
+
+    def get(self, coef: str, block: str, k: int | slice | np.ndarray) -> np.ndarray:
+        """The Jacobian at node(s) k: (out, in) when constant, else
+        (M, out, in) at one node or (M, K, out, in) on a stack."""
+        arr = self._cache.get((coef, block))
+        if arr is None:
+            problem = self.problem
+            const = problem.dynamics.jacobians.get((coef, block))
+            out_size = int(np.prod(_out_shape(problem.dims, coef)))
+            in_size = int(np.prod(_block_shape(problem.dims, problem.d_u, block)))
+            if const is not None:
+                arr = np.asarray(const, dtype=float).reshape(out_size, in_size)
+            elif block.startswith("m") and problem.dynamics.law_dependence == "none":
+                arr = np.zeros((out_size, in_size))
+            else:
+                arr = _fd_jacobian(
+                    problem.dynamics.map(coef), *self.point(slice(None)), block,
+                    problem.dims, problem.d_u,
+                )
+            self._cache[(coef, block)] = arr
+        return arr if arr.ndim == 2 else arr[:, k]
 
 
-def _running_grad(
-    problem: ControlProblem,
-    t: float,
-    v: Quad,
-    u: np.ndarray,
-    law: EmpiricalLaw,
-    block: str,
-) -> np.ndarray:
+def _running_grad(problem: ControlProblem, t, v: Quad, u: np.ndarray, law,
+                  block: str) -> np.ndarray:
     """Flattened per-particle gradient of the running cost in one block."""
     rc = problem.running_cost
-    m = v.particles
-    if block.startswith("m"):
-        hook = rc.mean_grads.get(block)
-    else:
-        hook = rc.grads.get(block)
+    lead = v.y.shape[:-1]
+    hook = (rc.mean_grads if block.startswith("m") else rc.grads).get(block)
     if hook is not None:
-        return np.asarray(hook(t, v, u, law), dtype=float).reshape(m, -1)
-    if block.startswith("m"):
-        if rc.law_dependence == "none":
-            return np.zeros((m, int(np.prod(_block_shape(problem.dims, problem.d_u, block)))))
-        if rc.law_dependence != "first_moment":
+        return np.asarray(hook(t, v, u, law), dtype=float).reshape(*lead, -1)
+    if block.startswith("m") and rc.law_dependence != "first_moment":
+        if rc.law_dependence != "none":
             raise ValueError("L-derivative unavailable")
-        size = int(np.prod(_block_shape(problem.dims, problem.d_u, block)))
-        out = np.zeros((m, size))
-        for j in range(size):
-            h = FD_STEP
-            up = rc.value(t, v, u, law.translated(_mean_delta(problem.dims, block, j, h)))
-            dn = rc.value(t, v, u, law.translated(-_mean_delta(problem.dims, block, j, h)))
-            out[:, j] = (up - dn) / (2 * h)
-        return out
-    base_arr = _block_get(v, u, block)
-    flat = base_arr.reshape(m, -1)
-    out = np.zeros_like(flat)
-    scale = 1.0 + float(np.max(np.abs(base_arr), initial=0.0))
-    h = FD_STEP * scale
-    for j in range(flat.shape[1]):
-        up_arr = flat.copy()
-        dn_arr = flat.copy()
-        up_arr[:, j] += h
-        dn_arr[:, j] -= h
-        v_up, u_up = _block_replace(v, u, block, up_arr.reshape(base_arr.shape))
-        v_dn, u_dn = _block_replace(v, u, block, dn_arr.reshape(base_arr.shape))
-        out[:, j] = (rc.value(t, v_up, u_up, law) - rc.value(t, v_dn, u_dn, law)) / (2 * h)
-    return out
+        return np.zeros((*lead, int(np.prod(_block_shape(problem.dims, problem.d_u, block)))))
+
+    def cost(t, v, u, law):  # the cost as a single output
+        return rc.value(t, v, u, law)[..., None]
+
+    return _fd_jacobian(cost, t, v, u, law, block, problem.dims, problem.d_u)[..., 0, :]
 
 
 def grad_hamiltonian_block(
     problem: ControlProblem,
     bank: JacobianBank,
-    k: int,
+    k: int | slice | np.ndarray,
     chi: Quad,
     block: str,
 ) -> np.ndarray:
-    """Per-particle gradient of H in one (possibly mean) block, flattened.
+    """Per-particle gradient of H in one (possibly mean) block, flattened:
+    (M, in) at node k, (M, K, in) on a stack of nodes k with chi of shape
+    (M, K, ...).
 
     <p, dF> - <P, df> + <q, dG> - <Q, dg> - d(cost); chi supplies (p, P, q, Q).
     """
-    m = chi.particles
-    p = chi.y.reshape(m, -1)
-    big_p = chi.Y.reshape(m, -1)
-    q = chi.z.reshape(m, -1)
-    big_q = chi.Z.reshape(m, -1)
-    t = float(bank.state.grid.nodes[k])
-    v = bank.state.at(k)
-    u = np.broadcast_to(bank.controls[k], (m, problem.d_u))
-    out = np.einsum("mo,moi->mi", p, bank.get("F", block, k))
-    out = out - np.einsum("mo,moi->mi", big_p, bank.get("f", block, k))
-    out = out + np.einsum("mo,moi->mi", q, bank.get("G", block, k))
-    out = out - np.einsum("mo,moi->mi", big_q, bank.get("g", block, k))
-    out = out - _running_grad(problem, t, v, u, bank.laws[k], block)
+    lead = chi.y.shape[:-1]
+    p, big_p, q, big_q = (a.reshape(*lead, -1) for a in chi)
+    out = np.einsum("...o,...oi->...i", p, bank.get("F", block, k))
+    out = out - np.einsum("...o,...oi->...i", big_p, bank.get("f", block, k))
+    out = out + np.einsum("...o,...oi->...i", q, bank.get("G", block, k))
+    out = out - np.einsum("...o,...oi->...i", big_q, bank.get("g", block, k))
+    out = out - _running_grad(problem, *bank.point(k), block)
     return out
 
 
@@ -639,21 +598,15 @@ def build_adjoint_coefficients(
     dims = problem.dims
     grid = state.grid
     n = grid.steps
-    dt = grid.dt
-    m = state.particles
-    laws = state.node_laws()
-    bank = JacobianBank(problem, state, control_values, laws)
-
-    def node_of(t: float) -> int:
-        return min(n, max(0, int(round(t / dt))))
+    bank = JacobianBank(problem, state, control_values, state.node_laws())
 
     def drift_or_noise(block_point: str, block_mean: str, out_shape: tuple):
-        def fn(t: float, chi: Quad, law_chi: EmpiricalLaw) -> np.ndarray:
-            k = node_of(t)
+        def fn(t, chi: Quad, law_chi) -> np.ndarray:
+            k = _node_index(t, grid)
             point = grad_hamiltonian_block(problem, bank, k, chi, block_point)
             mean_part = grad_hamiltonian_block(problem, bank, k, chi, block_mean)
             total = point + mean_part.mean(axis=0, keepdims=True)
-            return total.reshape(chi.particles, *out_shape)
+            return total.reshape(*chi.y.shape[:-1], *out_shape)
 
         return fn
 
@@ -664,7 +617,6 @@ def build_adjoint_coefficients(
         F=drift_or_noise("y", "my", (dims.d,)),
         G=drift_or_noise("z", "mz", (dims.d, dims.d_b)),
         h=lambda y_t, law: y_t,  # unused: adjoint problems use the affine terminal
-        law_dependence="first_moment",
         name=problem.name + "_adjoint",
     )
 
@@ -813,15 +765,9 @@ def mean_control_gradient(
     control_values: np.ndarray,
 ) -> np.ndarray:
     """Ensemble-averaged grad_u H along the trajectory, shape (N+1, d_u)."""
-    laws = state.node_laws()
-    bank = JacobianBank(problem, state, control_values, laws)
-    n = problem.grid.steps
-    out = np.zeros((n + 1, problem.d_u))
-    for k in range(n + 1):
-        chi = Quad(adjoint.p[:, k], adjoint.P[:, k], adjoint.q[:, k], adjoint.Q[:, k])
-        g = grad_hamiltonian_block(problem, bank, k, chi, "u")
-        out[k] = g.mean(axis=0)
-    return out
+    bank = JacobianBank(problem, state, control_values, state.node_laws())
+    chi = Quad(adjoint.p, adjoint.P, adjoint.q, adjoint.Q)
+    return grad_hamiltonian_block(problem, bank, slice(None), chi, "u").mean(axis=0)
 
 
 def first_order_candidate(
@@ -1138,23 +1084,20 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
     dims = Dimensions(1, 1, 1)
     pr = LQ_PARAMS
 
-    def mean_block(law: EmpiricalLaw, block: str) -> np.ndarray:
-        d = dims.d
-        offs = {"y": 0, "Y": d, "z": 2 * d, "Z": 2 * d + d * dims.d_b}[block]
-        size = {"y": d, "Y": d, "z": d * dims.d_b, "Z": d * dims.d_w}[block]
-        return law.mean[offs : offs + size]
+    def means(law) -> Quad:
+        return split_flat_mean(law.mean, dims)
 
     def f(t, v, u, law):
-        return 0.5 * mean_block(law, "Y")[None, :] - v.Y + u
+        return 0.5 * means(law).Y - v.Y + u
 
     def g(t, v, u, law):
-        return 0.125 * mean_block(law, "Z").reshape(1, dims.d, dims.d_w) - 0.25 * v.Z
+        return 0.125 * means(law).Z - 0.25 * v.Z
 
     def big_f(t, v, u, law):
-        return v.y - 0.5 * mean_block(law, "y")[None, :]
+        return v.y - 0.5 * means(law).y
 
     def big_g(t, v, u, law):
-        return 0.25 * v.z - 0.125 * mean_block(law, "z").reshape(1, dims.d, dims.d_b)
+        return 0.25 * v.z - 0.125 * means(law).z
 
     jac = {
         ("f", "Y"): -np.eye(1),
@@ -1181,8 +1124,8 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
     rho = pr["rho"]
 
     running = RunningCost(
-        value=lambda t, v, u, law: 0.5 * np.sum(u**2, axis=1)
-        + 0.5 * rho * np.sum(v.y**2, axis=1),
+        value=lambda t, v, u, law: 0.5 * np.sum(u**2, axis=-1)
+        + 0.5 * rho * np.sum(v.y**2, axis=-1),
         grads={
             "y": lambda t, v, u, law: rho * v.y,
             "Y": lambda t, v, u, law: np.zeros_like(v.Y),

@@ -11,6 +11,10 @@ throughout by empirical particle clouds.  Systems stated with dY = -F dt
 - G dB~ must be negated into this form before use.  The backward integral dB~
 pairs RIGHT-node integrands with increments, the forward integral LEFT-node
 ones (see paths).
+
+Coefficient maps read the law only through its first moment, so the solver
+evaluates each map once over a stack of nodes against per-node means (a
+``NodeMoments`` view); see ``CoefficientSet`` for the shapes.
 """
 
 from __future__ import annotations
@@ -79,19 +83,6 @@ class Quad(NamedTuple):
             np.zeros((m, dims.d, dims.d_w)),
         )
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: Dimensions) -> "Quad":
-        flat = np.atleast_2d(flat)
-        m = flat.shape[0]
-        d, db, dw = dims.d, dims.d_b, dims.d_w
-        o1, o2, o3 = d, 2 * d, 2 * d + d * db
-        return cls(
-            flat[:, :o1].reshape(m, d),
-            flat[:, o1:o2].reshape(m, d),
-            flat[:, o2:o3].reshape(m, d, db),
-            flat[:, o3:].reshape(m, d, dw),
-        )
-
 
 def quad_law(v: Quad) -> EmpiricalLaw:
     """Uniform empirical law of the quadruple batch on the flat product space."""
@@ -99,11 +90,36 @@ def quad_law(v: Quad) -> EmpiricalLaw:
 
 
 def split_flat_mean(mean: np.ndarray, dims: Dimensions) -> Quad:
-    """Unpack a flat quadruple-space mean into (my, mY, mz, mZ) blocks."""
-    return Quad(*(block[0] for block in Quad.from_flat(mean[None, :], dims)))
+    """Unpack flat quadruple-space means of shape (..., flat) into
+    (my, mY, mz, mZ) blocks of shapes (..., d), (..., d), (..., d, d_b) and
+    (..., d, d_w)."""
+    d, lead = dims.d, mean.shape[:-1]
+    o1, o2, o3 = d, 2 * d, 2 * d + d * dims.d_b
+    return Quad(
+        mean[..., :o1],
+        mean[..., o1:o2],
+        mean[..., o2:o3].reshape(*lead, d, dims.d_b),
+        mean[..., o3:].reshape(*lead, d, dims.d_w),
+    )
 
 
-CoefFn = Callable[[float, Quad, EmpiricalLaw], np.ndarray]
+@dataclass(frozen=True)
+class NodeMoments:
+    """Per-node first moments of the quadruple: ``mean`` is (K, flat) on a
+    stack of K nodes and (flat,) at one node.  Indexing selects nodes."""
+
+    mean: np.ndarray
+
+    def __getitem__(self, k: int | slice | np.ndarray) -> "NodeMoments":
+        return NodeMoments(self.mean[k])
+
+    def translated(self, delta: np.ndarray) -> "NodeMoments":
+        """The moments of every atom shifted by the flat vector ``delta``."""
+        return NodeMoments(self.mean + delta)
+
+
+Law = EmpiricalLaw | NodeMoments
+CoefFn = Callable[[float | np.ndarray, Quad, Law], np.ndarray]
 TerminalFn = Callable[[np.ndarray, EmpiricalLaw], np.ndarray]
 
 
@@ -111,11 +127,16 @@ TerminalFn = Callable[[np.ndarray, EmpiricalLaw], np.ndarray]
 class CoefficientSet:
     """The four coefficient maps and the terminal map, in canonical form.
 
-    ``f``/``F`` return (M, d); ``g`` returns (M, d, d_w); ``G`` (M, d, d_b);
-    ``h`` maps (y_T of shape (M, d), law of y_T) to (M, d).  ``law_dependence``
-    declares how the measure argument is used: "none", "first_moment" (only
-    through the flat mean), or "general".  Evaluation must be deterministic and
-    reentrant.
+    Every map ``fn(t, v, law)`` is evaluated at one node or over a contiguous
+    stack of K nodes.  At one node ``t`` is a float, the blocks of ``v`` are
+    y, Y (M, d), z (M, d, d_b), Z (M, d, d_w) and ``law.mean`` is (flat,).  On
+    a stack ``t`` holds the K node times, the blocks are (M, K, ...) and
+    ``law.mean`` is (K, flat).  ``f``/``F`` return the shape of ``v.y``, ``g``
+    that of ``v.Z`` and ``G`` that of ``v.z``; the solver accepts any output
+    that broadcasts to it.  The law is read only through ``law.mean``: the
+    solver passes a NodeMoments view, the certification routines an
+    EmpiricalLaw.  ``h`` maps (y_T of shape (M, d), law of y_T) to (M, d).
+    Evaluation must be deterministic and reentrant.
     """
 
     dims: Dimensions
@@ -124,12 +145,12 @@ class CoefficientSet:
     F: CoefFn
     G: CoefFn
     h: TerminalFn
-    law_dependence: str = "general"
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.law_dependence not in ("none", "first_moment", "general"):
-            raise ValueError(f"bad law_dependence {self.law_dependence!r}")
+        for label in ("f", "g", "F", "G", "h"):
+            if not callable(getattr(self, label)):
+                raise TypeError(f"coefficient {label} is not callable")
 
 
 def _check_finite(value: np.ndarray, shape: tuple, label: str) -> np.ndarray:
@@ -141,6 +162,22 @@ def _check_finite(value: np.ndarray, shape: tuple, label: str) -> np.ndarray:
     if not np.all(np.isfinite(value)):
         raise CoefficientError(f"coefficient {label} produced non-finite values")
     return value
+
+
+def eval_stack(
+    problem: "HomotopyProblem", name: str, k: int | slice, t, v: Quad, law: Law
+) -> np.ndarray:
+    """One map of the problem (``name`` in f, g, F, G) over the nodes ``k``,
+    broadcast to its output shape; CoefficientError names a map whose output
+    does not broadcast."""
+    like = {"f": v.y, "F": v.y, "g": v.Z, "G": v.z}[name]
+    value = getattr(problem, name + "_at")(k, t, v, law)
+    try:
+        return np.broadcast_to(value, like.shape)
+    except ValueError:
+        raise CoefficientError(
+            f"coefficient {name} returned shape {np.shape(value)}, expected {like.shape}"
+        ) from None
 
 
 def eval_system(
@@ -196,7 +233,7 @@ class Forcing:
     G_term: np.ndarray | None = None
     g_term: np.ndarray | None = None
 
-    def part(self, which: str, k: int) -> np.ndarray | None:
+    def part(self, which: str, k: int | slice) -> np.ndarray | None:
         arr = getattr(self, which)
         return None if arr is None else arr[:, k]
 
@@ -211,7 +248,9 @@ class HomotopyProblem:
     f_a = a*f + (1-a)*theta2*(-Y), g_a = a*g + (1-a)*theta2*(-Z), F_a = a*F,
     G_a = a*G, terminal a*base.  The terminal base is either the coefficient
     set's map ("map") or the affine c*y_T ("affine"); ``xi`` is added in both
-    modes and may be a per-particle array.
+    modes and may be a per-particle array.  The ``*_at`` maps take the node
+    index ``k`` (an int, or a slice for a node stack) that selects the
+    forcing, then ``(t, v, law)`` as the coefficient maps do.
     """
 
     base: CoefficientSet
@@ -259,19 +298,19 @@ class HomotopyProblem:
             out = out + forcing
         return out
 
-    def f_at(self, k: int, t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+    def f_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
         damp = -self.theta2 * v.Y if self.case == "case2" else None
         return self._combine(self.base.f(t, v, law), damp, self.forcing.part("f_term", k))
 
-    def g_at(self, k: int, t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+    def g_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
         damp = -self.theta2 * v.Z if self.case == "case2" else None
         return self._combine(self.base.g(t, v, law), damp, self.forcing.part("g_term", k))
 
-    def F_at(self, k: int, t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+    def F_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
         damp = -self.theta1 * v.y if self.case == "case1" else None
         return self._combine(self.base.F(t, v, law), damp, self.forcing.part("F_term", k))
 
-    def G_at(self, k: int, t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+    def G_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
         damp = -self.theta1 * v.z if self.case == "case1" else None
         return self._combine(self.base.G(t, v, law), damp, self.forcing.part("G_term", k))
 
@@ -385,11 +424,11 @@ def linear_coefficient_set(
 ) -> CoefficientSet:
     """Build a coefficient set from scalar linear tables."""
 
-    def mean_blocks(law: EmpiricalLaw) -> Quad:
+    def mean_blocks(law: Law) -> Quad:
         return split_flat_mean(law.mean, dims)
 
     def drift(table: dict[str, float]) -> CoefFn:
-        def fn(t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+        def fn(t, v: Quad, law: Law) -> np.ndarray:
             out = np.zeros_like(v.y)
             if not table:
                 return out
@@ -400,15 +439,15 @@ def linear_coefficient_set(
                 elif key == "Y":
                     out += coef * v.Y
                 elif key == "my":
-                    out += coef * mb.y[None, :]
+                    out += coef * mb.y
                 elif key == "mY":
-                    out += coef * mb.Y[None, :]
+                    out += coef * mb.Y
             return out
 
         return fn
 
     def noise(table: dict[str, float], which: str) -> CoefFn:
-        def fn(t: float, v: Quad, law: EmpiricalLaw) -> np.ndarray:
+        def fn(t, v: Quad, law: Law) -> np.ndarray:
             block = v.z if which == "z" else v.Z
             out = np.zeros_like(block)
             if not table:
@@ -418,9 +457,9 @@ def linear_coefficient_set(
                 if key in ("z", "Z"):
                     out += coef * block
                 elif key == "mz":
-                    out += coef * mb.z[None, :, :]
+                    out += coef * mb.z
                 elif key == "mZ":
-                    out += coef * mb.Z[None, :, :]
+                    out += coef * mb.Z
             return out
 
         return fn
@@ -444,7 +483,6 @@ def linear_coefficient_set(
         F=drift(tables.F),
         G=noise(tables.G, "z"),
         h=terminal(tables.h),
-        law_dependence="first_moment",
         name=name,
     )
 
@@ -517,7 +555,8 @@ class EnsembleState:
     def particles(self) -> int:
         return self.y.shape[0]
 
-    def at(self, k: int) -> Quad:
+    def at(self, k: int | slice) -> Quad:
+        """The quadruple at node ``k``, or the (M, K, ...) stack of a slice."""
         return Quad(self.y[:, k], self.Y[:, k], self.z[:, k], self.Z[:, k])
 
     def copy(self) -> "EnsembleState":
@@ -542,8 +581,13 @@ class EnsembleState:
             state.y[:, :, :] = x[:, None, :] if x.ndim > 1 else x[None, None, :]
         return state
 
-    def node_laws(self) -> list[EmpiricalLaw]:
-        return [quad_law(self.at(k)) for k in range(self.grid.steps + 1)]
+    def node_laws(self) -> NodeMoments:
+        """First moments of all N+1 nodes, from one mean per block."""
+        n = self.grid.steps + 1
+        return NodeMoments(np.concatenate(
+            [b.mean(axis=0).reshape(n, -1) for b in (self.y, self.Y, self.z, self.Z)],
+            axis=1,
+        ))
 
 
 def as_problem(
@@ -575,7 +619,8 @@ def residual(
     y_{k+1} - [y_k + f_k dt + g_k dW_k - z_{k+1} dB_k]; backward analogously
     for Y with F at the left node and G at the right node; terminal: RMS of
     Y_N - terminal(y_N).  Coefficients are evaluated at the state's own nodes
-    and empirical laws.
+    and first moments, f, g and F over the stack of left nodes and G over the
+    stack of right nodes.
     """
     if isinstance(problem, CoefficientSet):
         problem = as_problem(problem)
@@ -585,37 +630,35 @@ def residual(
     dt = grid.dt
     nodes = grid.nodes
     n = grid.steps
-    fwd = 0.0
-    bwd = 0.0
     laws = state.node_laws()
-    for k in range(n):
-        vk = state.at(k)
-        vk1 = state.at(k + 1)
-        f_k = problem.f_at(k, nodes[k], vk, laws[k])
-        g_k = problem.g_at(k, nodes[k], vk, laws[k])
-        big_f = problem.F_at(k, nodes[k], vk, laws[k])
-        big_g = problem.G_at(k + 1, nodes[k + 1], vk1, laws[k + 1])
-        dw = drivers.dW[:, k]
-        db = drivers.dB[:, k]
-        fdef = (
-            state.y[:, k + 1]
-            - state.y[:, k]
-            - f_k * dt
-            - np.einsum("mij,mj->mi", g_k, dw)
-            + np.einsum("mij,mj->mi", state.z[:, k + 1], db)
-        )
-        bdef = (
-            state.Y[:, k + 1]
-            - state.Y[:, k]
-            - big_f * dt
-            - np.einsum("mij,mj->mi", big_g, db)
-            - np.einsum("mij,mj->mi", state.Z[:, k], dw)
-        )
-        fwd = max(fwd, float(np.sqrt(np.mean(np.sum(fdef**2, axis=1)))))
-        bwd = max(bwd, float(np.sqrt(np.mean(np.sum(bdef**2, axis=1)))))
+    left, right = slice(0, n), slice(1, n + 1)
+    v_left = state.at(left)
+    f, g, big_f = (
+        eval_stack(problem, name, left, nodes[left], v_left, laws[left]) for name in "fgF"
+    )
+    big_g = eval_stack(problem, "G", right, nodes[right], state.at(right), laws[right])
+    dw, db = drivers.dW, drivers.dB
+    fdef = (
+        state.y[:, right]
+        - state.y[:, left]
+        - f * dt
+        - np.einsum("mkij,mkj->mki", g, dw)
+        + np.einsum("mkij,mkj->mki", state.z[:, right], db)
+    )
+    bdef = (
+        state.Y[:, right]
+        - state.Y[:, left]
+        - big_f * dt
+        - np.einsum("mkij,mkj->mki", big_g, db)
+        - np.einsum("mkij,mkj->mki", state.Z[:, left], dw)
+    )
+
+    def worst_rms(defect: np.ndarray) -> float:
+        return float(np.max(np.sqrt(np.mean(np.sum(defect**2, axis=2), axis=0))))
+
     y_t = state.y[:, n]
     term = problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
     tdef = state.Y[:, n] - term
     return ResidualTriple(
-        fwd, bwd, float(np.sqrt(np.mean(np.sum(tdef**2, axis=1))))
+        worst_rms(fdef), worst_rms(bdef), float(np.sqrt(np.mean(np.sum(tdef**2, axis=1))))
     )

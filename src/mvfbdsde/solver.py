@@ -24,6 +24,7 @@ from .model import (
     HomotopyProblem,
     Quad,
     ResidualTriple,
+    eval_stack,
     quad_law,
     residual,
 )
@@ -57,9 +58,10 @@ class RegressionConfig:
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
 
-    def features(self, y_k: np.ndarray, btail_k: np.ndarray) -> np.ndarray:
+    def features(self, y_k: np.ndarray, btail_k: np.ndarray | None) -> np.ndarray:
         """Feature rows of one node, (M, d) -> (M, p), or of a stack of
-        nodes, (K, M, d) -> (K, M, p)."""
+        nodes, (K, M, d) -> (K, M, p).  Only ``poly2_y_plus_Btail`` reads
+        ``btail_k``."""
         cols = [np.broadcast_to(1.0, y_k.shape[:-1] + (1,))]
         if self.basis in ("affine_y", "poly2_y_plus_Btail"):
             cols.append(y_k)
@@ -72,12 +74,18 @@ class RegressionConfig:
         return np.concatenate(cols, axis=-1)
 
 
-def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray
+def _btail(reg: RegressionConfig, drivers: BrownianPair) -> np.ndarray | None:
+    """The driver tail B_T - B_{t_k} for the basis that reads it, else None."""
+    return drivers.b_tail() if reg.basis == "poly2_y_plus_Btail" else None
+
+
+def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Node-major features (N, M, p) of nodes 0..N-1 and their Grams
-    (N, p, p), from y and btail of shape (M, N+1, .)."""
-    n = btail.shape[1] - 1
-    phi = reg.features(y[:, :n].transpose(1, 0, 2), btail[:, :n].transpose(1, 0, 2))
+    (N, p, p), from y and btail (or None) of shape (M, N+1, .)."""
+    n = y.shape[1] - 1
+    tail = None if btail is None else btail[:, :n].transpose(1, 0, 2)
+    phi = reg.features(y[:, :n].transpose(1, 0, 2), tail)
     return phi, np.matmul(phi.transpose(0, 2, 1), phi)
 
 
@@ -182,7 +190,7 @@ def _forward_phase(
     drivers: BrownianPair,
     x0: np.ndarray,
     reg: RegressionConfig,
-    btail: np.ndarray,
+    btail: np.ndarray | None,
     max_sweeps: int = 5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler propagation of the forward pair (y, z).
@@ -249,7 +257,7 @@ def _backward_phase(
     drivers: BrownianPair,
     y_path: np.ndarray,
     reg: RegressionConfig,
-    btail: np.ndarray,
+    btail: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regression sweep for the backward pair (Y, Z).
 
@@ -303,7 +311,8 @@ def solve_decoupled_step(
     """One application of the frozen-coefficient solve map.
 
     Every coefficient (including the problem's own alpha-level nonlinearities
-    and all law arguments) is evaluated on the ``frozen`` ensemble; only the
+    and all law arguments) is evaluated on the ``frozen`` ensemble, each map
+    in one call over all N+1 nodes against their first moments; only the
     linear propagation structure acts on the new unknowns.  The terminal map
     is applied to the newly propagated y_N.
     """
@@ -311,24 +320,14 @@ def solve_decoupled_step(
     if drivers.grid.steps != grid.steps or drivers.particles != frozen.particles:
         raise ValueError("frozen state and drivers disagree in shape")
     n = grid.steps
-    nodes = grid.nodes
     m = frozen.particles
-    dims = problem.dims
-    laws = frozen.node_laws()
+    every = slice(None)
+    v, laws = frozen.at(every), frozen.node_laws()
+    f_hat, g_hat, fb_hat, gb_hat = (
+        eval_stack(problem, name, every, grid.nodes, v, laws) for name in "fgFG"
+    )
 
-    f_hat = np.zeros((m, n + 1, dims.d))
-    g_hat = np.zeros((m, n + 1, dims.d, dims.d_w))
-    fb_hat = np.zeros((m, n + 1, dims.d))
-    gb_hat = np.zeros((m, n + 1, dims.d, dims.d_b))
-    for k in range(n + 1):
-        vk = frozen.at(k)
-        f_hat[:, k] = problem.f_at(k, nodes[k], vk, laws[k])
-        g_hat[:, k] = problem.g_at(k, nodes[k], vk, laws[k])
-        fb_hat[:, k] = problem.F_at(k, nodes[k], vk, laws[k])
-        gb_hat[:, k] = problem.G_at(k, nodes[k], vk, laws[k])
-    del laws, vk  # the sweeps need only the coefficient arrays
-
-    btail = drivers.b_tail()
+    btail = _btail(reg, drivers)
     x0 = problem.initial(m)
     y, z_nodes = _forward_phase(f_hat, g_hat, drivers, x0, reg, btail)
     y_t = y[:, n]
@@ -356,7 +355,7 @@ def linear_base_solve(
     n = grid.steps
     m = drivers.particles
     dims = problem.dims
-    btail = drivers.b_tail()
+    btail = _btail(reg, drivers)
     x0 = problem.initial(m)
     forcing = problem.forcing
 
@@ -686,8 +685,6 @@ def moment_ode_oracle(
     changes are bisected to full precision.  Finding several distinct roots
     (or a root continuum) flags the boundary-value problem as non-unique.
     """
-    if model.law_dependence not in ("none", "first_moment"):
-        raise ValueError("oracle needs a first-moment (or law-free) model")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_noise_free(model, x, grid, bracket_scale)
     d = model.dims.d

@@ -3,18 +3,29 @@
 import numpy as np
 import pytest
 
+from mvfbdsde.control import (
+    ControlledDynamics,
+    FeedbackControl,
+    build_adjoint_coefficients,
+    lq_control_scenario,
+    solve_state,
+)
 from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import (
     CoefficientError,
+    CoefficientSet,
     Dimensions,
     EnsembleState,
+    Forcing,
     HomotopyProblem,
     LinearTables,
     Quad,
+    as_problem,
     build_homotopy_case1,
     build_homotopy_case2,
     builtin_counterexample,
     builtin_example_meanfield,
+    eval_stack,
     eval_system,
     linear_coefficient_set,
     pairing,
@@ -22,6 +33,7 @@ from mvfbdsde.model import (
     residual,
 )
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
+from mvfbdsde.solver import RegressionConfig, continuation_solve
 
 DIMS = Dimensions(1, 1, 1)
 
@@ -306,3 +318,171 @@ class TestLinearTables:
             eval_system(manual, 0.0, v, law), eval_system(coeffs, 0.0, v, law)
         ):
             assert np.allclose(got, want, atol=1e-15)
+
+
+def random_state(rng, m, dims, grid, scale=1.0):
+    state = EnsembleState.zeros(m, dims, grid)
+    for arr in (state.y, state.Y, state.z, state.Z):
+        arr += scale * rng.standard_normal(arr.shape)
+    return state
+
+
+def assert_stack_matches_nodes(problem, state, atol=1e-14):
+    """Each map evaluated once over all nodes, against the node moments,
+    equals its node-by-node values under each node's empirical law."""
+    every = slice(None)
+    nodes = state.grid.nodes
+    laws = state.node_laws()
+    for name in "fgFG":
+        stacked = eval_stack(problem, name, every, nodes, state.at(every), laws)
+        for k, t in enumerate(nodes):
+            vk = state.at(k)
+            single = getattr(problem, name + "_at")(k, float(t), vk, quad_law(vk))
+            np.testing.assert_allclose(
+                stacked[:, k], np.broadcast_to(single, stacked[:, k].shape),
+                rtol=0, atol=atol, err_msg=f"map {name} at node {k}",
+            )
+
+
+class TestNodeStacks:
+    """Every shipped map evaluates a stack of nodes as it does each node."""
+
+    def test_node_moments_match_empirical_means(self):
+        dims = Dimensions(2, d_w=2, d_b=3)
+        grid = TimeGrid(1.0, 6)
+        state = random_state(np.random.default_rng(20), 37, dims, grid, scale=2.0)
+        laws = state.node_laws()
+        assert laws.mean.shape == (grid.steps + 1, dims.flat)
+        for k in range(grid.steps + 1):
+            want = quad_law(state.at(k)).mean
+            np.testing.assert_allclose(laws[k].mean, want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(laws.mean[k], want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("which", ["example1", "counterexample", "custom"])
+    def test_builtin_and_table_models(self, which):
+        if which == "example1":
+            dims = Dimensions(2, 2, 2)
+            coeffs = builtin_example_meanfield(dims)
+        elif which == "counterexample":
+            coeffs, _, _, dims = builtin_counterexample()
+        else:
+            dims = Dimensions(2, d_w=1, d_b=2)
+            coeffs = linear_coefficient_set(dims, LinearTables(
+                f={"y": 0.3, "Y": -1.2, "my": 0.7, "mY": -0.4},
+                F={"y": -0.9, "mY": 0.25},
+                g={"Z": -0.5, "mZ": 0.125},
+                G={"z": 0.75, "mz": -0.3},
+                h={"y": 1.0, "my": 0.5},
+            ))
+        state = random_state(np.random.default_rng(21), 23, dims, TimeGrid(1.0, 7))
+        assert_stack_matches_nodes(as_problem(coeffs), state)
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_homotopy_with_forcing(self, case):
+        dims = Dimensions(1, 1, 1)
+        grid = TimeGrid(1.0, 7)
+        m = 19
+        rng = np.random.default_rng(22)
+        n1 = grid.steps + 1
+        forcing = Forcing(
+            f_term=rng.standard_normal((m, n1, 1)),
+            F_term=rng.standard_normal((m, n1, 1)),
+            G_term=rng.standard_normal((m, n1, 1, 1)),
+            g_term=rng.standard_normal((m, n1, 1, 1)),
+        )
+        problem = HomotopyProblem(
+            base=builtin_example_meanfield(dims), alpha=0.6, case=case,
+            theta1=0.3, theta2=0.4, forcing=forcing,
+        )
+        assert_stack_matches_nodes(problem, random_state(rng, m, dims, grid))
+
+    @pytest.mark.parametrize("kind", ["array", "time_callable", "feedback"])
+    def test_lq_controls(self, kind):
+        problem = lq_control_scenario(TimeGrid(1.0, 9))
+        n1 = problem.grid.steps + 1
+        if kind == "array":
+            control = np.linspace(-1.0, 1.5, n1)[:, None]
+        elif kind == "time_callable":
+            control = problem.resolve_control(lambda k, t: np.array([0.3 * np.cos(3 * t)]))
+        else:
+            control = FeedbackControl(lambda k, t, y: problem.project(0.1 * k - 0.5 * y))
+        state = random_state(np.random.default_rng(23), 17, problem.dims, problem.grid)
+        assert_stack_matches_nodes(as_problem(problem.coefficients_for(control)), state)
+
+    @pytest.mark.parametrize("jacobians", ["analytic", "differenced"])
+    def test_lq_adjoint(self, jacobians):
+        problem = lq_control_scenario(TimeGrid(1.0, 9))
+        if jacobians == "differenced":
+            dyn = problem.dynamics
+            problem.dynamics = ControlledDynamics(f=dyn.f, g=dyn.g, F=dyn.F, G=dyn.G)
+        rng = np.random.default_rng(24)
+        state = random_state(rng, 17, problem.dims, problem.grid)
+        controls = rng.uniform(-1.0, 1.0, size=(problem.grid.steps + 1, 1))
+        system = build_adjoint_coefficients(problem, state, controls)
+        chi = random_state(rng, 17, problem.dims, problem.grid)
+        assert_stack_matches_nodes(as_problem(system.coefficients), chi, atol=1e-12)
+
+    def test_coefficient_maps_must_be_callable(self):
+        base = builtin_example_meanfield(DIMS)
+        with pytest.raises(TypeError, match="coefficient G"):
+            CoefficientSet(dims=DIMS, f=base.f, g=base.g, F=base.F, G=None, h=base.h)
+
+
+def _reference_residual(problem, state, drivers):
+    """The per-node residual the stacked one replaced: each node's maps under
+    that node's empirical law."""
+    grid = state.grid
+    dt, nodes, n = grid.dt, grid.nodes, grid.steps
+    fwd = bwd = 0.0
+    laws = [quad_law(state.at(k)) for k in range(n + 1)]
+    for k in range(n):
+        vk, vk1 = state.at(k), state.at(k + 1)
+        f_k = problem.f_at(k, nodes[k], vk, laws[k])
+        g_k = problem.g_at(k, nodes[k], vk, laws[k])
+        big_f = problem.F_at(k, nodes[k], vk, laws[k])
+        big_g = problem.G_at(k + 1, nodes[k + 1], vk1, laws[k + 1])
+        dw, db = drivers.dW[:, k], drivers.dB[:, k]
+        fdef = (state.y[:, k + 1] - state.y[:, k] - f_k * dt
+                - np.einsum("mij,mj->mi", g_k, dw)
+                + np.einsum("mij,mj->mi", state.z[:, k + 1], db))
+        bdef = (state.Y[:, k + 1] - state.Y[:, k] - big_f * dt
+                - np.einsum("mij,mj->mi", big_g, db)
+                - np.einsum("mij,mj->mi", state.Z[:, k], dw))
+        fwd = max(fwd, float(np.sqrt(np.mean(np.sum(fdef**2, axis=1)))))
+        bwd = max(bwd, float(np.sqrt(np.mean(np.sum(bdef**2, axis=1)))))
+    y_t = state.y[:, n]
+    tdef = state.Y[:, n] - problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
+    return fwd, bwd, float(np.sqrt(np.mean(np.sum(tdef**2, axis=1))))
+
+
+class TestResidualAgainstPerNode:
+    def test_example1_ladder_state(self):
+        grid = TimeGrid(1.0, 20)
+        drivers = sample_driver_pair(grid, 1, 1, 300, seed=25)
+        model = builtin_example_meanfield(DIMS)
+        report = continuation_solve(model, "case1", 0.25, 0.25, 0.5, drivers,
+                                    RegressionConfig(), x=np.array([1.0]))
+        problem = HomotopyProblem(base=model, alpha=1.0, case="case1", theta1=0.25,
+                                  x=np.array([1.0]))
+        got = residual(problem, report.final_state, drivers)
+        want = _reference_residual(problem, report.final_state, drivers)
+        assert got.max() > 0.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_lq_state(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 12))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 200, seed=26)
+        control = np.full((problem.grid.steps + 1, 1), 0.4)
+        solved = solve_state(problem, control, drivers, RegressionConfig()).final_state
+        rng = np.random.default_rng(27)
+        # a perturbed copy keeps every defect well away from zero
+        perturbed = EnsembleState(
+            *(a + 0.1 * rng.standard_normal(a.shape)
+              for a in (solved.y, solved.Y, solved.z, solved.Z)),
+            grid=solved.grid,
+        )
+        target = as_problem(problem.coefficients_for(control), x=problem.x)
+        for state in (solved, perturbed):
+            got = residual(target, state, drivers)
+            want = _reference_residual(target, state, drivers)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvfbdsde.model import (
+    CoefficientError,
     Dimensions,
     EnsembleState,
     Forcing,
@@ -328,6 +329,25 @@ class TestDecoupledStep:
         assert np.max(np.abs(out.Y)) == 0.0
         assert np.max(np.abs(out.z)) == 0.0
         assert np.max(np.abs(out.Z)) == 0.0
+
+    def test_map_output_is_broadcast_or_named(self):
+        grid = TimeGrid(1.0, 10)
+        drivers = sample_driver_pair(grid, 1, 1, 20, seed=15)
+        frozen = EnsembleState.zeros(20, DIMS, grid)
+        # a drift read off the node times alone, shape (K, d), broadcasts
+        timed = dataclasses.replace(
+            zero_coefficient_set(DIMS), f=lambda t, v, law: np.ones(np.shape(t) + (1,))
+        )
+        prob = HomotopyProblem(base=timed, alpha=1.0, case="case1", theta1=1.0)
+        out = solve_decoupled_step(prob, frozen, drivers, REG)
+        assert np.max(np.abs(out.y[:, :, 0] - grid.nodes[None, :])) <= 1e-12
+        # two components for d = 1 do not
+        bad = dataclasses.replace(
+            zero_coefficient_set(DIMS), F=lambda t, v, law: np.zeros(v.y.shape[:-1] + (2,))
+        )
+        prob = HomotopyProblem(base=bad, alpha=1.0, case="case1", theta1=1.0)
+        with pytest.raises(CoefficientError, match="coefficient F returned shape"):
+            solve_decoupled_step(prob, frozen, drivers, REG)
 
     def test_counterexample_sinusoid_near_fixed_point(self):
         coeffs, horizon, _, dims = builtin_counterexample()
