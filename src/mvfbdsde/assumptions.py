@@ -10,6 +10,7 @@ an explicit coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -18,8 +19,10 @@ from .measure import EmpiricalLaw, wasserstein2
 from .model import (
     CoefficientSet,
     Dimensions,
+    NodeMoments,
     Quad,
     eval_system,
+    eval_terminal,
     pairing,
     quad_law,
 )
@@ -178,19 +181,63 @@ def _quad_add(a: Quad, b: Quad, factor: float = 1.0) -> Quad:
 
 def _sq_norms(dv: Quad) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return (
-        np.sum(dv.y**2, axis=1),
-        np.sum(dv.Y**2, axis=1),
-        np.sum(dv.z**2, axis=(1, 2)),
-        np.sum(dv.Z**2, axis=(1, 2)),
+        np.sum(dv.y**2, axis=-1),
+        np.sum(dv.Y**2, axis=-1),
+        np.sum(dv.z**2, axis=(-2, -1)),
+        np.sum(dv.Z**2, axis=(-2, -1)),
     )
 
 
-def _w2_between(v1: Quad, v2: Quad) -> float:
-    a = EmpiricalLaw.from_samples(v1.flat())
-    b = EmpiricalLaw.from_samples(v2.flat())
-    if a.dim == 1:
-        return wasserstein2(a, b, "exact_1d")
-    return wasserstein2(a, b, "assignment")
+# Pairs are evaluated in stacks of this many, through the maps' node-stack
+# contract with one pair per node: blocks (M, K, ...), the K pair times and
+# the K per-pair means.  A fixed size bounds the memory of a stack.
+PAIR_CHUNK = 256
+
+Pair = tuple[float, Quad, Quad, str, float]
+
+
+def _chunks(pairs: Iterator[Pair]) -> Iterator[list[Pair]]:
+    """The sampler's pairs, in order, in lists of at most PAIR_CHUNK."""
+    while chunk := list(islice(pairs, PAIR_CHUNK)):
+        yield chunk
+
+
+def _stack(quads: list[Quad]) -> Quad:
+    """K quadruple batches of M atoms as one (M, K, ...) stack."""
+    return Quad(*(np.stack(blocks, axis=1) for blocks in zip(*quads)))
+
+
+def _stack_pairs(chunk: list[Pair]) -> tuple[np.ndarray, Quad, Quad]:
+    """The K pair times and the (M, K, ...) stacks of v1 and of v2."""
+    return (np.array([p[0] for p in chunk]), _stack([p[1] for p in chunk]),
+            _stack([p[2] for p in chunk]))
+
+
+def _particle_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the atoms (axis 0) of an (M, K, ...) stack, shape (K, ...).
+    Each pair is reduced along its own contiguous row, so its mean does not
+    depend on the other pairs of the stack."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).mean(axis=-1)
+
+
+def _moments(v: Quad) -> NodeMoments:
+    """Per-pair first moments (K, flat) of an (M, K, ...) stack."""
+    k = v.y.shape[1]
+    return NodeMoments(
+        np.concatenate([_particle_mean(b).reshape(k, -1) for b in v], axis=1)
+    )
+
+
+def _terminal(coeffs: CoefficientSet, y: np.ndarray, law: NodeMoments) -> np.ndarray:
+    """h on a stack of y blocks against the y-part of the per-pair moments."""
+    return eval_terminal(coeffs, y, NodeMoments(law.mean[:, : coeffs.dims.d]))
+
+
+def _w2(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact W2 between the uniform clouds on the rows of two sample arrays
+    of equal size: quantile matching in one dimension, else assignment."""
+    law_a, law_b = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
+    return wasserstein2(law_a, law_b, "exact_1d" if law_a.dim == 1 else "assignment")
 
 
 @dataclass
@@ -216,118 +263,125 @@ def estimate_lipschitz(
     for the terminal map; gamma_hat is the smallest weight that closes the
     squared bounds for the two noise maps once the C_hat part is subtracted.
     A sample needing gamma >= 1/2 is recorded as a violation.
+
+    Point and measure arguments are independent in the bound, so each
+    distinct pair (v1, v2) with laws (mu1, mu2) gives three samples: the
+    coupled displacement A(v2, mu2) - A(v1, mu1), the point-only one
+    A(v2, mu1) - A(v1, mu1) and the measure-only one A(v1, mu2) - A(v1, mu1).
+    The four evaluations are made once per stack of pairs.
     """
     eps = 1e-12
     c_hat = 0.0
-    samples = []
-    for t, v1, v2, kind, scale in sampler.pairs(n_pairs):
-        if np.allclose(v1.flat(), v2.flat()):
+    # per stack: its pairs, and for G and for g the (lhs, C block, gamma
+    # block) terms of the three samples of each pair, shape (2, 3, M, K, 3),
+    # kept for gamma once C_hat is final
+    stacks = []
+    for chunk in _chunks(sampler.pairs(n_pairs)):
+        chunk = [p for p in chunk if not np.allclose(p[1].flat(), p[2].flat())]
+        if not chunk:
             continue
-        law1, law2 = quad_law(v1), quad_law(v2)
-        w2 = _w2_between(v1, v2)
-        law_y1 = EmpiricalLaw.from_samples(v1.y)
-        law_y2 = EmpiricalLaw.from_samples(v2.y)
-        w2y = wasserstein2(
-            law_y1, law_y2, "exact_1d" if v1.y.shape[1] == 1 else "assignment"
+        t, v1, v2 = _stack_pairs(chunk)
+        w2 = np.array([_w2(p[1].flat(), p[2].flat()) for p in chunk])
+        w2y = np.array([_w2(p[1].y, p[2].y) for p in chunk])
+        mu1, mu2 = _moments(v1), _moments(v2)
+        a11 = eval_system(coeffs, t, v1, mu1)
+        h11 = _terminal(coeffs, v1.y, mu1)
+        norms = _sq_norms(Quad(v2.y - v1.y, v2.Y - v1.Y, v2.z - v1.z, v2.Z - v1.Z))
+        zero = np.zeros_like(norms[0])
+        terms = np.empty((2, 3, *zero.shape, 3))
+        samples = (
+            (v2, mu2, norms, w2, w2y),
+            (v2, mu1, norms, zero[0], zero[0]),
+            (v1, mu2, (zero,) * 4, w2, w2y),
         )
-        # point and measure arguments are independent in the bound: probe the
-        # coupled displacement, the point-only one, and the measure-only one
-        combos = (
-            ((v1, law1, law_y1), (v2, law2, law_y2), w2, w2y, kind),
-            ((v1, law1, law_y1), (v2, law1, law_y1), 0.0, 0.0, kind + "/points"),
-            ((v1, law1, law_y1), (v1, law2, law_y2), w2, w2y, kind + "/laws"),
-        )
-        for (va, la, lya), (vb, lb, lyb), dist, dist_y, tag in combos:
-            a1 = eval_system(coeffs, t, va, la)
-            a2 = eval_system(coeffs, t, vb, lb)
-            dv = Quad(vb.y - va.y, vb.Y - va.Y, vb.z - va.z, vb.Z - va.Z)
-            ny, n_big_y, nz, n_big_z = _sq_norms(dv)
-            dv_norm = np.sqrt(ny + n_big_y + nz + n_big_z)
-            df = a2[0] - a1[0]
-            d_big_f = a2[2] - a1[2]
-            num = np.sqrt(np.sum(df**2, axis=1) + np.sum(d_big_f**2, axis=1))
-            den = dv_norm + dist
+        for j, (v, mu, (ny, n_big_y, nz, n_big_z), dist, dist_y) in enumerate(samples):
+            a2 = eval_system(coeffs, t, v, mu)
+            num = np.sqrt(np.sum((a2[0] - a11[0]) ** 2, axis=-1)
+                          + np.sum((a2[2] - a11[2]) ** 2, axis=-1))
+            den = np.sqrt(ny + n_big_y + nz + n_big_z) + dist
             mask = den > eps
             if np.any(mask):
                 c_hat = max(c_hat, float(np.max(num[mask] / den[mask])))
-            h1 = coeffs.h(va.y, lya)
-            h2 = coeffs.h(vb.y, lyb)
+            num_h = np.linalg.norm(_terminal(coeffs, v.y, mu) - h11, axis=-1)
             den_h = np.sqrt(ny) + dist_y
-            num_h = np.linalg.norm(h2 - h1, axis=1)
             mask = den_h > eps
             if np.any(mask):
                 c_hat = max(c_hat, float(np.max(num_h[mask] / den_h[mask])))
-            samples.append((t, tag, scale, a1, a2, dv, ny, n_big_y, nz, n_big_z, dist))
+            # (y, Y, z) carries the C part of G, (y, Y, Z) that of g
+            terms[0, ..., j] = (np.sum((a2[3] - a11[3]) ** 2, axis=(-2, -1)),
+                                ny + n_big_y + nz, n_big_z + dist**2)
+            terms[1, ..., j] = (np.sum((a2[1] - a11[1]) ** 2, axis=(-2, -1)),
+                                ny + n_big_y + n_big_z, nz + dist**2)
+        stacks.append((chunk, terms))
 
-    if not samples:
+    if not stacks:
         raise ValueError("degenerate sampler: no distinct pairs produced")
     gamma_hat = 0.0
     violations: list[Witness] = []
-    for t, kind, scale, a1, a2, dv, ny, n_big_y, nz, n_big_z, w2 in samples:
-        d_big_g = np.sum((a2[3] - a1[3]) ** 2, axis=(1, 2))  # backward noise G
-        dg = np.sum((a2[1] - a1[1]) ** 2, axis=(1, 2))  # forward noise g
-        block_for_g_cap = ny + n_big_y + nz  # (y, Y, z) carries the C part of G
-        block_for_small = ny + n_big_y + n_big_z  # (y, Y, Z) carries the C part of g
-        for lhs, c_block, gamma_block, label in (
-            (d_big_g, block_for_g_cap, n_big_z + w2**2, "G"),
-            (dg, block_for_small, nz + w2**2, "g"),
-        ):
-            excess = lhs - c_hat * c_block
+    for chunk, terms in stacks:
+        needs, has = [], []
+        for lhs, c_block, gamma_block in terms:
             mask = gamma_block > eps
-            if np.any(mask):
-                need = np.max(np.clip(excess[mask], 0.0, None) / gamma_block[mask])
-                gamma_hat = max(gamma_hat, float(need))
-                if need >= 0.5:
-                    violations.append(
-                        Witness(
-                            kind=f"lipschitz_{label}",
-                            margin=float(need),
-                            t=t,
-                            scale=scale,
-                            detail=f"{kind} displacement needs gamma={need:.4g}",
-                        )
-                    )
+            ratio = np.divide(
+                np.clip(lhs - c_hat * c_block, 0.0, None), gamma_block,
+                out=np.full(lhs.shape, -np.inf), where=mask,
+            )
+            needs.append(ratio.max(axis=0))
+            has.append(mask.any(axis=0))
+        # (K, 3 samples, 2 labels): the order the samples were drawn in
+        need, has = np.stack(needs, axis=-1), np.stack(has, axis=-1)
+        if np.any(has):
+            gamma_hat = max(gamma_hat, float(np.max(need[has])))
+        for k, sample, label in np.argwhere(has & (need >= 0.5)):
+            t, _, _, kind, scale = chunk[k]
+            tag = kind + ("", "/points", "/laws")[sample]
+            value = float(need[k, sample, label])
+            violations.append(
+                Witness(
+                    kind=f"lipschitz_{'Gg'[label]}",
+                    margin=value,
+                    t=t,
+                    scale=scale,
+                    detail=f"{tag} displacement needs gamma={value:.4g}",
+                )
+            )
     return LipschitzEstimate(
         c_hat=c_hat,
         gamma_hat=gamma_hat,
         violations=violations,
         gamma_ok=gamma_hat < 0.5,
-        samples_used=len(samples),
+        samples_used=3 * sum(len(s[0]) for s in stacks),
     )
 
 
 def _monotonicity_margins(
     coeffs: CoefficientSet,
-    t: float,
+    t: np.ndarray,
     v1: Quad,
     v2: Quad,
     theta1: float,
     theta2: float,
     alpha1: float,
     direction: str,
-) -> tuple[float, float, float]:
-    """(coupling margin, terminal margin, displacement scale^2) at one pair."""
-    law1, law2 = quad_law(v1), quad_law(v2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coupling margin, terminal margin) of each pair of a stack: ``t``
+    holds the K pair times and v1, v2 are (M, K, ...) stacks, each pair under
+    its own empirical moments.  Both margins have shape (K,)."""
+    law1, law2 = _moments(v1), _moments(v2)
     a1 = eval_system(coeffs, t, v1, law1)
     a2 = eval_system(coeffs, t, v2, law2)
     dv = Quad(v1.y - v2.y, v1.Y - v2.Y, v1.z - v2.z, v1.Z - v2.Z)
     # pairing uses (F, f, G, g) order against (y, Y, z, Z)
     da = (a1[2] - a2[2], a1[0] - a2[0], a1[3] - a2[3], a1[1] - a2[1])
-    functional = float(np.mean(pairing(da, dv)))
-    ny, n_big_y, nz, n_big_z = (float(np.mean(s)) for s in _sq_norms(dv))
-    quad_scale = ny + n_big_y + nz + n_big_z
+    functional = _particle_mean(pairing(da, dv))
+    ny, n_big_y, nz, n_big_z = (_particle_mean(s) for s in _sq_norms(dv))
     theta_quad = theta1 * (ny + nz) + theta2 * (n_big_y + n_big_z)
-    law_y1 = EmpiricalLaw.from_samples(v1.y)
-    law_y2 = EmpiricalLaw.from_samples(v2.y)
-    dh = coeffs.h(v1.y, law_y1) - coeffs.h(v2.y, law_y2)
-    h_pair = float(np.mean(np.sum(dh * dv.y, axis=1)))
+    dh = _terminal(coeffs, v1.y, law1) - _terminal(coeffs, v2.y, law2)
+    h_pair = _particle_mean(np.sum(dh * dv.y, axis=-1))
     if direction == "A2":
-        margin = functional + theta_quad
-        margin_h = alpha1 * ny - h_pair
-    else:  # A2_prime: functional >= +theta quad, terminal pairing <= -alpha1
-        margin = theta_quad - functional
-        margin_h = h_pair + alpha1 * ny
-    return margin, margin_h, quad_scale
+        return functional + theta_quad, alpha1 * ny - h_pair
+    # A2_prime: functional >= +theta quad, terminal pairing <= -alpha1
+    return theta_quad - functional, h_pair + alpha1 * ny
 
 
 def check_monotonicity(
@@ -345,7 +399,9 @@ def check_monotonicity(
     ``A2`` demands E[(dA, dv)] <= -theta1 E[|dy|^2 + |dz|^2]
     - theta2 E[|dY|^2 + |dZ|^2] together with the terminal lower bound on
     alpha1; ``A2_prime`` reverses both inequalities.  Margins are suprema over
-    the sampled pairs; positive margin beyond tolerance is a violation.
+    the sampled pairs, evaluated a stack of pairs at a time; each witness is
+    the first pair in sampler order attaining its supremum.  Positive margin
+    beyond tolerance is a violation.
     """
     if direction not in ("A2", "A2_prime"):
         raise ValueError(f"bad direction {direction!r}")
@@ -356,42 +412,36 @@ def check_monotonicity(
     if alpha1 + theta2 <= 0:
         raise ValueError("need alpha1 + theta2 > 0")
     sampler = sampler or PairSampler(coeffs.dims)
-    worst: Witness | None = None
-    worst_h: Witness | None = None
-    margin_sup = -np.inf
-    margin_h_sup = -np.inf
+    # (coupling, terminal): supremum so far and the first pair attaining it
+    sups = [-np.inf, -np.inf]
+    found: list[Witness | None] = [None, None]
     used = 0
-    for t, v1, v2, kind, scale in sampler.pairs(n_pairs):
-        used += 1
-        margin, margin_h, qscale = _monotonicity_margins(
-            coeffs, t, v1, v2, theta1, theta2, alpha1, direction
+    for chunk in _chunks(sampler.pairs(n_pairs)):
+        used += len(chunk)
+        margins = _monotonicity_margins(
+            coeffs, *_stack_pairs(chunk), theta1, theta2, alpha1, direction
         )
-        if margin > margin_sup:
-            margin_sup = margin
-            worst = Witness(
-                kind=f"{direction}_coupling",
-                margin=margin,
-                t=t,
-                scale=scale,
-                detail=kind,
-                base=v1,
-                displacement=v2,
-            )
-        if margin_h > margin_h_sup:
-            margin_h_sup = margin_h
-            worst_h = Witness(
-                kind=f"{direction}_terminal",
-                margin=margin_h,
-                t=t,
-                scale=scale,
-                detail=kind,
-                base=v1,
-                displacement=v2,
-            )
+        for j, (label, margin) in enumerate(zip(("coupling", "terminal"), margins)):
+            i = int(np.argmax(margin))
+            if margin[i] > sups[j]:
+                t_i, v1, v2, kind, scale = chunk[i]
+                sups[j] = float(margin[i])
+                found[j] = Witness(
+                    kind=f"{direction}_{label}",
+                    margin=sups[j],
+                    t=t_i,
+                    scale=scale,
+                    detail=kind,
+                    base=v1,
+                    displacement=v2,
+                )
+    margin_sup, margin_h_sup = sups
+    worst, worst_h = found
 
     if local_search and worst is not None:
         rng = np.random.default_rng(sampler.seed + 1)
         v1, v2 = worst.base, worst.displacement
+        t, base = np.array([worst.t]), _stack([v1])
         step = worst.scale
         for _ in range(150):
             cand2 = _quad_add(
@@ -403,9 +453,9 @@ def check_monotonicity(
                     step * rng.standard_normal(v2.Z.shape),
                 ),
             )
-            margin, _, _ = _monotonicity_margins(
-                coeffs, worst.t, v1, cand2, theta1, theta2, alpha1, direction
-            )
+            margin = float(_monotonicity_margins(
+                coeffs, t, base, _stack([cand2]), theta1, theta2, alpha1, direction
+            )[0][0])
             if margin > worst.margin:
                 worst = Witness(
                     kind=worst.kind, margin=margin, t=worst.t, scale=worst.scale,

@@ -120,7 +120,7 @@ class NodeMoments:
 
 Law = EmpiricalLaw | NodeMoments
 CoefFn = Callable[[float | np.ndarray, Quad, Law], np.ndarray]
-TerminalFn = Callable[[np.ndarray, EmpiricalLaw], np.ndarray]
+TerminalFn = Callable[[np.ndarray, Law], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,13 @@ class CoefficientSet:
     ``law.mean`` is (K, flat).  ``f``/``F`` return the shape of ``v.y``, ``g``
     that of ``v.Z`` and ``G`` that of ``v.z``; the solver accepts any output
     that broadcasts to it.  The law is read only through ``law.mean``: the
-    solver passes a NodeMoments view, the certification routines an
-    EmpiricalLaw.  ``h`` maps (y_T of shape (M, d), law of y_T) to (M, d).
-    Evaluation must be deterministic and reentrant.
+    solver and the certification routines pass a NodeMoments view.  ``h``
+    maps (y_T of shape (M, d), law of y_T with ``mean`` (d,)) to (M, d), or a
+    stack (M, K, d) with ``mean`` (K, d) to (M, K, d).  The certification
+    routines stack their sampled pairs as nodes (one pair per node, M atoms)
+    and the moment oracle its shooting guesses (one Dirac ensemble per node,
+    M = 1), so ``h`` also runs on stacks there.  Evaluation must be
+    deterministic and reentrant.
     """
 
     dims: Dimensions
@@ -182,35 +186,41 @@ def eval_stack(
 
 def eval_system(
     coeffs: CoefficientSet,
-    t: float,
+    t: float | np.ndarray,
     states: Quad,
-    law: EmpiricalLaw | None = None,
+    law: Law | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (f, g, F, G) at given quadruples.
+    """Vectorized (f, g, F, G) at given quadruples, at one node or on a stack.
 
-    When ``law`` is omitted it is the empirical law of ``states``; passing a
-    law explicitly decouples point and measure arguments (the Picard freeze).
+    When ``law`` is omitted it is the empirical law of ``states`` (one node
+    only); passing a law explicitly decouples point and measure arguments
+    (the Picard freeze).  Each output must have exactly its block's shape and
+    be finite, else CoefficientError names the map.
     """
     if law is None:
         law = quad_law(states)
-    m, d = states.y.shape
-    dims = coeffs.dims
-    f = _check_finite(coeffs.f(t, states, law), (m, d), "f")
-    g = _check_finite(coeffs.g(t, states, law), (m, d, dims.d_w), "g")
-    big_f = _check_finite(coeffs.F(t, states, law), (m, d), "F")
-    big_g = _check_finite(coeffs.G(t, states, law), (m, d, dims.d_b), "G")
+    f = _check_finite(coeffs.f(t, states, law), states.y.shape, "f")
+    g = _check_finite(coeffs.g(t, states, law), states.Z.shape, "g")
+    big_f = _check_finite(coeffs.F(t, states, law), states.y.shape, "F")
+    big_g = _check_finite(coeffs.G(t, states, law), states.z.shape, "G")
     return f, g, big_f, big_g
+
+
+def eval_terminal(coeffs: CoefficientSet, y_t: np.ndarray, law: Law) -> np.ndarray:
+    """The terminal map at y_T (one node or a stack), checked like
+    ``eval_system``."""
+    return _check_finite(coeffs.h(y_t, law), y_t.shape, "h")
 
 
 def pairing(a: tuple[np.ndarray, ...], v: Quad) -> np.ndarray:
     """Per-particle pairing <(F,f,G,g), (y,Y,z,Z)> used by the monotonicity
-    functional: <F,y> + <f,Y> + <G,z> + <g,Z>."""
+    functional: <F,y> + <f,Y> + <G,z> + <g,Z>, at one node or on a stack."""
     big_f, f, big_g, g = a
     return (
-        np.sum(big_f * v.y, axis=1)
-        + np.sum(f * v.Y, axis=1)
-        + np.sum(big_g * v.z, axis=(1, 2))
-        + np.sum(g * v.Z, axis=(1, 2))
+        np.sum(big_f * v.y, axis=-1)
+        + np.sum(f * v.Y, axis=-1)
+        + np.sum(big_g * v.z, axis=(-2, -1))
+        + np.sum(g * v.Z, axis=(-2, -1))
     )
 
 

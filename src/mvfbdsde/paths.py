@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The N+1 node times, computed once and read-only."""
+        nodes = np.linspace(0.0, self.horizon, self.steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)

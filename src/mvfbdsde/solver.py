@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .model import (
     EnsembleState,
     Forcing,
     HomotopyProblem,
+    NodeMoments,
     Quad,
     ResidualTriple,
     eval_stack,
-    quad_law,
     residual,
 )
 from .paths import BrownianPair, TimeGrid
@@ -605,68 +606,79 @@ class MomentOracleResult:
     noise_free: bool = True  # the oracle asserts z* = Z* = 0
 
 
-def _deterministic_rhs(model: CoefficientSet, t: float, y: float, big_y: float,
-                       component: int) -> tuple[float, float]:
-    dims = model.dims
-    v = Quad.zeros(1, dims)
-    v.y[0, component] = y
-    v.Y[0, component] = big_y
-    law = quad_law(v)
-    fy = model.f(t, v, law)[0, component]
-    f_big = model.F(t, v, law)[0, component]
-    return float(fy), float(f_big)
+def _dirac_stack(atoms: Quad) -> tuple[Quad, NodeMoments]:
+    """K single atoms (blocks (K, ...)) as a stack of K Dirac ensembles
+    (M = 1) with their moments: a single atom's mean is the atom itself."""
+    return Quad(*(b[None] for b in atoms)), NodeMoments(atoms.flat())
 
 
 def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
-                       y0_guess: float, component: int) -> tuple[float, np.ndarray]:
-    """Integrate the noise-free reduction by RK4 and return the terminal gap."""
+                       guesses: np.ndarray, component: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the noise-free reduction by RK4 from every guess of Y(0) at
+    once; returns the terminal gaps (K,) and the paths (K, N+1, 2) of
+    (y, Y).  Each RK4 stage makes one f and one F call over the K guesses."""
     n = grid.steps
     dt = grid.dt
-    path = np.zeros((n + 1, 2))
-    path[0] = (x0, y0_guess)
+    dims = model.dims
+    k = len(guesses)
+    path = np.zeros((k, n + 1, 2))
+    path[:, 0, 0] = x0
+    path[:, 0, 1] = guesses
+
+    def rhs(state: np.ndarray, tt: float) -> np.ndarray:
+        atoms = Quad.zeros(k, dims)
+        atoms.y[:, component] = state[:, 0]
+        atoms.Y[:, component] = state[:, 1]
+        v, law = _dirac_stack(atoms)
+        t = np.full(k, tt)
+        return np.stack(
+            [model.f(t, v, law)[0, :, component], model.F(t, v, law)[0, :, component]],
+            axis=1,
+        )
+
     t = 0.0
-    for k in range(n):
-        s = path[k]
-
-        def rhs(state: np.ndarray, tt: float) -> np.ndarray:
-            a, b = _deterministic_rhs(model, tt, state[0], state[1], component)
-            return np.array([a, b])
-
+    for step in range(n):
+        s = path[:, step]
         k1 = rhs(s, t)
         k2 = rhs(s + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = rhs(s + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(s + dt * k3, t + dt)
-        path[k + 1] = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        path[:, step + 1] = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-    y_t = path[n, 0]
-    dims = model.dims
-    vec = np.zeros((1, dims.d))
-    vec[0, component] = y_t
-    h_val = model.h(vec, EmpiricalLaw.from_samples(vec))[0, component]
-    return float(path[n, 1] - h_val), path
+    y_t = np.zeros((k, dims.d))
+    y_t[:, component] = path[:, n, 0]
+    h_val = model.h(y_t[None], NodeMoments(y_t))[0, :, component]
+    return path[:, n, 1] - h_val, path
 
 
 def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid,
                       bracket_scale: float) -> None:
     """Raise ValueError unless g and G vanish on deterministic inputs with
     z = Z = 0.  Probes y and Y at the bracket ends and at x, on the first,
-    middle and last node, each under its own Dirac law."""
+    middle and last node, each under its own Dirac law: one g and one G call
+    over the stack of probes, and the first failing probe is named."""
     reach = bracket_scale * (1.0 + np.abs(x))
     levels = (-reach, x, reach)
     nodes = grid.nodes
-    for t in (nodes[0], nodes[grid.steps // 2], nodes[-1]):
-        for y in levels:
-            for big_y in levels:
-                v = Quad.zeros(1, model.dims)
-                v.y[0] = y
-                v.Y[0] = big_y
-                law = quad_law(v)
-                for name, fn in (("g", model.g), ("G", model.G)):
-                    if np.max(np.abs(fn(t, v, law))) > 1e-12:
-                        raise ValueError(
-                            f"oracle needs noise-free dynamics, but {name} is "
-                            f"nonzero at z = Z = 0 (t={t:g})"
-                        )
+    probes = list(product((nodes[0], nodes[grid.steps // 2], nodes[-1]), levels, levels))
+    atoms = Quad.zeros(len(probes), model.dims)
+    for i, (_, y, big_y) in enumerate(probes):
+        atoms.y[i] = y
+        atoms.Y[i] = big_y
+    v, law = _dirac_stack(atoms)
+    t = np.array([p[0] for p in probes])
+    nonzero = np.stack([
+        np.max(np.abs(np.broadcast_to(fn(t, v, law), like.shape)), axis=(0, 2, 3)) > 1e-12
+        for fn, like in ((model.g, v.Z), (model.G, v.z))
+    ])
+    if np.any(nonzero):
+        i = int(np.argmax(np.any(nonzero, axis=0)))
+        name = "g" if nonzero[0, i] else "G"
+        raise ValueError(
+            f"oracle needs noise-free dynamics, but {name} is "
+            f"nonzero at z = Z = 0 (t={t[i]:g})"
+        )
 
 
 def moment_ode_oracle(
@@ -681,8 +693,9 @@ def moment_ode_oracle(
 
     Applies to first-moment models whose forward/backward noise coefficients
     vanish on deterministic inputs with z = Z = 0 and whose components
-    decouple.  Each component's unknown Y(0) is scanned over a bracket; sign
-    changes are bisected to full precision.  Finding several distinct roots
+    decouple.  Each component's unknown Y(0) is scanned over a bracket, all
+    guesses integrated together as one stack; sign changes are bisected to
+    full precision, one guess at a time.  Finding several distinct roots
     (or a root continuum) flags the boundary-value problem as non-unique.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -698,9 +711,7 @@ def moment_ode_oracle(
         lo = -bracket_scale * (1.0 + abs(x0))
         hi = bracket_scale * (1.0 + abs(x0))
         guesses = np.linspace(lo, hi, scan_points)
-        values = np.array(
-            [_terminal_residual(model, grid, x0, g, comp)[0] for g in guesses]
-        )
+        values = _terminal_residual(model, grid, x0, guesses, comp)[0]
         scale = max(1.0, float(np.max(np.abs(values))))
         ztol = 1e-9 * scale
         roots: list[float] = []
@@ -719,7 +730,7 @@ def moment_ode_oracle(
                 if fa * fb < 0:
                     for _ in range(200):
                         mid = 0.5 * (a + b)
-                        fm = _terminal_residual(model, grid, x0, mid, comp)[0]
+                        fm = _terminal_residual(model, grid, x0, [mid], comp)[0][0]
                         if fa * fm <= 0:
                             b = mid
                         else:
@@ -742,9 +753,9 @@ def moment_ode_oracle(
                 f"shooting failed to bracket a root for component {comp}"
             )
         roots_all.append(roots)
-        _, path = _terminal_residual(model, grid, x0, roots[0], comp)
-        y_out[:, comp] = path[:, 0]
-        big_y_out[:, comp] = path[:, 1]
+        _, path = _terminal_residual(model, grid, x0, roots[:1], comp)
+        y_out[:, comp] = path[0, :, 0]
+        big_y_out[:, comp] = path[0, :, 1]
     return MomentOracleResult(
         times=grid.nodes, y=y_out, Y=big_y_out, unique=unique, roots=roots_all
     )

@@ -4,26 +4,42 @@ import numpy as np
 import pytest
 
 from mvfbdsde.assumptions import (
+    PAIR_CHUNK,
     PairSampler,
+    _monotonicity_margins,
+    _stack,
     check_control_assumptions,
     check_integrability,
     check_monotonicity,
     estimate_lipschitz,
 )
 from mvfbdsde.control import lq_control_scenario
-from mvfbdsde.measure import EmpiricalLaw
+from mvfbdsde.measure import EmpiricalLaw, wasserstein2
 from mvfbdsde.model import (
+    CoefficientError,
     Dimensions,
     LinearTables,
     Quad,
     builtin_counterexample,
     builtin_example_meanfield,
+    eval_system,
     linear_coefficient_set,
+    pairing,
+    quad_law,
     zero_coefficient_set,
 )
 from mvfbdsde.paths import TimeGrid
 
 DIMS = Dimensions(1, 1, 1)
+
+
+def one_pair_margin(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
+    """Coupling margin of one pair, evaluated as a stack of one."""
+    margin, _ = _monotonicity_margins(
+        coeffs, np.array([t]), _stack([v1]), _stack([v2]), theta1, theta2, alpha1,
+        direction,
+    )
+    return float(margin[0])
 
 
 class TestLipschitz:
@@ -83,9 +99,7 @@ class TestMonotonicity:
         v1 = Quad.zeros(m, dims)
         v2 = Quad.zeros(m, dims)
         v2.Y[:] = 1.0
-        from mvfbdsde.assumptions import _monotonicity_margins
-
-        margin, _, _ = _monotonicity_margins(coeffs, 0.0, v1, v2, 1.0, 0.0, 0.5, "A2")
+        margin = one_pair_margin(coeffs, 0.0, v1, v2, 1.0, 0.0, 0.5, "A2")
         assert margin == pytest.approx(1.0, abs=1e-12)  # (E dY)^2 + theta2 * 0
 
     def test_invalid_theta_combination(self):
@@ -151,14 +165,12 @@ class TestMonotonicity:
             h={"y": 1.0, "my": -0.5},
         )
         model = linear_coefficient_set(DIMS, tables)
-        from mvfbdsde.assumptions import _monotonicity_margins
-
         for _ in range(10):
             m = 32
             v1 = Quad(*(rng.standard_normal(s) for s in ((m, 1), (m, 1), (m, 1, 1), (m, 1, 1))))
             dv = Quad(*(rng.standard_normal(s) for s in ((m, 1), (m, 1), (m, 1, 1), (m, 1, 1))))
             v2 = Quad(v1.y + dv.y, v1.Y + dv.Y, v1.z + dv.z, v1.Z + dv.Z)
-            margin, _, _ = _monotonicity_margins(model, 0.0, v1, v2, 0.0, 0.5, 0.0, "A2")
+            margin = one_pair_margin(model, 0.0, v1, v2, 0.0, 0.5, 0.0, "A2")
             functional = margin - 0.5 * float(
                 np.mean(np.sum(dv.Y**2, axis=1)) + np.mean(np.sum(dv.Z**2, axis=(1, 2)))
             )
@@ -241,3 +253,274 @@ class TestControlAssumptions:
         problem.c = 0.0
         with pytest.raises(ValueError, match="c != 0"):
             check_control_assumptions(problem)
+
+
+# ---------------------------------------------------------------------------
+# Stacked certification against a per-pair reference
+# ---------------------------------------------------------------------------
+#
+# The reference below evaluates every sampled pair on its own, under the
+# pair's EmpiricalLaw, one map call per pair and argument combination: the
+# per-pair certification the stacked code must reproduce.
+
+
+def _sq(dv):
+    return (
+        np.sum(dv.y**2, axis=1),
+        np.sum(dv.Y**2, axis=1),
+        np.sum(dv.z**2, axis=(1, 2)),
+        np.sum(dv.Z**2, axis=(1, 2)),
+    )
+
+
+def _reference_margins(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
+    law1, law2 = quad_law(v1), quad_law(v2)
+    a1 = eval_system(coeffs, t, v1, law1)
+    a2 = eval_system(coeffs, t, v2, law2)
+    dv = Quad(v1.y - v2.y, v1.Y - v2.Y, v1.z - v2.z, v1.Z - v2.Z)
+    da = (a1[2] - a2[2], a1[0] - a2[0], a1[3] - a2[3], a1[1] - a2[1])
+    functional = float(np.mean(pairing(da, dv)))
+    ny, n_big_y, nz, n_big_z = (float(np.mean(s)) for s in _sq(dv))
+    theta_quad = theta1 * (ny + nz) + theta2 * (n_big_y + n_big_z)
+    dh = (coeffs.h(v1.y, EmpiricalLaw.from_samples(v1.y))
+          - coeffs.h(v2.y, EmpiricalLaw.from_samples(v2.y)))
+    h_pair = float(np.mean(np.sum(dh * dv.y, axis=1)))
+    if direction == "A2":
+        return functional + theta_quad, alpha1 * ny - h_pair
+    return theta_quad - functional, h_pair + alpha1 * ny
+
+
+def reference_monotonicity(coeffs, theta1, theta2, alpha1, direction, sampler,
+                           n_pairs, local_search=False):
+    """(margin sup, terminal sup, coupling witness, terminal witness, pairs);
+    a witness is (margin, t, scale, detail)."""
+    sup, sup_h, worst, worst_h, used = -np.inf, -np.inf, None, None, 0
+    for t, v1, v2, kind, scale in sampler.pairs(n_pairs):
+        used += 1
+        margin, margin_h = _reference_margins(
+            coeffs, t, v1, v2, theta1, theta2, alpha1, direction
+        )
+        if margin > sup:
+            sup, worst = margin, [margin, t, scale, kind, v1, v2]
+        if margin_h > sup_h:
+            sup_h, worst_h = margin_h, (margin_h, t, scale, kind)
+    if local_search:
+        rng = np.random.default_rng(sampler.seed + 1)
+        _, t, scale, _, v1, v2 = worst
+        step = scale
+        for _ in range(150):
+            cand2 = Quad(*(b + step * rng.standard_normal(b.shape) for b in v2))
+            margin, _ = _reference_margins(
+                coeffs, t, v1, cand2, theta1, theta2, alpha1, direction
+            )
+            if margin > worst[0]:
+                worst = [margin, t, scale, worst[3] + "+local", v1, cand2]
+                v2 = cand2
+            else:
+                step *= 0.8
+        sup = max(sup, worst[0])
+    return sup, sup_h, tuple(worst[:4]), worst_h, used
+
+
+def _reference_w2(a, b):
+    la, lb = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
+    return wasserstein2(la, lb, "exact_1d" if la.dim == 1 else "assignment")
+
+
+def reference_lipschitz(coeffs, sampler, n_pairs):
+    """(c_hat, gamma_hat, violations as (kind, margin, t, scale, detail),
+    samples used)."""
+    eps, c_hat, samples = 1e-12, 0.0, []
+    for t, v1, v2, kind, scale in sampler.pairs(n_pairs):
+        if np.allclose(v1.flat(), v2.flat()):
+            continue
+        law1, law2 = quad_law(v1), quad_law(v2)
+        law_y1 = EmpiricalLaw.from_samples(v1.y)
+        law_y2 = EmpiricalLaw.from_samples(v2.y)
+        w2, w2y = _reference_w2(v1.flat(), v2.flat()), _reference_w2(v1.y, v2.y)
+        combos = (
+            ((v1, law1, law_y1), (v2, law2, law_y2), w2, w2y, kind),
+            ((v1, law1, law_y1), (v2, law1, law_y1), 0.0, 0.0, kind + "/points"),
+            ((v1, law1, law_y1), (v1, law2, law_y2), w2, w2y, kind + "/laws"),
+        )
+        for (va, la, lya), (vb, lb, lyb), dist, dist_y, tag in combos:
+            a1 = eval_system(coeffs, t, va, la)
+            a2 = eval_system(coeffs, t, vb, lb)
+            dv = Quad(vb.y - va.y, vb.Y - va.Y, vb.z - va.z, vb.Z - va.Z)
+            ny, n_big_y, nz, n_big_z = _sq(dv)
+            num = np.sqrt(np.sum((a2[0] - a1[0]) ** 2, axis=1)
+                          + np.sum((a2[2] - a1[2]) ** 2, axis=1))
+            den = np.sqrt(ny + n_big_y + nz + n_big_z) + dist
+            if np.any(den > eps):
+                c_hat = max(c_hat, float(np.max(num[den > eps] / den[den > eps])))
+            num_h = np.linalg.norm(coeffs.h(vb.y, lyb) - coeffs.h(va.y, lya), axis=1)
+            den_h = np.sqrt(ny) + dist_y
+            if np.any(den_h > eps):
+                c_hat = max(c_hat, float(np.max(num_h[den_h > eps] / den_h[den_h > eps])))
+            samples.append((t, tag, scale, a1, a2, ny, n_big_y, nz, n_big_z, dist))
+    gamma_hat, violations = 0.0, []
+    for t, tag, scale, a1, a2, ny, n_big_y, nz, n_big_z, w2 in samples:
+        d_big_g = np.sum((a2[3] - a1[3]) ** 2, axis=(1, 2))
+        dg = np.sum((a2[1] - a1[1]) ** 2, axis=(1, 2))
+        for lhs, c_block, gamma_block, label in (
+            (d_big_g, ny + n_big_y + nz, n_big_z + w2**2, "G"),
+            (dg, ny + n_big_y + n_big_z, nz + w2**2, "g"),
+        ):
+            mask = gamma_block > eps
+            if np.any(mask):
+                excess = np.clip((lhs - c_hat * c_block)[mask], 0.0, None)
+                need = float(np.max(excess / gamma_block[mask]))
+                gamma_hat = max(gamma_hat, need)
+                if need >= 0.5:
+                    violations.append((f"lipschitz_{label}", need, t, scale,
+                                       f"{tag} displacement needs gamma={need:.4g}"))
+    return c_hat, gamma_hat, violations, len(samples)
+
+
+DIMS2 = Dimensions(2, 2, 2)
+UNEVEN = 2 * PAIR_CHUNK + 37  # not a multiple of the stack size
+
+
+def _lq_case():
+    problem = lq_control_scenario()
+    frozen = np.broadcast_to(problem.control_box_center(),
+                             (problem.grid.steps + 1, problem.d_u))
+    return problem.coefficients_for(frozen), problem.dims
+
+
+def _stacked_cases():
+    counter, _, _, cdims = builtin_counterexample()
+    lq, lq_dims = _lq_case()
+    return {
+        "example1_d1": (builtin_example_meanfield(DIMS), DIMS),
+        "example1_d2": (builtin_example_meanfield(DIMS2), DIMS2),
+        "counterexample": (counter, cdims),
+        "lq": (lq, lq_dims),
+    }
+
+
+class TestStackedAgainstPerPair:
+    @pytest.mark.parametrize("case", ["example1_d2", "counterexample", "lq"])
+    def test_stack_equals_each_pair_alone(self, case):
+        # a pair's margins do not depend on the other pairs of its stack
+        coeffs, dims = _stacked_cases()[case]
+        pairs = list(PairSampler(dims, seed=21).pairs(57))
+        t = np.array([p[0] for p in pairs])
+        stacked = _monotonicity_margins(
+            coeffs, t, _stack([p[1] for p in pairs]), _stack([p[2] for p in pairs]),
+            0.25, 0.25, 0.5, "A2",
+        )
+        for i, (ti, v1, v2, _, _) in enumerate(pairs):
+            alone = _monotonicity_margins(
+                coeffs, np.array([ti]), _stack([v1]), _stack([v2]), 0.25, 0.25, 0.5, "A2"
+            )
+            for got, want in zip(stacked, alone):
+                assert got[i] == want[0]
+
+    @pytest.mark.parametrize("case", ["example1_d1", "example1_d2", "counterexample", "lq"])
+    @pytest.mark.parametrize("direction", ["A2", "A2_prime"])
+    def test_monotonicity_matches_reference(self, case, direction):
+        coeffs, dims = _stacked_cases()[case]
+        n_pairs = UNEVEN if case == "counterexample" else 300
+        args = (coeffs, 0.25, 0.25, 0.5, direction, PairSampler(dims, seed=31), n_pairs)
+        report = check_monotonicity(*args, local_search=True)
+        sup, sup_h, worst, worst_h, used = reference_monotonicity(*args, local_search=True)
+        assert report.samples_used == used == n_pairs
+        assert report.monotonicity_margin == pytest.approx(sup, rel=0, abs=1e-12)
+        assert report.alpha1_margin == pytest.approx(sup_h, rel=0, abs=1e-12)
+        ref_ok = {"coupling": sup <= 1e-9 * (1.0 + sup), "terminal": sup_h <= 1e-9 * (1.0 + sup)}
+        assert report.passes == {f"{direction}.{k}": v for k, v in ref_ok.items()}
+        if case == "counterexample":
+            # margins well away from zero: the same witnesses, pair for pair
+            got = report.witnesses
+            assert (got[0].margin, got[0].t, got[0].scale, got[0].detail) == pytest.approx(worst)
+            assert (got[1].margin, got[1].t, got[1].scale, got[1].detail) == pytest.approx(worst_h)
+
+    @pytest.mark.parametrize("case", ["example1_d1", "example1_d2", "counterexample", "lq"])
+    def test_lipschitz_matches_reference(self, case):
+        coeffs, dims = _stacked_cases()[case]
+        n_pairs = UNEVEN if case == "example1_d1" else 150
+        est = estimate_lipschitz(coeffs, PairSampler(dims, seed=41), n_pairs)
+        c_hat, gamma_hat, violations, used = reference_lipschitz(
+            coeffs, PairSampler(dims, seed=41), n_pairs
+        )
+        assert est.samples_used == used
+        assert est.c_hat == pytest.approx(c_hat, rel=1e-12, abs=0)
+        assert est.gamma_hat == pytest.approx(gamma_hat, rel=1e-12, abs=0)
+        assert len(est.violations) == len(violations)
+
+    def test_violations_in_reference_order(self):
+        # noise gains 2 and 1.5 need gamma far above 1/2 on many samples
+        model = linear_coefficient_set(
+            DIMS, LinearTables(f={"y": 1.0}, g={"Z": 2.0}, G={"z": -1.5})
+        )
+        est = estimate_lipschitz(model, PairSampler(DIMS, seed=13), 300)
+        _, _, violations, _ = reference_lipschitz(model, PairSampler(DIMS, seed=13), 300)
+        assert not est.gamma_ok
+        assert {v.kind for v in est.violations} == {"lipschitz_G", "lipschitz_g"}
+        assert len(est.violations) == len(violations) > PAIR_CHUNK
+        for got, (kind, margin, t, scale, detail) in zip(est.violations, violations):
+            assert (got.kind, got.t, got.scale) == (kind, t, scale)
+            assert got.margin == pytest.approx(margin, rel=1e-12)
+            assert got.detail.split(" needs")[0] == detail.split(" needs")[0]
+
+
+class _ListSampler(PairSampler):
+    """A sampler replaying a fixed list of pairs."""
+
+    def __init__(self, dims, pairs):
+        super().__init__(dims)
+        self.fixed = pairs
+
+    def pairs(self, n_pairs):
+        return iter(self.fixed[:n_pairs])
+
+
+class TestWitnessAcrossStacks:
+    def test_first_pair_with_the_largest_margin(self):
+        coeffs, _, _, dims = builtin_counterexample()
+        pairs = list(PairSampler(dims, seed=51).pairs(2 * PAIR_CHUNK))
+        margins = [
+            _reference_margins(coeffs, t, v1, v2, 0.25, 0.25, 0.5, "A2")[0]
+            for t, v1, v2, _, _ in pairs
+        ]
+        top = int(np.argmax(margins))
+        t, v1, v2, _, scale = pairs[top]
+        # move the largest pair to the end of the first stack and copy it to
+        # the start of the second, each copy labelled by its position
+        pairs[top] = pairs[int(np.argmin(margins))]
+        pairs[PAIR_CHUNK - 1] = (t, v1, v2, "first", scale)
+        pairs[PAIR_CHUNK] = (t, v1, v2, "second", scale)
+        report = check_monotonicity(
+            coeffs, 0.25, 0.25, 0.5, "A2", _ListSampler(dims, pairs), len(pairs)
+        )
+        coupling = report.witnesses[0]
+        assert coupling.detail == "first"
+        assert coupling.margin == pytest.approx(max(margins), rel=1e-12)
+        _, _, worst, _, _ = reference_monotonicity(
+            coeffs, 0.25, 0.25, 0.5, "A2", _ListSampler(dims, pairs), len(pairs)
+        )
+        assert worst[3] == "first"
+
+
+class TestNonFiniteInStack:
+    @pytest.mark.parametrize("name", ["f", "g", "F", "G", "h"])
+    def test_map_named(self, name):
+        # finite everywhere except at the pairs drawn after t = 0.9
+        model = builtin_example_meanfield(DIMS)
+        base = getattr(model, name)
+        if name == "h":
+            def bad(y, law):
+                return base(y, law) / 0.0
+        else:
+            def bad(t, v, law):
+                out = base(t, v, law)
+                late = (np.asarray(t) > 0.9).reshape(1, -1, *([1] * (out.ndim - 2)))
+                return np.where(late, np.nan, out)
+        broken = model.__class__(**{**model.__dict__, name: bad})
+        sampler = PairSampler(DIMS, seed=61)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(CoefficientError, match=f"coefficient {name} "):
+                check_monotonicity(broken, 0.25, 0.25, 0.5, "A2", sampler, 300)
+            with pytest.raises(CoefficientError, match=f"coefficient {name} "):
+                estimate_lipschitz(broken, sampler, 300)

@@ -120,6 +120,18 @@ class TestCliCommands:
         )
         assert code == 0
 
+    def test_verify_smp_lq_exits_0(self, tmp_path):
+        # the gradient check runs at a generic control, away from the
+        # candidate where both directional derivatives are near zero
+        code, out = run_cli(
+            ["--scenario", "lq_control", "--command", "verify_smp", "--steps", "20",
+             "--particles", "300"],
+            tmp_path, "smp",
+        )
+        assert code == 0
+        kv = parse_kv((out / "smp.kv").read_text())
+        assert float(kv["gradient_rel_error"]) <= 0.05
+
     def test_invalid_steps_exits_1(self, tmp_path):
         code, _ = run_cli(
             ["--scenario", "example1", "--command", "solve", "--steps", "0"],

@@ -209,3 +209,14 @@ def test_dump_round_trip(tmp_path):
     assert (m, n, d) == (4, 6, 2)
     loaded = load_increments(str(path))
     assert np.array_equal(loaded, drv.dW)
+
+
+def test_grid_nodes_computed_once_and_read_only():
+    grid = TimeGrid(0.75 * np.pi, 40)
+    nodes = grid.nodes
+    assert grid.nodes is nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    assert np.array_equal(nodes, np.linspace(0.0, 0.75 * np.pi, 41))
+    assert grid == TimeGrid(0.75 * np.pi, 40)

@@ -6,14 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
     EnsembleState,
     Forcing,
     HomotopyProblem,
+    Quad,
     builtin_counterexample,
     builtin_example_meanfield,
+    quad_law,
     residual,
     zero_coefficient_set,
 )
@@ -24,6 +27,7 @@ from mvfbdsde.solver import (
     SolverError,
     _backward_phase,
     _forward_phase,
+    _terminal_residual,
     continuation_solve,
     d_metric,
     detect_nonuniqueness,
@@ -584,6 +588,65 @@ class TestMomentOracle:
         noisy = dataclasses.replace(model, **shifted)
         with pytest.raises(ValueError, match=f"{named} is nonzero"):
             moment_ode_oracle(noisy, 1.0, TimeGrid(1.0, 20))
+
+    def test_first_noisy_probe_named(self):
+        # G shifted on the last node only: probed after g everywhere else
+        model = builtin_example_meanfield(DIMS)
+        late = lambda t, v, law: model.G(t, v, law) + np.where(  # noqa: E731
+            np.asarray(t) > 0.9, 1.0, 0.0)[None, :, None, None]
+        noisy = dataclasses.replace(model, G=late)
+        with pytest.raises(ValueError, match=r"G is nonzero at z = Z = 0 \(t=1\)"):
+            moment_ode_oracle(noisy, 1.0, TimeGrid(1.0, 20))
+
+
+def _reference_terminal_residual(model, grid, x0, y0_guess, component):
+    """The shooting integration for one guess, one single-atom law per RK4
+    stage: the per-guess reference the stacked scan must reproduce."""
+    dims, n, dt = model.dims, grid.steps, grid.dt
+
+    def rhs(state, tt):
+        v = Quad.zeros(1, dims)
+        v.y[0, component] = state[0]
+        v.Y[0, component] = state[1]
+        law = quad_law(v)
+        return np.array([model.f(tt, v, law)[0, component], model.F(tt, v, law)[0, component]])
+
+    path = np.zeros((n + 1, 2))
+    path[0] = (x0, y0_guess)
+    t = 0.0
+    for k in range(n):
+        s = path[k]
+        k1 = rhs(s, t)
+        k2 = rhs(s + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(s + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(s + dt * k3, t + dt)
+        path[k + 1] = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    vec = np.zeros((1, dims.d))
+    vec[0, component] = path[n, 0]
+    h_val = model.h(vec, EmpiricalLaw.from_samples(vec))[0, component]
+    return float(path[n, 1] - h_val), path
+
+
+class TestStackedShooting:
+    @pytest.mark.parametrize("case", ["example1", "counterexample"])
+    def test_bit_identical_to_per_guess(self, case):
+        if case == "example1":
+            model, x0, grid, every = builtin_example_meanfield(DIMS), 1.0, TimeGrid(1.0, 12), 1
+        else:
+            model, horizon, _, _ = builtin_counterexample()
+            x0, grid, every = 0.0, TimeGrid(horizon, 300), 16
+        reach = 8.0 * (1.0 + abs(x0))
+        guesses = np.linspace(-reach, reach, 161)
+        values, paths = _terminal_residual(model, grid, x0, guesses, 0)
+        for i in range(0, 161, every):
+            value, path = _reference_terminal_residual(model, grid, x0, guesses[i], 0)
+            assert values[i] == value
+            assert np.array_equal(paths[i], path)
+        oracle = moment_ode_oracle(model, x0, grid)
+        _, path = _reference_terminal_residual(model, grid, x0, oracle.roots[0][0], 0)
+        assert np.array_equal(oracle.y[:, 0], path[:, 0])
+        assert np.array_equal(oracle.Y[:, 0], path[:, 1])
 
 
 class TestDetectNonuniqueness:
