@@ -85,9 +85,14 @@ def empirical_mean(law: EmpiricalLaw) -> np.ndarray:
 
 
 def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """Weighted quantile matching; exact for one-dimensional laws."""
+    """Weighted quantile matching; exact for one-dimensional laws.  Two
+    clouds of equal size with exactly constant weights match in sorted
+    order, so their distance is the RMS of the sorted differences."""
     xa = a.samples[:, 0]
     xb = b.samples[:, 0]
+    if len(xa) == len(xb) and all(np.all(w == w[0]) for w in (a.weights, b.weights)):
+        gap = np.sort(xa) - np.sort(xb)
+        return float(np.sqrt(gap @ gap / len(gap)))
     ia = np.argsort(xa, kind="stable")
     ib = np.argsort(xb, kind="stable")
     xa, wa = xa[ia], a.weights[ia]
@@ -168,21 +173,6 @@ def wasserstein2(
     raise ValueError(f"unknown method {method!r}")
 
 
-def auto_wasserstein2(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """Exact distance by the best applicable method; errors when only
-    approximation is possible (unequal weighted multi-d clouds)."""
-    if a.dim == 1:
-        return wasserstein2(a, b, "exact_1d")
-    if (
-        a.n_atoms == b.n_atoms
-        and a.n_atoms <= ASSIGNMENT_CAP
-        and a.is_uniform()
-        and b.is_uniform()
-    ):
-        return wasserstein2(a, b, "assignment")
-    raise ValueError("no exact transport method for this input shape")
-
-
 class MeanW2Bounds(NamedTuple):
     """The mean-gap / distance / coupling-cost chain for one pair of laws."""
 
@@ -207,7 +197,9 @@ def check_mean_w2_bounds(
 
     ``coupling_samples`` is a pair of equal-length sample arrays whose rows are
     paired draws with marginals ``a`` and ``b``.  Marginal means are verified
-    against the laws' means within ``marginal_tol``.
+    against the laws' means within ``marginal_tol``.  The distance is exact:
+    quantile matching in one dimension, else assignment, which needs uniform
+    clouds of equal size; other inputs raise ValueError.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -223,6 +215,11 @@ def check_mean_w2_bounds(
             f"tolerance {marginal_tol:.3e}"
         )
     mean_gap = float(np.linalg.norm(a.mean - b.mean))
-    w2 = auto_wasserstein2(a, b)
+    if a.dim == 1:
+        w2 = wasserstein2(a, b, "exact_1d")
+    elif a.n_atoms == b.n_atoms <= ASSIGNMENT_CAP and a.is_uniform() and b.is_uniform():
+        w2 = wasserstein2(a, b, "assignment")
+    else:
+        raise ValueError("no exact transport method for this input shape")
     coupling_l2 = float(np.sqrt(np.mean(np.sum((xs - ys) ** 2, axis=1))))
     return MeanW2Bounds(mean_gap, w2, coupling_l2)

@@ -90,25 +90,16 @@ def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray | Non
     return phi, np.matmul(phi.transpose(0, 2, 1), phi)
 
 
-def _ridge_fit(
-    phi: np.ndarray,
-    gram: np.ndarray,
-    targets: np.ndarray,
-    ridge: float,
-    nodes: Sequence[int],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fitted values of one ridge regression per node, solved as one batch.
+def _ridge_coefficients(gram: np.ndarray, rhs: np.ndarray, ridge: float,
+                        nodes: Sequence[int]) -> np.ndarray:
+    """Coefficients of one ridge regression per node, solved as one batch.
 
-    ``phi`` (K, M, p) holds the features of nodes ``nodes`` (one per batch
-    entry), ``gram`` (K, p, p) their Grams and ``targets`` (K, M, t) the
-    regressands.  The ridge goes on every Gram.  A node whose solve raises or
-    returns non-finite coefficients is retried alone, its ridge escalated x10
-    per try (floor 1e-10, 4 tries), in batch order; a node that still fails
-    raises SolverError naming it.  ``out`` receives the fitted values and may
-    be ``targets`` itself.
+    ``gram`` (K, p, p) holds the Grams of nodes ``nodes`` (one per batch
+    entry) and ``rhs`` (K, p, t) the right-hand sides.  The ridge goes on
+    every Gram.  A node whose solve raises or returns non-finite coefficients
+    is retried alone, its ridge escalated x10 per try (floor 1e-10, 4 tries),
+    in batch order; a node that still fails raises SolverError naming it.
     """
-    rhs = np.matmul(phi.transpose(0, 2, 1), targets)
     eye = np.eye(gram.shape[-1])
     ridge = max(ridge, 0.0)
     try:
@@ -127,7 +118,15 @@ def _ridge_fit(
             lam = max(lam * 10.0, 1e-10)
         else:
             raise SolverError(f"regression matrix singular at node {nodes[i]}")
-    return np.matmul(phi, beta, out=out)
+    return beta
+
+
+def _ridge_fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray, ridge: float,
+               nodes: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+    """Fitted values ``phi`` (K, M, p) times the ``_ridge_coefficients`` of
+    the regressands ``targets`` (K, M, t); ``out`` may be ``targets``."""
+    rhs = np.matmul(phi.transpose(0, 2, 1), targets)
+    return np.matmul(phi, _ridge_coefficients(gram, rhs, ridge, nodes), out=out)
 
 
 @dataclass
@@ -161,23 +160,16 @@ class SolveReport:
 
 
 def d_metric(a: EnsembleState, b: EnsembleState) -> float:
-    """Contraction metric: mean over particles of
-    sum_k |dv_k|^2 dt + |dy_N|^2 (left-node quadrature)."""
-    dt = a.grid.dt
+    """Contraction metric: mean over particles of sum_k |dv_k|^2 dt +
+    |dy_N|^2 (left-node quadrature).  Each block's left-node differences are
+    summed as one dot product, in the memory order they come out in."""
     n = a.grid.steps
-    dy = a.y - b.y
-    d_big_y = a.Y - b.Y
-    dz = a.z - b.z
-    d_big_z = a.Z - b.Z
-    per_node = (
-        np.sum(dy**2, axis=2)
-        + np.sum(d_big_y**2, axis=2)
-        + np.sum(dz**2, axis=(2, 3))
-        + np.sum(d_big_z**2, axis=(2, 3))
-    )
-    integral = per_node[:, :n].sum(axis=1) * dt
-    terminal = np.sum(dy[:, n] ** 2, axis=1)
-    return float(np.mean(integral + terminal))
+    integral = 0.0
+    for u, v in ((a.y, b.y), (a.Y, b.Y), (a.z, b.z), (a.Z, b.Z)):
+        diff = np.subtract(u[:, :n], v[:, :n]).ravel(order="K")
+        integral += diff @ diff
+    dy_n = (a.y[:, n] - b.y[:, n]).ravel()
+    return float((integral * a.grid.dt + dy_n @ dy_n) / a.y.shape[0])
 
 
 # ----------------------------------------------------------------------------
@@ -266,9 +258,16 @@ def _backward_phase(
     term stays outside the projection because dB_k is known at node k.  Z_k
     regresses the centered Y_{k+1} against dW_k; centering by the fitted
     Y_{k+1} keeps the estimator variance at the cross-sectional spread scale.
-    The drift projections and noise terms of all nodes are formed before the
-    sweep; node k's Gram then serves both its fits.  Y and Z are built
-    node-major and returned as particle-major views.
+
+    The sweep is linear, so it runs on coefficients: Y_k = Phi_k delta_k -
+    Ghat_k (Ghat_k = noiseB_{k+1} dB_k, delta_k the fit of Y_{k+1} less that
+    of drift_k dt) gives Phi_k' Y_{k+1} = C_k delta_{k+1} - Phi_k' Ghat_{k+1}
+    with C_k = Phi_k' Phi_{k+1}.  One batched solve against
+    [C_k | -Phi_k' Ghat_{k+1} (Phi' terminal at N-1) | Phi_k' drift_k dt]
+    leaves delta_k = P_k delta_{k+1} + q_k on (p, d) blocks; Z is one batched
+    fit.  Both solves take the nodes in descending order, so that a failure
+    names the node the sweep reaches first.  Y and Z are built node-major and
+    returned as particle-major views.
     """
     m, n, d_w = drivers.dW.shape
     d = terminal.shape[1]
@@ -277,28 +276,32 @@ def _backward_phase(
     big_y = np.empty((n + 1, m, d))
     big_z = np.empty((n + 1, m, d, d_w))
     phi, gram = _node_features(reg, y_path, btail)
-    # big_y[k] holds E_k[drift_k dt] + noiseB_{k+1} dB_k until the sweep
-    # reaches node k.  The projections are fitted in the sweep's descending
-    # node order, so that a failure names the node the sweep reaches first.
-    down = slice(n - 1, None, -1)
-    _ridge_fit(
-        phi[down], gram[down], drifts[:, down].transpose(1, 0, 2), reg.ridge,
-        range(n - 1, -1, -1), out=big_y[down],
-    )
-    big_y[:n] *= dt
-    big_y[:n] += np.einsum("mkij,mkj->kmi", noises_b[:, 1:], drivers.dB)
+    p = phi.shape[2]
+    phi_t = phi.transpose(0, 2, 1)
+    # big_y[k] holds Ghat_k until delta is known
+    np.einsum("mkij,mkj->kmi", noises_b[:, 1:], drivers.dB, out=big_y[:n])
     big_y[n] = terminal
-    d_w_nodes = drivers.dW.transpose(1, 0, 2)
-    for k in range(n - 1, -1, -1):
-        node = slice(k, k + 1)
-        fit_y_next = _ridge_fit(
-            phi[node], gram[node], big_y[k + 1][None], reg.ridge, [k]
-        )[0]
-        np.subtract(fit_y_next, big_y[k], out=big_y[k])
-        centered = big_y[k + 1] - fit_y_next
-        target = (centered[:, :, None] * d_w_nodes[k][:, None, :]).reshape(1, m, -1)
-        fitted = _ridge_fit(phi[node], gram[node], target, reg.ridge, [k], out=target)
-        np.divide(fitted.reshape(m, d, d_w), dt, out=big_z[k])
+    rhs = np.zeros((n, p, p + 2 * d))
+    np.matmul(phi_t[:-1], phi[1:], out=rhs[:-1, :, :p])
+    np.matmul(phi_t, big_y[1:], out=rhs[:, :, p:p + d])
+    rhs[:-1, :, p:p + d] *= -1.0
+    np.matmul(phi_t, dt * drifts[:, :n].transpose(1, 0, 2), out=rhs[:, :, p + d:])
+    down, desc = slice(None, None, -1), range(n - 1, -1, -1)
+    coef = _ridge_coefficients(gram[down], rhs[down], reg.ridge, desc)[down]
+    step, fit_drift = coef[:, :, :p], coef[:, :, p + d:]
+    delta = coef[:, :, p:p + d] - fit_drift
+    for k in range(n - 2, -1, -1):
+        delta[k] += step[k] @ delta[k + 1]
+    np.subtract(np.matmul(phi, delta), big_y[:n], out=big_y[:n])
+    # E_k[Y_{k+1}] = Phi_k beta_k, with beta_k = delta_k + the drift fit
+    centered = np.matmul(phi, delta + fit_drift)
+    np.subtract(big_y[1:], centered, out=centered)
+    # the Z targets are built in big_z, which their fit then overwrites
+    np.einsum("kmi,mkj->kmij", centered, drivers.dW, out=big_z[:n])
+    del centered
+    z_fit = big_z[:n].reshape(n, m, d * d_w)[down]
+    _ridge_fit(phi[down], gram[down], z_fit, reg.ridge, desc, out=z_fit)
+    big_z[:n] /= dt
     big_z[n] = big_z[n - 1]
     return big_y.transpose(1, 0, 2), big_z.transpose(1, 0, 2, 3)
 

@@ -162,6 +162,51 @@ class TestWasserstein:
         assert sliced == wasserstein2(a, b, "sliced", projections=256, seed=0)
 
 
+def _reference_quantile_walk(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
+    """The weighted quantile walk, for any pair of one-dimensional laws."""
+    ia = np.argsort(a.samples[:, 0], kind="stable")
+    ib = np.argsort(b.samples[:, 0], kind="stable")
+    xa, ca = a.samples[ia, 0], np.cumsum(a.weights[ia])
+    xb, cb = b.samples[ib, 0], np.cumsum(b.weights[ib])
+    cost, i, j, prev = 0.0, 0, 0, 0.0
+    while i < len(xa) and j < len(xb):
+        level = min(ca[i], cb[j])
+        cost += max(level - prev, 0.0) * (xa[i] - xb[j]) ** 2
+        prev = level
+        i += ca[i] <= level + 1e-12
+        j += cb[j] <= level + 1e-12
+    return float(np.sqrt(cost))
+
+
+class TestSortedFastPath:
+    """Equal-size clouds with constant weights take the sorted-difference
+    path; everything else walks the quantiles."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_quantile_walk(self, ties):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            xa, xb = rng.standard_normal(n), 3.0 * rng.standard_normal(n) + 0.5
+            if ties:
+                xa, xb = np.round(xa), np.round(xb)
+            a, b = law_1d(xa), law_1d(xb)
+            ref = _reference_quantile_walk(a, b)
+            assert wasserstein2(a, b, "exact_1d") == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_nonuniform_or_unequal_clouds_walk(self):
+        rng = np.random.default_rng(6)
+        w = rng.random(7)
+        cases = [
+            (law_1d(rng.standard_normal(7), w / w.sum()), law_1d(rng.standard_normal(7))),
+            (law_1d(rng.standard_normal(7)), law_1d(rng.standard_normal(9))),
+        ]
+        for a, b in cases:
+            assert wasserstein2(a, b, "exact_1d") == pytest.approx(
+                _reference_quantile_walk(a, b), rel=1e-12, abs=0.0
+            )
+
+
 class TestMeanW2Chain:
     def test_identity_coupling(self):
         rng = np.random.default_rng(7)
@@ -192,6 +237,15 @@ class TestMeanW2Chain:
         a, b = law_1d([0.0]), law_1d([1.0])
         with pytest.raises(ValueError, match="marginals off"):
             check_mean_w2_bounds(a, b, (np.zeros((4, 1)) + 0.3, np.ones((4, 1))))
+
+    def test_no_exact_method_rejected(self):
+        # two-dimensional clouds of unequal size: no assignment, no quantiles
+        rng = np.random.default_rng(7)
+        a = EmpiricalLaw.from_samples(rng.standard_normal((4, 2)))
+        b = EmpiricalLaw.from_samples(rng.standard_normal((2, 2)))
+        coupling = (a.samples, np.tile(b.samples, (2, 1)))
+        with pytest.raises(ValueError, match="no exact transport method"):
+            check_mean_w2_bounds(a, b, coupling)
 
     def test_chain_on_random_pairs(self):
         # permutation couplings have exact marginals; slack 1e-9

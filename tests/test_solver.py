@@ -228,6 +228,90 @@ class TestSweepsAgainstReference:
                 )
 
 
+class TestBackwardRecursion:
+    """The coefficient recursion of ``_backward_phase`` against the per-node
+    sweep: strong backward noise, a nonlinear terminal, failing nodes."""
+
+    @pytest.mark.parametrize("basis", ["constant", "affine_y", "poly2_y_plus_Btail"])
+    def test_noisy_input_matches_reference(self, basis):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 2, 1)
+        noises_b *= 4.0  # scale 2
+        reg = RegressionConfig(basis)
+        btail = drivers.b_tail()
+        y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
+        terminal = np.sin(3.0 * y_ref[:, -1]) + y_ref[:, -1] ** 2
+        big_y, big_z = _backward_phase(terminal, fb, noises_b, drivers, y_ref, reg, btail)
+        ref_y, ref_z = _reference_backward(
+            terminal, fb, noises_b, drivers, y_ref, reg, btail
+        )
+        assert np.max(np.abs(big_y - ref_y)) <= 1e-10
+        assert np.max(np.abs(big_z - ref_z)) <= 1e-10
+        assert np.max(np.abs(big_z)) > 0.0
+
+    @pytest.mark.parametrize("backward", [_backward_phase, _reference_backward])
+    def test_nonfinite_terminal_names_last_node(self, backward):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(1, 1, 1)
+        btail = drivers.b_tail()
+        y_ref, _ = _reference_forward(drifts, noises, drivers, x0, REG, btail)
+        terminal = y_ref[:, -1].copy()
+        terminal[5] = np.inf
+        n = drivers.grid.steps
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SolverError, match=f"singular at node {n - 1}$"):
+                backward(terminal, fb, noises_b, drivers, y_ref, REG, btail)
+
+    @pytest.mark.parametrize("backward", [_backward_phase, _reference_backward])
+    def test_first_failing_node_in_descending_order(self, backward):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 1, 1)
+        reg = RegressionConfig("poly2_y_plus_Btail")
+        btail = drivers.b_tail()
+        y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
+        bad_path = y_ref.copy()
+        bad_path[:, 3] = np.nan
+        bad_path[:, 8] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SolverError, match="singular at node 8$"):
+                backward(y_ref[:, -1], fb, noises_b, drivers, bad_path, reg, btail)
+
+
+def _reference_d_metric(a, b):
+    """The contraction metric as per-node sums over trailing axes."""
+    n = a.grid.steps
+    dy = a.y - b.y
+    per_node = (
+        np.sum(dy**2, axis=2)
+        + np.sum((a.Y - b.Y) ** 2, axis=2)
+        + np.sum((a.z - b.z) ** 2, axis=(2, 3))
+        + np.sum((a.Z - b.Z) ** 2, axis=(2, 3))
+    )
+    integral = per_node[:, :n].sum(axis=1) * a.grid.dt
+    return float(np.mean(integral + np.sum(dy[:, n] ** 2, axis=1)))
+
+
+class TestDMetricAgainstReference:
+    @staticmethod
+    def _state(grid, m, rng, node_major):
+        d, d_w, d_b = 2, 2, 3
+        shapes = ((d,), (d,), (d, d_b), (d, d_w))
+        if node_major:
+            blocks = [
+                np.moveaxis(rng.standard_normal((grid.steps + 1, m) + s), 0, 1)
+                for s in shapes
+            ]
+        else:
+            blocks = [rng.standard_normal((m, grid.steps + 1) + s) for s in shapes]
+        return EnsembleState(*blocks, grid=grid)
+
+    @pytest.mark.parametrize("layouts", [(True, True), (True, False), (False, False)])
+    def test_matches_per_node_formula(self, layouts):
+        grid = TimeGrid(0.7, 9)
+        rng = np.random.default_rng(11)
+        a = self._state(grid, 40, rng, layouts[0])
+        b = self._state(grid, 40, rng, layouts[1])
+        ref = _reference_d_metric(a, b)
+        assert d_metric(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 class TestDMetric:
     def test_hand_computed(self):
         grid = TimeGrid(2.0, 2)  # dt = 1
