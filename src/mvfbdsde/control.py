@@ -652,6 +652,23 @@ class AdjointSolveResult:
     system: AdjointSystem
 
 
+def _warm_solve(
+    problem: HomotopyProblem,
+    warm: EnsembleState,
+    drivers: BrownianPair,
+    reg: RegressionConfig,
+    tol: float,
+    max_iter: int,
+) -> SolveReport | None:
+    """Picard on ``problem`` from ``warm``; None when the solve raises
+    SolverError or stops unconverged."""
+    try:
+        report = picard_solve(problem, warm, drivers, reg, tol, max_iter)
+    except SolverError:
+        return None
+    return report if report.converged else None
+
+
 def solve_adjoint(
     problem: ControlProblem,
     state: EnsembleState,
@@ -660,16 +677,27 @@ def solve_adjoint(
     reg: RegressionConfig,
     tol: float = 1e-6,
     max_iter: int = 80,
+    warm: EnsembleState | None = None,
 ) -> AdjointSolveResult:
-    """Picard solve of the (linear) adjoint system, warm-started at zero."""
+    """Picard solve of the (linear) adjoint system.
+
+    With ``warm`` (an earlier adjoint solve's ``report.final_state``, e.g. at
+    a nearby control) the iteration starts there.  Without it, or when that
+    solve raises SolverError or does not converge, it starts at zero with
+    p = p_0 and retries with damping 0.5 on SolverError.
+    """
     system = build_adjoint_coefficients(problem, state, control_values)
-    warm = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
-    try:
-        report = picard_solve(system.problem, warm, drivers, reg, tol, max_iter)
-    except SolverError:
-        report = picard_solve(
-            system.problem, warm, drivers, reg, tol, max_iter, damping=0.5
-        )
+    report = None
+    if warm is not None:
+        report = _warm_solve(system.problem, warm, drivers, reg, tol, max_iter)
+    if report is None:
+        zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
+        try:
+            report = picard_solve(system.problem, zero, drivers, reg, tol, max_iter)
+        except SolverError:
+            report = picard_solve(
+                system.problem, zero, drivers, reg, tol, max_iter, damping=0.5
+            )
     return AdjointSolveResult(
         adjoint=AdjointState.from_ensemble(report.final_state),
         report=report,
@@ -696,8 +724,31 @@ def solve_state(
     drivers: BrownianPair,
     reg: RegressionConfig,
     tol: float = 1e-6,
+    warm: EnsembleState | None = None,
 ) -> SolveReport:
+    """Solve the state system under ``control`` up the continuation ladder.
+
+    With ``warm`` (an earlier solved state, e.g. at a nearby control), Picard
+    first runs on the alpha = 1 problem from it, with the ladder's tolerance
+    and per-rung cap of 60 iterations.  Under the certified monotonicity
+    condition the solution is unique, so both routes target the same fixed
+    point.  If that solve raises SolverError or does not converge, the ladder
+    runs as it does without ``warm``.
+    """
     coeffs = problem.coefficients_for(control)
+    if warm is not None:
+        target = HomotopyProblem(
+            base=coeffs,
+            alpha=1.0,
+            case="case1",
+            theta1=problem.theta1,
+            theta2=problem.theta2,
+            xi=problem.xi,
+            x=problem.x,
+        )
+        report = _warm_solve(target, warm, drivers, reg, tol, max_iter=60)
+        if report is not None:
+            return report
     return continuation_solve(
         coeffs,
         case="case1",
@@ -779,15 +830,22 @@ def first_order_candidate(
     relax: float = 0.6,
 ) -> np.ndarray:
     """Fixed-point iteration of the stationarity map: ascend grad_u H to the
-    box-projected first-order candidate."""
+    box-projected first-order candidate.
+
+    Each iterate's state and adjoint solves start from the previous
+    iterate's solutions, so only the first climbs the continuation ladder.
+    """
     n = problem.grid.steps
     u = np.broadcast_to(problem.control_box_center(), (n + 1, problem.d_u)).copy()
+    state = adjoint = None
     for _ in range(iters):
-        report = solve_state(problem, u, drivers, reg, tol)
-        adj = solve_adjoint(problem, report.final_state, u, drivers, reg, tol)
-        grad = mean_control_gradient(problem, report.final_state, adj.adjoint, u)
-        # one exact Newton step for costs quadratic in u: H_uu = -I scale from
-        # the running cost; fall back to a relaxed ascent otherwise
+        state = solve_state(problem, u, drivers, reg, tol, warm=state).final_state
+        adj = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint)
+        adjoint = adj.report.final_state
+        grad = mean_control_gradient(problem, state, adj.adjoint, u)
+        # every iterate takes a relaxed projected ascent step: u + grad
+        # maximises H exactly only when H_uu = -I, as for a running cost
+        # quadratic in u with unit weight, so the step is damped by relax
         u_new = problem.project(u + grad)
         u = (1.0 - relax) * u + relax * u_new
     return problem.project(u)

@@ -400,22 +400,17 @@ def linear_base_solve(
 # ----------------------------------------------------------------------------
 
 
-def picard_solve(
+def _iterate(
     problem: HomotopyProblem,
     warm: EnsembleState,
     drivers: BrownianPair,
     reg: RegressionConfig,
-    tol: float = 1e-5,
-    max_iter: int = 60,
-    damping: float = 1.0,
+    tol: float,
+    max_iter: int,
+    damping: float,
 ) -> SolveReport:
-    """Iterate the frozen step until the contraction metric between successive
-    iterates drops below ``tol``.
-
-    ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
-    Raises SolverError("Picard divergence") when the distance blows past 1e6
-    of its first value, with the partial report attached.
-    """
+    """The Picard loop of ``picard_solve`` without the final residual, which
+    the ladder's intermediate rungs do not need."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < damping <= 1.0:
@@ -452,7 +447,6 @@ def picard_solve(
             report.wallclock = time.perf_counter() - start
             raise SolverError("Picard divergence", report)
     report.final_state = current
-    report.residuals = residual(problem, current, drivers)
     report.alpha_ladder = [
         LadderRung(
             alpha=problem.alpha,
@@ -463,6 +457,29 @@ def picard_solve(
             residual_history=list(report.picard_residuals),
         )
     ]
+    report.wallclock = time.perf_counter() - start
+    return report
+
+
+def picard_solve(
+    problem: HomotopyProblem,
+    warm: EnsembleState,
+    drivers: BrownianPair,
+    reg: RegressionConfig,
+    tol: float = 1e-5,
+    max_iter: int = 60,
+    damping: float = 1.0,
+) -> SolveReport:
+    """Iterate the frozen step until the contraction metric between successive
+    iterates drops below ``tol``, then evaluate the limit's residuals.
+
+    ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
+    Raises SolverError("Picard divergence") when the distance blows past 1e6
+    of its first value, with the partial report attached.
+    """
+    start = time.perf_counter()
+    report = _iterate(problem, warm, drivers, reg, tol, max_iter, damping)
+    report.residuals = residual(problem, report.final_state, drivers)
     report.wallclock = time.perf_counter() - start
     return report
 
@@ -491,6 +508,7 @@ def continuation_solve(
     The base rung is solved exactly; each later rung runs the Picard iteration
     warm-started at the previous rung.  A failed rung halves the step (up to
     ``max_halvings`` times) before giving up with the partial ladder attached.
+    Only the final state's residuals are evaluated; the rungs skip theirs.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
@@ -517,7 +535,7 @@ def continuation_solve(
         target = min(1.0, alpha + step)
         rung_problem = problem.at_alpha(target)
         try:
-            rung = picard_solve(
+            rung = _iterate(
                 rung_problem, state, drivers, reg, tol, max_iter, damping
             )
         except SolverError as err:

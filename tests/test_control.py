@@ -28,7 +28,7 @@ from mvfbdsde.control import (
 from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import Dimensions, Quad, quad_law
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
-from mvfbdsde.solver import RegressionConfig
+from mvfbdsde.solver import RegressionConfig, d_metric
 
 REG = RegressionConfig()
 
@@ -449,3 +449,96 @@ class TestGradientConsistency:
             direction = rng.standard_normal((n + 1, 1))
             dj = -float(np.sum(grad[:n] * direction[:n]) * dt)
             assert dj >= -5e-3 * float(np.max(np.abs(direction)))
+
+
+def _same_state(a, b) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("y", "Y", "z", "Z"))
+
+
+def _cold_candidate(problem, drivers, reg, iters=6, tol=1e-6, relax=0.6):
+    """The candidate search with every state and adjoint solve started cold:
+    the ladder for the state, zero for the adjoint."""
+    n = problem.grid.steps
+    u = np.broadcast_to(problem.control_box_center(), (n + 1, problem.d_u)).copy()
+    for _ in range(iters):
+        report = solve_state(problem, u, drivers, reg, tol)
+        adj = solve_adjoint(problem, report.final_state, u, drivers, reg, tol)
+        grad = mean_control_gradient(problem, report.final_state, adj.adjoint, u)
+        u_new = problem.project(u + grad)
+        u = (1.0 - relax) * u + relax * u_new
+    return problem.project(u)
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def small(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 10))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 200, seed=41)
+        u = np.full((problem.grid.steps + 1, 1), 0.2)
+        cold = solve_state(problem, u, drivers, REG)
+        return problem, drivers, u, cold
+
+    @staticmethod
+    def _bad_start(problem, value):
+        from mvfbdsde.model import EnsembleState
+
+        bad = EnsembleState.zeros(200, problem.dims, problem.grid)
+        bad.Y[:] = value
+        return bad
+
+    @pytest.mark.parametrize("value", [1e160, np.nan])
+    def test_failed_warm_state_falls_back_to_ladder(self, small, value):
+        problem, drivers, u, cold = small
+        with np.errstate(over="ignore", invalid="ignore"):
+            warm = solve_state(problem, u, drivers, REG,
+                               warm=self._bad_start(problem, value))
+        assert _same_state(warm.final_state, cold.final_state)
+        assert warm.alpha_ladder == cold.alpha_ladder
+        assert warm.picard_residuals == cold.picard_residuals
+        assert warm.residuals == cold.residuals
+
+    @pytest.mark.parametrize("value", [1e160, np.nan])
+    def test_failed_warm_adjoint_falls_back_to_zero_start(self, small, value):
+        problem, drivers, u, cold = small
+        ref = solve_adjoint(problem, cold.final_state, u, drivers, REG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            adj = solve_adjoint(problem, cold.final_state, u, drivers, REG,
+                                warm=self._bad_start(problem, value))
+        assert _same_state(adj.report.final_state, ref.report.final_state)
+        assert adj.report.picard_residuals == ref.report.picard_residuals
+        assert adj.report.residuals == ref.report.residuals
+
+    def test_warm_state_at_the_solution_skips_the_ladder(self, small):
+        problem, drivers, u, cold = small
+        warm = solve_state(problem, u, drivers, REG, warm=cold.final_state)
+        assert warm.converged and warm.iterations == 1
+        assert [r.alpha for r in warm.alpha_ladder] == [1.0]
+        # one more Picard step from the ladder's limit: within tol of it in
+        # the contraction metric, with residuals no larger
+        assert d_metric(warm.final_state, cold.final_state) <= 1e-6
+        assert warm.residuals.max() <= cold.residuals.max()
+
+    @pytest.mark.parametrize("steps", [20, 50])
+    def test_candidate_climbs_ladder_once_and_agrees_with_cold_search(
+        self, monkeypatch, steps
+    ):
+        import mvfbdsde.control as control_module
+
+        problem = lq_control_scenario(TimeGrid(1.0, steps))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 1000, seed=42)
+        cold = _cold_candidate(problem, drivers, REG)
+        calls = {"continuation_solve": 0, "picard_solve": 0}
+        for name in calls:
+            original = getattr(control_module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(control_module, name, counting)
+        warm = first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)
+        # one ladder for the first state; the other 5 states and all 6
+        # adjoints are single Picard solves
+        assert calls == {"continuation_solve": 1, "picard_solve": 11}
+        assert warm.shape == cold.shape
+        assert np.max(np.abs(warm - cold)) <= 1e-3

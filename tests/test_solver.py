@@ -634,6 +634,34 @@ class TestContinuation:
             )
         assert 1.5 <= errors[50] / errors[100] <= 3.0
 
+    def test_one_residual_per_ladder(self, monkeypatch):
+        # the rungs skip their residuals: only the final state's is evaluated,
+        # and it equals a direct evaluation on the alpha = 1 problem
+        import mvfbdsde.solver as solver_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].alpha)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "residual", counting)
+        model = builtin_example_meanfield(DIMS)
+        grid = TimeGrid(1.0, 20)
+        drivers = sample_driver_pair(grid, 1, 1, 200, seed=25)
+        report = continuation_solve(
+            model, "case1", 0.25, 0.25, 0.2, drivers, REG, tol=1e-5,
+            x=np.array([1.0]),
+        )
+        assert len(report.alpha_ladder) == 6  # base rung plus 5 Picard rungs
+        assert calls == [1.0]
+        prob = HomotopyProblem(base=model, alpha=1.0, case="case1", theta1=0.25,
+                               theta2=0.25, x=np.array([1.0]))
+        assert report.residuals == residual(prob, report.final_state, drivers)
+        # picard_solve keeps its residuals for its own callers
+        rung = picard_solve(prob, report.final_state, drivers, REG, tol=1e-5)
+        assert len(calls) == 2 and rung.residuals is not None
+
 
 class TestMomentOracle:
     def test_closed_form_match(self):
