@@ -55,7 +55,6 @@ from .assumptions import (
     estimate_lipschitz,
 )
 from .control import (
-    AdjointState,
     ControlProblem,
     FeedbackControl,
     build_adjoint_coefficients,

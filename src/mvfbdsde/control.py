@@ -46,9 +46,14 @@ from .solver import (
     picard_solve,
 )
 
-BLOCKS = ("y", "Y", "z", "Z")
-MEAN_BLOCKS = ("my", "mY", "mz", "mZ")
 FD_STEP = 1e-5
+# flat chi against a signed Jacobian, constant (flat, in) or per particle and
+# node (..., flat, in): (..., in)
+_CONTRACT = "...f,...fi->...i"
+# Bound on entries times particles in one stacked Hamiltonian call of
+# verify_smp: each (M, K) temporary stays within 128 KiB, so the call's
+# dozen or so temporaries add little to the peak RSS at any M.
+_STACK_FLOATS = 1 << 14
 
 
 # ----------------------------------------------------------------------------
@@ -222,9 +227,6 @@ class ControlledDynamics:
     law_dependence: str = "first_moment"
     jacobians: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
-    def map(self, name: str) -> Callable:
-        return getattr(self, name)
-
 
 @dataclass
 class ControlProblem:
@@ -290,7 +292,7 @@ class ControlProblem:
         )
         law = quad_law(v)
         u = np.broadcast_to(self.control_box_center(), (m, self.d_u)).copy()
-        fn = self.dynamics.map(which)
+        fn = getattr(self.dynamics, which)
         base = fn(0.0, v, u, law)
         width = dims.d_b if block == "z" else dims.d_w
         total = 0.0
@@ -347,11 +349,12 @@ class ControlProblem:
                 k = _node_index(t, self.grid)
                 if not feedback:
                     u = np.broadcast_to(control[k], v.y.shape[:-1] + (self.d_u,))
-                elif np.ndim(k) == 0:
+                elif isinstance(k, int):
                     u = feedback_at(k, t, v.y)
                 else:
+                    ks = np.arange(self.grid.steps + 1)[k]
                     u = np.stack([feedback_at(int(kk), float(tt), v.y[:, i])
-                                  for i, (kk, tt) in enumerate(zip(k, t))], axis=1)
+                                  for i, (kk, tt) in enumerate(zip(ks, t))], axis=1)
                 return sign * fn(t, v, u, law)
 
             return wrapped
@@ -369,9 +372,14 @@ class ControlProblem:
 
 def _node_index(t, grid: TimeGrid):
     """The grid node of each time, round(t / dt) clipped to [0, N]: an int
-    for a scalar time, an int array for an array of times."""
+    for a scalar time, a slice (indexing by it takes views) for consecutive
+    nodes as the solver stacks them, else an int array."""
     k = np.clip(np.rint(np.asarray(t) / grid.dt).astype(int), 0, grid.steps)
-    return int(k) if k.ndim == 0 else k
+    if k.ndim == 0:
+        return int(k)
+    if k.size and np.array_equal(k, np.arange(k[0], k[0] + k.size)):
+        return slice(int(k[0]), int(k[0]) + k.size)
+    return k
 
 
 # ----------------------------------------------------------------------------
@@ -387,18 +395,22 @@ def hamiltonian(
     chi: Quad,
     law: EmpiricalLaw,
 ) -> np.ndarray:
-    """Per-particle Hamiltonian <p,F> - <P,f> + <q,G> - <Q,g> - cost."""
+    """Per-particle Hamiltonian <p,F> - <P,f> + <q,G> - <Q,g> - cost: (M,)
+    at one node, (M, K) on a stack of K entries under the maps' node-stack
+    contract (t of shape (K,), v, u and chi (M, K, ...), law.mean (K, flat))."""
     dyn = problem.dynamics
     big_f = dyn.F(t, v, u, law)
     f = dyn.f(t, v, u, law)
     big_g = dyn.G(t, v, u, law)
     g = dyn.g(t, v, u, law)
     ell = problem.running_cost.value(t, v, u, law)
+    if np.shape(ell) != v.y.shape[:-1]:
+        raise ValueError(f"running cost returned shape {np.shape(ell)}, wanted {v.y.shape[:-1]}")
     out = (
-        np.sum(chi.y * big_f, axis=1)
-        - np.sum(chi.Y * f, axis=1)
-        + np.sum(chi.z * big_g, axis=(1, 2))
-        - np.sum(chi.Z * g, axis=(1, 2))
+        np.sum(chi.y * big_f, axis=-1)
+        - np.sum(chi.Y * f, axis=-1)
+        + np.sum(chi.z * big_g, axis=(-2, -1))
+        - np.sum(chi.Z * g, axis=(-2, -1))
         - ell
     )
     if not np.all(np.isfinite(out)):
@@ -406,27 +418,12 @@ def hamiltonian(
     return out
 
 
-def _block_shape(dims: Dimensions, d_u: int, block: str) -> tuple[int, ...]:
-    return {
-        "y": (dims.d,),
-        "Y": (dims.d,),
-        "z": (dims.d, dims.d_b),
-        "Z": (dims.d, dims.d_w),
-        "u": (d_u,),
-        "my": (dims.d,),
-        "mY": (dims.d,),
-        "mz": (dims.d, dims.d_b),
-        "mZ": (dims.d, dims.d_w),
-    }[block]
-
-
-def _out_shape(dims: Dimensions, coef: str) -> tuple[int, ...]:
-    return {
-        "f": (dims.d,),
-        "F": (dims.d,),
-        "g": (dims.d, dims.d_w),
-        "G": (dims.d, dims.d_b),
-    }[coef]
+def _size(dims: Dimensions, d_u: int, name: str) -> int:
+    """Flattened size of a block (y, Y, z, Z, u or a mean block m*) or of a
+    map's output (f, F, g, G)."""
+    d = dims.d
+    return {"y": d, "Y": d, "z": d * dims.d_b, "Z": d * dims.d_w, "u": d_u,
+            "f": d, "F": d, "g": d * dims.d_w, "G": d * dims.d_b}[name.removeprefix("m")]
 
 
 def _fd_jacobian(
@@ -445,7 +442,7 @@ def _fd_jacobian(
     point block by FD_STEP times one plus the block's largest magnitude over
     the particles of each node."""
     lead = v.y.shape[:-1]
-    size = int(np.prod(_block_shape(dims, d_u, block)))
+    size = _size(dims, d_u, block)
     cols = []
     if block.startswith("m"):
         h = FD_STEP
@@ -496,18 +493,34 @@ class JacobianBank:
         if arr is None:
             problem = self.problem
             const = problem.dynamics.jacobians.get((coef, block))
-            out_size = int(np.prod(_out_shape(problem.dims, coef)))
-            in_size = int(np.prod(_block_shape(problem.dims, problem.d_u, block)))
+            out_size = _size(problem.dims, problem.d_u, coef)
+            in_size = _size(problem.dims, problem.d_u, block)
             if const is not None:
                 arr = np.asarray(const, dtype=float).reshape(out_size, in_size)
             elif block.startswith("m") and problem.dynamics.law_dependence == "none":
                 arr = np.zeros((out_size, in_size))
             else:
                 arr = _fd_jacobian(
-                    problem.dynamics.map(coef), *self.point(slice(None)), block,
+                    getattr(problem.dynamics, coef), *self.point(slice(None)), block,
                     problem.dims, problem.d_u,
                 )
             self._cache[(coef, block)] = arr
+        return arr if arr.ndim == 2 else arr[:, k]
+
+    def signed(self, block: str, k: int | slice | np.ndarray) -> np.ndarray:
+        """The Jacobians of (F, -f, G, -g) in one block stacked on the output
+        axis, in the order of a flat chi = (p, P, q, Q), at node(s) k:
+        (flat, in) when all four are constant, else (M, flat, in) at one node
+        or (M, K, flat, in) on a stack."""
+        arr = self._cache.get(("signed", block))
+        if arr is None:
+            parts = [sign * self.get(coef, block, slice(None))
+                     for coef, sign in (("F", 1.0), ("f", -1.0), ("G", 1.0), ("g", -1.0))]
+            lead = () if all(part.ndim == 2 for part in parts) else self.state.y.shape[:2]
+            arr = np.concatenate(
+                [np.broadcast_to(part, (*lead, *part.shape[-2:])) for part in parts], axis=-2
+            )
+            self._cache[("signed", block)] = arr
         return arr if arr.ndim == 2 else arr[:, k]
 
 
@@ -522,7 +535,7 @@ def _running_grad(problem: ControlProblem, t, v: Quad, u: np.ndarray, law,
     if block.startswith("m") and rc.law_dependence != "first_moment":
         if rc.law_dependence != "none":
             raise ValueError("L-derivative unavailable")
-        return np.zeros((*lead, int(np.prod(_block_shape(problem.dims, problem.d_u, block)))))
+        return np.zeros((*lead, _size(problem.dims, problem.d_u, block)))
 
     def cost(t, v, u, law):  # the cost as a single output
         return rc.value(t, v, u, law)[..., None]
@@ -543,34 +556,13 @@ def grad_hamiltonian_block(
 
     <p, dF> - <P, df> + <q, dG> - <Q, dg> - d(cost); chi supplies (p, P, q, Q).
     """
-    lead = chi.y.shape[:-1]
-    p, big_p, q, big_q = (a.reshape(*lead, -1) for a in chi)
-    out = np.einsum("...o,...oi->...i", p, bank.get("F", block, k))
-    out = out - np.einsum("...o,...oi->...i", big_p, bank.get("f", block, k))
-    out = out + np.einsum("...o,...oi->...i", q, bank.get("G", block, k))
-    out = out - np.einsum("...o,...oi->...i", big_q, bank.get("g", block, k))
-    out = out - _running_grad(problem, *bank.point(k), block)
-    return out
+    out = np.einsum(_CONTRACT, chi.flat(), bank.signed(block, k))
+    return out - _running_grad(problem, *bank.point(k), block)
 
 
 # ----------------------------------------------------------------------------
 # Adjoint system
 # ----------------------------------------------------------------------------
-
-
-@dataclass
-class AdjointState:
-    """Adjoint quadruple ensembles aligned with a state solve."""
-
-    p: np.ndarray
-    P: np.ndarray
-    q: np.ndarray
-    Q: np.ndarray
-    grid: TimeGrid
-
-    @classmethod
-    def from_ensemble(cls, state: EnsembleState) -> "AdjointState":
-        return cls(p=state.y, P=state.Y, q=state.z, Q=state.Z, grid=state.grid)
 
 
 @dataclass
@@ -592,6 +584,12 @@ def build_adjoint_coefficients(
     Drift/noise entries are H-gradients along the baked state trajectory; the
     copy-averaged measure terms reduce, for first-moment structure, to plain
     ensemble means of the mean-block gradients paired with the adjoint batch.
+    What does not depend on chi is built once: the signed Jacobians and, per
+    map, minus the running-cost gradient in its point block and minus the
+    particle mean of that in its mean block.  A call adds to this cost term
+    one contraction of the flat chi and the mean-field term: ``law_chi.mean``
+    against a constant mean-block Jacobian, else the particle mean of the
+    contraction.
     Boundary data: p_0 from the initial-cost gradients, terminal
     P_T = shift - c p_T with the shift built from the terminal-cost gradients.
     """
@@ -599,14 +597,22 @@ def build_adjoint_coefficients(
     grid = state.grid
     n = grid.steps
     bank = JacobianBank(problem, state, control_values, state.node_laws())
+    trajectory = bank.point(slice(None))
 
     def drift_or_noise(block_point: str, block_mean: str, out_shape: tuple):
+        cost = -_running_grad(problem, *trajectory, block_point)
+        cost -= _running_grad(problem, *trajectory, block_mean).mean(axis=0)
+        jac_mean = bank.signed(block_mean, slice(None))
+
         def fn(t, chi: Quad, law_chi) -> np.ndarray:
             k = _node_index(t, grid)
-            point = grad_hamiltonian_block(problem, bank, k, chi, block_point)
-            mean_part = grad_hamiltonian_block(problem, bank, k, chi, block_mean)
-            total = point + mean_part.mean(axis=0, keepdims=True)
-            return total.reshape(*chi.y.shape[:-1], *out_shape)
+            flat = chi.flat()
+            out = np.einsum(_CONTRACT, flat, bank.signed(block_point, k)) + cost[:, k]
+            if jac_mean.ndim == 2:
+                out += law_chi.mean @ jac_mean
+            else:
+                out += np.einsum(_CONTRACT, flat, jac_mean[:, k]).mean(axis=0)
+            return out.reshape(*chi.y.shape[:-1], *out_shape)
 
         return fn
 
@@ -647,7 +653,7 @@ def build_adjoint_coefficients(
 
 @dataclass
 class AdjointSolveResult:
-    adjoint: AdjointState
+    adjoint: EnsembleState  # (p, P, q, Q) in the blocks (y, Y, z, Z)
     report: SolveReport
     system: AdjointSystem
 
@@ -699,7 +705,7 @@ def solve_adjoint(
                 system.problem, zero, drivers, reg, tol, max_iter, damping=0.5
             )
     return AdjointSolveResult(
-        adjoint=AdjointState.from_ensemble(report.final_state),
+        adjoint=report.final_state,
         report=report,
         system=system,
     )
@@ -785,18 +791,23 @@ def estimate_cost(
     state = report.final_state
     n = problem.grid.steps
     m = state.particles
-    laws = state.node_laws()
-    per = np.zeros(m)
-    dt = problem.grid.dt
-    for k in range(n):
-        t_k = float(problem.grid.nodes[k])
-        if feedback:
-            u = np.asarray(control(k, t_k, state.y[:, k]), dtype=float)
-            if not problem.in_box(u):
+    left = slice(0, n)
+    nodes = problem.grid.nodes
+    if feedback:
+        u = np.empty((m, n, problem.d_u))
+        for k in range(n):
+            u[:, k] = control(k, float(nodes[k]), state.y[:, k])
+            if not problem.in_box(u[:, k]):
                 raise ValueError(f"control outside the box at node {k}")
-        else:
-            u = np.broadcast_to(control[k], (m, problem.d_u))
-        per += problem.running_cost.value(t_k, state.at(k), u, laws[k]) * dt
+    else:
+        u = np.broadcast_to(control[left], (m, n, problem.d_u))
+    running = problem.running_cost.value(
+        nodes[left], state.at(left), u, state.node_laws()[left]
+    )
+    if np.shape(running) != (m, n):
+        raise ValueError(f"running cost returned shape {np.shape(running)}, wanted {(m, n)}")
+    # node-major and contiguous, so the sum adds the nodes in order
+    per = np.ascontiguousarray((running * problem.grid.dt).T).sum(axis=0)
     y_t = state.y[:, n]
     per += problem.terminal_cost.value(y_t, EmpiricalLaw.from_samples(y_t))
     big_y0 = state.Y[:, 0]
@@ -812,12 +823,12 @@ def estimate_cost(
 def mean_control_gradient(
     problem: ControlProblem,
     state: EnsembleState,
-    adjoint: AdjointState,
+    adjoint: EnsembleState,
     control_values: np.ndarray,
 ) -> np.ndarray:
     """Ensemble-averaged grad_u H along the trajectory, shape (N+1, d_u)."""
     bank = JacobianBank(problem, state, control_values, state.node_laws())
-    chi = Quad(adjoint.p, adjoint.P, adjoint.q, adjoint.Q)
+    chi = adjoint.at(slice(None))
     return grad_hamiltonian_block(problem, bank, slice(None), chi, "u").mean(axis=0)
 
 
@@ -840,9 +851,8 @@ def first_order_candidate(
     state = adjoint = None
     for _ in range(iters):
         state = solve_state(problem, u, drivers, reg, tol, warm=state).final_state
-        adj = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint)
-        adjoint = adj.report.final_state
-        grad = mean_control_gradient(problem, state, adj.adjoint, u)
+        adjoint = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint).adjoint
+        grad = mean_control_gradient(problem, state, adjoint, u)
         # every iterate takes a relaxed projected ascent step: u + grad
         # maximises H exactly only when H_uu = -I, as for a running cost
         # quadratic in u with unit weight, so the step is damped by relax
@@ -943,7 +953,7 @@ def verify_smp(
 
     base_cost = estimate_cost(problem, values, drivers, reg, tol)
     state = base_cost.solve_report.final_state
-    adj = solve_adjoint(problem, state, values, drivers, reg, tol)
+    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).adjoint
     laws = state.node_laws()
 
     # (a) convexity of the two endpoint costs
@@ -951,61 +961,45 @@ def verify_smp(
     conv_psi = _convexity_margin(problem.initial_cost, problem.dims.d, rng)
     convexity_margin = min(conv_phi, conv_psi)
 
-    # (b) midpoint concavity of H in (v, mean, u)
+    # (b) midpoint concavity of H in (v, mean, u) along 60 random segments,
+    # drawn in sample order; each stacked call holds the two ends and the
+    # midpoints of a few segments
     n = problem.grid.steps
-    concavity_margin = np.inf
     m = state.particles
-    for _ in range(60):
-        k = int(rng.integers(0, n + 1))
-        chi = Quad(adj.adjoint.p[:, k], adj.adjoint.P[:, k],
-                   adj.adjoint.q[:, k], adj.adjoint.Q[:, k])
-        t = float(problem.grid.nodes[k])
-        scale = float(rng.choice([0.3, 1.0, 2.0]))
+    nodes = problem.grid.nodes
+    concavity_margin = np.inf
+    per_call = max(1, _STACK_FLOATS // (3 * m))
+    for first in range(0, 60, per_call):
+        ks, ends = [], []
+        for _ in range(min(per_call, 60 - first)):
+            ks.append(int(rng.integers(0, n + 1)))
+            scale = float(rng.choice([0.3, 1.0, 2.0]))
+            ends += [_segment_end(problem, m, scale, rng) for _ in range(2)]
+        # per field the first ends, the second ends and the midpoints, on
+        # the stack axis: 1 for the blocks, 0 for the controls and shifts
+        fields = []
+        for j, col in enumerate(zip(*ends)):
+            axis = int(j < 4)
+            a, b = np.stack(col[0::2], axis=axis), np.stack(col[1::2], axis=axis)
+            fields.append(np.concatenate([a, b, 0.5 * (a + b)], axis=axis))
+        k3 = np.tile(ks, 3)
+        h = _mean_hamiltonian(problem, nodes[k3], Quad(*fields[:4]), fields[4],
+                              adjoint.at(k3), laws[k3].translated(fields[5]))
+        h_a, h_b, h_mid = h.reshape(3, -1)
+        concavity_margin = min(concavity_margin, float(np.min(h_mid - 0.5 * (h_a + h_b))))
 
-        def point(local_rng):
-            v = Quad(
-                scale * local_rng.standard_normal((m, problem.dims.d)),
-                scale * local_rng.standard_normal((m, problem.dims.d)),
-                scale * local_rng.standard_normal((m, problem.dims.d, problem.dims.d_b)),
-                scale * local_rng.standard_normal((m, problem.dims.d, problem.dims.d_w)),
-            )
-            u = problem.project(
-                scale * local_rng.standard_normal(problem.d_u)
-            )
-            shift = scale * local_rng.standard_normal(problem.dims.flat)
-            return v, u, shift
-
-        va, ua, sa = point(rng)
-        vb, ub, sb = point(rng)
-        vm = Quad(*(0.5 * (x + y) for x, y in zip(va, vb)))
-        um = 0.5 * (ua + ub)
-        sm = 0.5 * (sa + sb)
-        law0 = laws[k]
-
-        def h_mean(v, u, shift):
-            law = law0.translated(shift)
-            u_b = np.broadcast_to(u, (m, problem.d_u))
-            return float(np.mean(hamiltonian(problem, t, v, u_b, chi, law)))
-
-        gap = h_mean(vm, um, sm) - 0.5 * (h_mean(va, ua, sa) + h_mean(vb, ub, sb))
-        concavity_margin = min(concavity_margin, gap)
-
-    # (c) pointwise maximality over the box on a time subsample
-    max_gap = np.inf
+    # (c) pointwise maximality over the box on a time subsample: one stack
+    # over the subsampled nodes per tested control, on views of the solved
+    # state and adjoint
     grid_pts = _box_grid(problem, 25, rng)
-    stride = max(1, n // 12)
-    for k in range(0, n + 1, stride):
-        chi = Quad(adj.adjoint.p[:, k], adj.adjoint.P[:, k],
-                   adj.adjoint.q[:, k], adj.adjoint.Q[:, k])
-        t = float(problem.grid.nodes[k])
-        v = state.at(k)
-        u_hat = np.broadcast_to(values[k], (m, problem.d_u))
-        h_hat = float(np.mean(hamiltonian(problem, t, v, u_hat, chi, laws[k])))
-        best = -np.inf
-        for u_test in grid_pts:
-            u_b = np.broadcast_to(u_test, (m, problem.d_u))
-            best = max(best, float(np.mean(hamiltonian(problem, t, v, u_b, chi, laws[k]))))
-        max_gap = min(max_gap, h_hat - best)
+    sub = slice(0, n + 1, max(1, n // 12))
+    v, chi, t, law = state.at(sub), adjoint.at(sub), nodes[sub], laws[sub]
+    h_hat = _mean_hamiltonian(problem, t, v, values[sub], chi, law)
+    best = np.max([
+        _mean_hamiltonian(problem, t, v, np.broadcast_to(u_test, values[sub].shape), chi, law)
+        for u_test in grid_pts
+    ], axis=0)
+    max_gap = float(np.min(h_hat - best))
 
     # (d) cost dominance over sampled admissible perturbations
     cost_margins: list[float] = []
@@ -1054,6 +1048,26 @@ def verify_smp(
         witnesses=witnesses,
         inconclusive=inconclusive,
     )
+
+
+def _segment_end(problem: ControlProblem, m: int, scale: float,
+                 rng: np.random.Generator) -> list[np.ndarray]:
+    """One random end of a concavity segment: the blocks y, Y, z, Z (M, ...),
+    a control in the box and a flat mean shift."""
+    dims = problem.dims
+    v = [scale * rng.standard_normal((m, *shape))
+         for shape in ((dims.d,), (dims.d,), (dims.d, dims.d_b), (dims.d, dims.d_w))]
+    u = problem.project(scale * rng.standard_normal(problem.d_u))
+    return [*v, u, scale * rng.standard_normal(dims.flat)]
+
+
+def _mean_hamiltonian(problem: ControlProblem, t: np.ndarray, v: Quad,
+                      u: np.ndarray, chi: Quad, law: NodeMoments) -> np.ndarray:
+    """Particle mean of the Hamiltonian on a stack of K entries, with one
+    control (K, d_u) per entry: shape (K,).  Each entry's mean sums its
+    particles as a single-node mean does."""
+    h = hamiltonian(problem, t, v, np.broadcast_to(u, (v.particles, *u.shape)), chi, law)
+    return np.ascontiguousarray(h.T).mean(axis=1)
 
 
 def _box_grid(problem: ControlProblem, per_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -1171,9 +1185,7 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
     for coef in ("f", "g", "F", "G"):
         for block in ("y", "Y", "z", "Z", "u", "my", "mY", "mz", "mZ"):
             if (coef, block) not in jac:
-                out = _out_shape(dims, coef)
-                inn = _block_shape(dims, 1, block)
-                jac[(coef, block)] = np.zeros((int(np.prod(out)), int(np.prod(inn))))
+                jac[(coef, block)] = np.zeros((_size(dims, 1, coef), _size(dims, 1, block)))
 
     dynamics = ControlledDynamics(
         f=f, g=g, F=big_f, G=big_g, law_dependence="first_moment", jacobians=jac
@@ -1190,12 +1202,6 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
             "z": lambda t, v, u, law: np.zeros_like(v.z),
             "Z": lambda t, v, u, law: np.zeros_like(v.Z),
             "u": lambda t, v, u, law: u,
-        },
-        mean_grads={
-            "my": lambda t, v, u, law: np.zeros_like(v.y),
-            "mY": lambda t, v, u, law: np.zeros_like(v.Y),
-            "mz": lambda t, v, u, law: np.zeros_like(v.z).reshape(v.particles, -1),
-            "mZ": lambda t, v, u, law: np.zeros_like(v.Z).reshape(v.particles, -1),
         },
         law_dependence="none",
     )

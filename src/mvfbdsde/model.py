@@ -63,16 +63,10 @@ class Quad(NamedTuple):
         return self.y.shape[0]
 
     def flat(self) -> np.ndarray:
-        m = self.particles
-        return np.concatenate(
-            [
-                self.y.reshape(m, -1),
-                self.Y.reshape(m, -1),
-                self.z.reshape(m, -1),
-                self.Z.reshape(m, -1),
-            ],
-            axis=1,
-        )
+        """The blocks concatenated on one flat axis: (M, flat) at one node,
+        (M, K, flat) on a stack."""
+        lead = self.y.shape[:-1]
+        return np.concatenate([b.reshape(*lead, -1) for b in self], axis=-1)
 
     @classmethod
     def zeros(cls, m: int, dims: Dimensions) -> "Quad":

@@ -332,7 +332,7 @@ def test_criterion_8_control_smp():
     adj = solve_adjoint(problem, state_rep.final_state, candidate, drivers0, REG,
                         tol=1e-6)
     big_y0 = state_rep.final_state.Y[:, 0]
-    p0_res = float(np.max(np.abs(adj.adjoint.p[:, 0] + 0.5 * big_y0)))
+    p0_res = float(np.max(np.abs(adj.adjoint.y[:, 0] + 0.5 * big_y0)))
     term_res = adj.report.residuals.terminal
     ok = (
         cert.ok

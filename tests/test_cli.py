@@ -238,6 +238,15 @@ class TestDeterminism:
         for name in ("trajectory.csv", "ladder.csv", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_verify_smp_byte_identical_across_threads(self, tmp_path):
+        args = ["--scenario", "lq_control", "--command", "verify_smp", "--steps", "20",
+                "--particles", "300"]
+        code1, out1 = run_cli(args + ["--threads", "1"], tmp_path, "t1")
+        code2, out2 = run_cli(args + ["--threads", "8"], tmp_path, "t2")
+        assert code1 == code2 == 0
+        for name in ("smp.kv", "report.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_seed_changes_output(self, tmp_path):
         args = ["--scenario", "example1", "--command", "solve"] + FAST
         _, out1 = run_cli(args + ["--seed", "1"], tmp_path, "s1")

@@ -25,8 +25,9 @@ from mvfbdsde.control import (
     solve_state,
     verify_smp,
 )
+from mvfbdsde.control import _box_grid, _convexity_margin, _running_grad
 from mvfbdsde.measure import EmpiricalLaw
-from mvfbdsde.model import Dimensions, Quad, quad_law
+from mvfbdsde.model import Dimensions, EnsembleState, NodeMoments, Quad, quad_law, split_flat_mean
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
 from mvfbdsde.solver import RegressionConfig, d_metric
 
@@ -153,6 +154,51 @@ class TestHamiltonian:
             problem.running_cost = base_cost
         assert np.allclose(h + ell, h0, atol=1e-14)
 
+    def test_stack_matches_single_entries(self, lq):
+        problem, _ = lq
+        rng = np.random.default_rng(11)
+        m, k = 9, 4
+        v = quad_batch(rng, m * k, problem.dims)
+        chi = quad_batch(rng, m * k, problem.dims)
+        v, chi = (Quad(*(b.reshape(m, k, *b.shape[1:]) for b in q)) for q in (v, chi))
+        u = rng.uniform(-1, 1, size=(m, k, 1))
+        t = problem.grid.nodes[[3, 0, 7, 7]]
+        law = NodeMoments(rng.standard_normal((k, problem.dims.flat)))
+        stacked = hamiltonian(problem, t, v, u, chi, law)
+        assert stacked.shape == (m, k)
+        for i in range(k):
+            def entry(q):
+                return Quad(*(b[:, i] for b in q))
+            single = hamiltonian(problem, float(t[i]), entry(v), u[:, i], entry(chi), law[i])
+            np.testing.assert_allclose(stacked[:, i], single, rtol=0, atol=1e-14)
+
+    def test_running_cost_shape_checked(self, lq):
+        problem, _ = lq
+        m, k = 4, 4
+        v = Quad(*(np.zeros((m, k, *b.shape[1:])) for b in Quad.zeros(1, problem.dims)))
+        law = NodeMoments(np.zeros((k, problem.dims.flat)))
+        base_rc = problem.running_cost
+        problem.running_cost = RunningCost(value=lambda t, v, u, law: np.ones(v.particles))
+        try:
+            with pytest.raises(ValueError, match="running cost returned shape"):
+                hamiltonian(problem, problem.grid.nodes[:k], v, np.zeros((m, k, 1)), v, law)
+        finally:
+            problem.running_cost = base_rc
+
+    def test_non_finite_stack_entry_raises(self, lq):
+        problem, _ = lq
+        rng = np.random.default_rng(12)
+        m, k = 5, 3
+        v, chi = (Quad(*(rng.standard_normal((m, k, *b.shape[1:]))
+                         for b in Quad.zeros(1, problem.dims))) for _ in range(2))
+        u = np.zeros((m, k, 1))
+        law = NodeMoments(np.zeros((k, problem.dims.flat)))
+        t = problem.grid.nodes[:k]
+        assert np.all(np.isfinite(hamiltonian(problem, t, v, u, chi, law)))
+        v.Y[3, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite Hamiltonian value"):
+            hamiltonian(problem, t, v, u, chi, law)
+
 
 class TestLDerivative:
     def test_half_squared_mean(self):
@@ -269,6 +315,92 @@ class TestAdjointConstruction:
             assert np.max(np.abs(ga - gf)) <= 1e-4 * scale, block
 
 
+def _reference_adjoint_maps(problem, state, controls):
+    """The per-block adjoint assembly the stacked maps replaced: every call
+    pairs chi with each of the four Jacobians of the point block and of the
+    mean block, and differences or evaluates the running-cost gradients at the
+    called nodes again."""
+    bank = JacobianBank(problem, state, controls, state.node_laws())
+    grid, dims = state.grid, problem.dims
+
+    def grad_block(k, chi, block):
+        lead = chi.y.shape[:-1]
+        p, big_p, q, big_q = (a.reshape(*lead, -1) for a in chi)
+        out = np.einsum("...o,...oi->...i", p, bank.get("F", block, k))
+        out = out - np.einsum("...o,...oi->...i", big_p, bank.get("f", block, k))
+        out = out + np.einsum("...o,...oi->...i", q, bank.get("G", block, k))
+        out = out - np.einsum("...o,...oi->...i", big_q, bank.get("g", block, k))
+        return out - _running_grad(problem, *bank.point(k), block)
+
+    def drift_or_noise(block_point, block_mean, out_shape):
+        def fn(t, chi, law_chi):
+            k = np.clip(np.rint(np.asarray(t) / grid.dt).astype(int), 0, grid.steps)
+            k = int(k) if k.ndim == 0 else k
+            total = (grad_block(k, chi, block_point)
+                     + grad_block(k, chi, block_mean).mean(axis=0, keepdims=True))
+            return total.reshape(*chi.y.shape[:-1], *out_shape)
+
+        return fn
+
+    return {
+        "f": drift_or_noise("Y", "mY", (dims.d,)),
+        "g": drift_or_noise("Z", "mZ", (dims.d, dims.d_w)),
+        "F": drift_or_noise("y", "my", (dims.d,)),
+        "G": drift_or_noise("z", "mz", (dims.d, dims.d_b)),
+    }
+
+
+def _hookless_running_cost(dims):
+    """A running cost in the point blocks, the control and the mean of y,
+    with no gradient hooks: every adjoint cost term is differenced."""
+    def value(t, v, u, law):
+        my = split_flat_mean(np.asarray(law.mean), dims).y
+        return (0.5 * np.sum(u**2, axis=-1) + 0.3 * np.sum(v.y**2, axis=-1)
+                + 0.2 * np.sum(v.Y * my, axis=-1) + 0.1 * np.sum(v.z**2, axis=(-2, -1)))
+
+    return RunningCost(value=value, law_dependence="first_moment")
+
+
+class TestStackedAdjointMaps:
+    """The adjoint maps built once per system against the per-block assembly."""
+
+    @pytest.mark.parametrize("variant", ["analytic", "differenced", "hookless_cost"])
+    def test_maps_match_per_block_assembly(self, variant):
+        problem = lq_control_scenario(TimeGrid(1.0, 9))
+        if variant == "differenced":
+            dyn = problem.dynamics
+            problem.dynamics = ControlledDynamics(f=dyn.f, g=dyn.g, F=dyn.F, G=dyn.G,
+                                                  jacobians={})
+        elif variant == "hookless_cost":
+            problem.running_cost = _hookless_running_cost(problem.dims)
+        rng = np.random.default_rng(25)
+        n, m = problem.grid.steps, 17
+
+        def random_state():
+            state = EnsembleState.zeros(m, problem.dims, problem.grid)
+            for arr in (state.y, state.Y, state.z, state.Z):
+                arr += rng.standard_normal(arr.shape)
+            return state
+
+        state = random_state()
+        controls = rng.uniform(-1.0, 1.0, size=(n + 1, 1))
+        maps = build_adjoint_coefficients(problem, state, controls).coefficients
+        reference = _reference_adjoint_maps(problem, state, controls)
+        chi = random_state()
+        laws = chi.node_laws()
+        nodes = problem.grid.nodes
+        # the Picard step's full grid, the residual's left and right stacks
+        # and one node
+        for k in (slice(None), slice(0, n), slice(1, n + 1), 4):
+            t = nodes[k] if isinstance(k, slice) else float(nodes[k])
+            for name in "fgFG":
+                got = getattr(maps, name)(t, chi.at(k), laws[k])
+                want = reference[name](t, chi.at(k), laws[k])
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
+                                           err_msg=f"{variant} map {name} at {k}")
+
+
 def drivers_subset(drivers, m):
     from mvfbdsde.paths import BrownianPair
 
@@ -286,7 +418,7 @@ class TestAdjointSolve:
             problem, rep.final_state, np.zeros((problem.grid.steps + 1, 1)),
             drivers, REG,
         )
-        for arr in (adj.adjoint.p, adj.adjoint.P, adj.adjoint.q, adj.adjoint.Q):
+        for arr in (adj.adjoint.y, adj.adjoint.Y, adj.adjoint.z, adj.adjoint.Z):
             assert np.max(np.abs(arr)) <= 1e-10
 
     def test_lq_adjoint_matches_bvp_oracle(self, lq):
@@ -296,13 +428,13 @@ class TestAdjointSolve:
         adj = solve_adjoint(problem, rep.final_state, oracle.u[:, None], drivers,
                             REG, tol=1e-8)
         assert adj.report.converged
-        mean_p = adj.adjoint.p[:, :, 0].mean(axis=0)
-        mean_big = adj.adjoint.P[:, :, 0].mean(axis=0)
+        mean_p = adj.adjoint.y[:, :, 0].mean(axis=0)
+        mean_big = adj.adjoint.Y[:, :, 0].mean(axis=0)
         assert np.max(np.abs(mean_p - oracle.p)) <= 0.02
         assert np.max(np.abs(mean_big - oracle.P)) <= 0.02
         # boundary data hold by construction: p_0 exactly, P_T within solver tol
         big_y0 = rep.final_state.Y[:, 0]
-        assert np.allclose(adj.adjoint.p[:, 0], -0.5 * big_y0, atol=1e-12)
+        assert np.allclose(adj.adjoint.y[:, 0], -0.5 * big_y0, atol=1e-12)
         assert adj.report.residuals.terminal <= 1e-3
 
     def test_cost_scaling_scales_adjoint(self, lq):
@@ -336,8 +468,8 @@ class TestAdjointSolve:
         )
         rep2 = solve_state(doubled, u, drivers, REG)
         adj2 = solve_adjoint(doubled, rep2.final_state, u, drivers, REG, tol=1e-10)
-        assert np.max(np.abs(adj2.adjoint.p - 2.0 * adj1.adjoint.p)) <= 1e-3
-        assert np.max(np.abs(adj2.adjoint.P - 2.0 * adj1.adjoint.P)) <= 1e-3
+        assert np.max(np.abs(adj2.adjoint.y - 2.0 * adj1.adjoint.y)) <= 1e-3
+        assert np.max(np.abs(adj2.adjoint.Y - 2.0 * adj1.adjoint.Y)) <= 1e-3
 
 
 class TestCost:
@@ -350,12 +482,21 @@ class TestCost:
     def test_constant_running_cost_gives_horizon(self):
         problem = zero_cost_problem(TimeGrid(0.75, 30))
         problem.running_cost = RunningCost(
-            value=lambda t, v, u, law: np.ones(v.particles)
+            value=lambda t, v, u, law: np.ones(v.y.shape[:-1])
         )
         drivers = sample_driver_pair(problem.grid, 1, 1, 100, seed=32)
         est = estimate_cost(problem, np.zeros((problem.grid.steps + 1, 1)), drivers, REG)
         assert est.value == pytest.approx(0.75, abs=1e-12)
         assert est.stderr <= 1e-12
+
+    def test_running_cost_ignoring_the_stack_is_rejected(self):
+        # a cost that returns (M,) on a stack of nodes would otherwise be
+        # summed over particles instead of nodes
+        problem = zero_cost_problem()
+        problem.running_cost = RunningCost(value=lambda t, v, u, law: np.ones(v.particles))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 100, seed=32)
+        with pytest.raises(ValueError, match="running cost returned shape"):
+            estimate_cost(problem, np.zeros((problem.grid.steps + 1, 1)), drivers, REG)
 
     def test_lq_candidate_cost_matches_oracle(self, lq):
         problem, drivers = lq
@@ -415,6 +556,78 @@ class TestVerifySmp:
         bad = np.full((problem.grid.steps + 1, 1), 5.0)
         with pytest.raises(ValueError, match="node"):
             verify_smp(problem, bad, n_perturbations=2, drivers=drivers, reg=REG)
+
+
+def _per_node_verify(problem, candidate, n_perturbations, drivers, reg, tol, seed):
+    """verify_smp's concavity margin, maximum-condition gap and cost margins
+    with checks (b) and (c) made one node and one point at a time, as before
+    they were stacked."""
+    rng = np.random.default_rng(seed)
+    values = problem.resolve_control(candidate)
+    base_cost = estimate_cost(problem, values, drivers, reg, tol)
+    state = base_cost.solve_report.final_state
+    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).report.final_state
+    laws = state.node_laws()
+    for term in (problem.terminal_cost, problem.initial_cost):
+        _convexity_margin(term, problem.dims.d, rng)
+    n, m, dims, nodes = problem.grid.steps, state.particles, problem.dims, problem.grid.nodes
+
+    def mean_h(k, v, u, law):
+        u_b = np.broadcast_to(u, (m, problem.d_u))
+        return float(np.mean(hamiltonian(problem, float(nodes[k]), v, u_b, adjoint.at(k), law)))
+
+    concavity = np.inf
+    for _ in range(60):
+        k = int(rng.integers(0, n + 1))
+        scale = float(rng.choice([0.3, 1.0, 2.0]))
+        ends = []
+        for _ in range(2):
+            v = Quad(*(scale * rng.standard_normal((m, *b.shape[1:]))
+                       for b in Quad.zeros(1, dims)))
+            u = problem.project(scale * rng.standard_normal(problem.d_u))
+            ends.append((v, u, scale * rng.standard_normal(dims.flat)))
+        (va, ua, sa), (vb, ub, sb) = ends
+        vm = Quad(*(0.5 * (a + b) for a, b in zip(va, vb)))
+        gap = mean_h(k, vm, 0.5 * (ua + ub), laws[k].translated(0.5 * (sa + sb))) - 0.5 * (
+            mean_h(k, va, ua, laws[k].translated(sa)) + mean_h(k, vb, ub, laws[k].translated(sb)))
+        concavity = min(concavity, gap)
+
+    max_gap = np.inf
+    grid_pts = _box_grid(problem, 25, rng)
+    for k in range(0, n + 1, max(1, n // 12)):
+        best = max(mean_h(k, state.at(k), u_test, laws[k]) for u_test in grid_pts)
+        max_gap = min(max_gap, mean_h(k, state.at(k), values[k], laws[k]) - best)
+
+    cost_margins = []
+    for i in range(n_perturbations):
+        if i % 3 == 0:
+            amp = rng.uniform(0.05, 0.5, size=problem.d_u)
+            freq = rng.uniform(0.5, 3.0)
+            phase = rng.uniform(0, 2 * np.pi)
+            pert = values + amp[None, :] * np.sin(freq * nodes[:, None] + phase)
+        elif i % 3 == 1:
+            pert = values + rng.uniform(-0.5, 0.5, size=problem.d_u)[None, :]
+        else:
+            pert = np.broadcast_to(rng.uniform(problem.u_lo, problem.u_hi),
+                                   (n + 1, problem.d_u)).copy()
+        est = estimate_cost(problem, problem.project(pert), drivers, reg, tol)
+        diff = est.per_particle - base_cost.per_particle
+        cost_margins.append(float(diff.mean()) + 3.0 * float(diff.std(ddof=1) / np.sqrt(m)))
+    return concavity, max_gap, cost_margins
+
+
+class TestStackedVerifySmp:
+    def test_matches_per_node_checks(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 20))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 300, seed=41)
+        cand = first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)
+        report = verify_smp(problem, cand, n_perturbations=3, drivers=drivers,
+                            reg=REG, tol=1e-6, seed=42)
+        concavity, max_gap, cost_margins = _per_node_verify(
+            problem, cand, 3, drivers, REG, 1e-6, 42)
+        assert report.concavity_margin == pytest.approx(concavity, rel=0, abs=1e-12)
+        assert report.max_condition_gap == pytest.approx(max_gap, rel=0, abs=1e-12)
+        assert report.cost_margins == cost_margins
 
 
 class TestGradientConsistency:
