@@ -5,7 +5,6 @@ from .measure import (
     EmpiricalLaw,
     MeanW2Bounds,
     check_mean_w2_bounds,
-    empirical_mean,
     wasserstein2,
 )
 from .model import (
@@ -17,8 +16,6 @@ from .model import (
     LinearTables,
     Quad,
     ResidualTriple,
-    build_homotopy_case1,
-    build_homotopy_case2,
     builtin_counterexample,
     builtin_example_meanfield,
     eval_system,

@@ -10,12 +10,13 @@ an explicit coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .measure import EmpiricalLaw, wasserstein2
+# wasserstein2, the per-pair form of wasserstein2_stack, stays importable from
+# here: bench/tracing.py wraps it under this name
+from .measure import EmpiricalLaw, wasserstein2, wasserstein2_stack  # noqa: F401
 from .model import (
     CoefficientSet,
     Dimensions,
@@ -89,9 +90,43 @@ class AssumptionReport:
         return out
 
 
+# Pairs are drawn and evaluated in stacks of this many, through the maps'
+# node-stack contract with one pair per node: blocks (M, K, ...), the K pair
+# times and the K per-pair means.  A fixed size bounds the memory of a stack.
+PAIR_CHUNK = 256
+
+KINDS = ("axis", "random", "deterministic", "mean_shift", "decoupled")
+
+Pair = tuple[float, Quad, Quad, str, float]
+
+
+class PairStack(NamedTuple):
+    """K coupled pairs: their times (K,), v1 and v2 = v1 + dv as (M, K, ...)
+    stacks, and each pair's kind and scale."""
+
+    t: np.ndarray
+    v1: Quad
+    v2: Quad
+    kinds: np.ndarray
+    scales: np.ndarray
+
+    def pair(self, k: int) -> Pair:
+        """Pair k on its own: (t, v1, v2, kind, scale), blocks (M, ...)
+        copied out, so a witness does not keep the whole stack alive."""
+        v1, v2 = (Quad(*(b[:, k].copy() for b in v)) for v in (self.v1, self.v2))
+        return float(self.t[k]), v1, v2, str(self.kinds[k]), float(self.scales[k])
+
+    def select(self, keep: np.ndarray | slice) -> "PairStack":
+        """The pairs at the indices, mask or slice ``keep``, in order."""
+        v1, v2 = (Quad(*(b[:, keep] for b in v)) for v in (self.v1, self.v2))
+        return PairStack(self.t[keep], v1, v2, self.kinds[keep], self.scales[keep])
+
+
 @dataclass
 class PairSampler:
-    """Structured generator of coupled ensemble pairs (v1, v2 = v1 + dv)."""
+    """Structured generator of coupled ensemble pairs (v1, v2 = v1 + dv).
+    Pair idx has kind ``KINDS[idx % 5]`` and scale ``scales[(idx // 5) % 3]``
+    (for three scales); every call restarts from ``seed``."""
 
     dims: Dimensions
     atoms: int = 64
@@ -99,84 +134,66 @@ class PairSampler:
     t_max: float = 1.0
     scales: tuple[float, ...] = (0.25, 1.0, 3.0)
 
-    def _random_quad(self, rng: np.random.Generator, scale: float) -> Quad:
-        m, d = self.atoms, self.dims.d
-        return Quad(
-            scale * rng.standard_normal((m, d)),
-            scale * rng.standard_normal((m, d)),
-            scale * rng.standard_normal((m, d, self.dims.d_b)),
-            scale * rng.standard_normal((m, d, self.dims.d_w)),
-        )
+    def _random_stack(self, rng: np.random.Generator, scale: np.ndarray) -> Quad:
+        m, k, d = self.atoms, scale.size, self.dims.d
+        shapes = ((d,), (d,), (d, self.dims.d_b), (d, self.dims.d_w))
+        return Quad(*(
+            scale.reshape(1, k, *(1,) * len(s)) * rng.standard_normal((m, k, *s))
+            for s in shapes
+        ))
 
     def _axes(self) -> list[tuple[str, tuple]]:
-        axes: list[tuple[str, tuple]] = []
-        for i in range(self.dims.d):
-            axes.append(("y", (i,)))
-            axes.append(("Y", (i,)))
-        for i in range(self.dims.d):
-            for j in range(self.dims.d_b):
-                axes.append(("z", (i, j)))
-            for j in range(self.dims.d_w):
-                axes.append(("Z", (i, j)))
-        return axes
+        """(block, entry) of every coordinate: y_i, Y_i, then z_ij, Z_ij."""
+        d, widths = self.dims.d, (("z", self.dims.d_b), ("Z", self.dims.d_w))
+        return ([(block, (i,)) for i in range(d) for block in "yY"]
+                + [(block, (i, j)) for i in range(d) for block, w in widths
+                   for j in range(w)])
 
-    def pairs(self, n_pairs: int) -> Iterator[tuple[float, Quad, Quad, str, float]]:
-        """Yields (t, v1, v2, kind, scale); v2 shares v1's atoms."""
+    def _draw(self, rng: np.random.Generator, idx: np.ndarray,
+              axes: list[tuple[str, tuple]]) -> PairStack:
+        """The pairs ``idx``, drawn by the same batched RNG calls whatever
+        their kinds.  dv is, by kind: one block entry moved alike on every
+        atom (axis), a zero-mean cloud (random), one random row on every atom
+        (deterministic), (rho - 1) v1 plus such a row with rho in [0.3, 1.7]
+        (mean_shift), or an independent cloud minus v1 (decoupled)."""
+        k, kind = idx.size, idx % len(KINDS)
+        scale = np.asarray(self.scales, float)[(idx // len(KINDS)) % len(self.scales)]
+        t = rng.uniform(0.0, self.t_max, k)
+        base, other = self._random_stack(rng, scale), self._random_stack(rng, scale)
+        step = scale * rng.choice([-1.0, 1.0], k)
+        step *= rng.uniform(0.5, 2.0, k)
+        rho = rng.uniform(0.3, 1.7, k)
+        axis, rand, det, shift, dec = (np.flatnonzero(kind == j) for j in range(5))
+        dv = Quad(*(np.zeros_like(b) for b in base))
+        for b, o, out in zip(base, other, dv):
+            out[:, rand] = o[:, rand] - o[:, rand].mean(axis=0)
+            out[:, det] = o[:1, det]
+            gain = (rho[shift] - 1.0).reshape(1, -1, *(1,) * (b.ndim - 2))
+            out[:, shift] = gain * b[:, shift] + o[:1, shift]
+            out[:, dec] = o[:, dec] - b[:, dec]
+        which = idx[axis] % len(axes)
+        for a, (block, pos) in enumerate(axes):
+            sel = axis[which == a]
+            getattr(dv, block)[(slice(None), sel, *pos)] = step[sel]
+        for b, out in zip(base, dv):  # dv becomes v2 = v1 + dv
+            out += b
+        return PairStack(t, base, dv, np.array(KINDS)[kind], scale)
+
+    def stacks(self, n_pairs: int) -> Iterator[PairStack]:
+        """The first ``n_pairs`` pairs in stacks of PAIR_CHUNK.  Each stack is
+        drawn whole and the last one then cut short, so the first n pairs are
+        a prefix of the first n' > n."""
         rng = np.random.default_rng(self.seed)
         axes = self._axes()
-        kinds = ("axis", "random", "deterministic", "mean_shift", "decoupled")
-        for idx in range(n_pairs):
-            kind = kinds[idx % len(kinds)]
-            scale = self.scales[(idx // len(kinds)) % len(self.scales)]
-            t = float(rng.uniform(0.0, self.t_max))
-            base = self._random_quad(rng, scale)
-            if kind == "axis":
-                block, pos = axes[idx % len(axes)]
-                dv = Quad.zeros(self.atoms, self.dims)
-                getattr(dv, block)[(slice(None), *pos)] = scale * float(
-                    rng.choice([-1.0, 1.0])
-                ) * float(rng.uniform(0.5, 2.0))
-            elif kind == "deterministic":
-                shift = self._random_quad(rng, scale)
-                dv = Quad(
-                    np.broadcast_to(shift.y[:1], shift.y.shape).copy(),
-                    np.broadcast_to(shift.Y[:1], shift.Y.shape).copy(),
-                    np.broadcast_to(shift.z[:1], shift.z.shape).copy(),
-                    np.broadcast_to(shift.Z[:1], shift.Z.shape).copy(),
-                )
-            elif kind == "random":
-                dv = self._random_quad(rng, scale)
-                dv = Quad(
-                    dv.y - dv.y.mean(axis=0),
-                    dv.Y - dv.Y.mean(axis=0),
-                    dv.z - dv.z.mean(axis=0),
-                    dv.Z - dv.Z.mean(axis=0),
-                )
-            elif kind == "mean_shift":
-                rho = float(rng.uniform(0.3, 1.7))
-                shift = self._random_quad(rng, scale)
-                dv = Quad(
-                    (rho - 1.0) * base.y + shift.y[:1],
-                    (rho - 1.0) * base.Y + shift.Y[:1],
-                    (rho - 1.0) * base.z + shift.z[:1],
-                    (rho - 1.0) * base.Z + shift.Z[:1],
-                )
-            else:  # decoupled: an independent cloud
-                other = self._random_quad(rng, scale)
-                dv = Quad(
-                    other.y - base.y,
-                    other.Y - base.Y,
-                    other.z - base.z,
-                    other.Z - base.Z,
-                )
-            v2 = Quad(base.y + dv.y, base.Y + dv.Y, base.z + dv.z, base.Z + dv.Z)
-            yield t, base, v2, kind, scale
+        for start in range(0, n_pairs, PAIR_CHUNK):
+            idx = np.arange(start, start + PAIR_CHUNK)
+            yield self._draw(rng, idx, axes).select(slice(0, n_pairs - start))
 
-
-def _quad_add(a: Quad, b: Quad, factor: float = 1.0) -> Quad:
-    return Quad(
-        a.y + factor * b.y, a.Y + factor * b.Y, a.z + factor * b.z, a.Z + factor * b.Z
-    )
+    def pairs(self, n_pairs: int) -> Iterator[Pair]:
+        """The same pairs one at a time: (t, v1, v2, kind, scale)."""
+        for stack in self.stacks(n_pairs):
+            for k in range(stack.t.size):
+                yield stack.pair(k)
 
 
 def _sq_norms(dv: Quad) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -186,31 +203,6 @@ def _sq_norms(dv: Quad) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         np.sum(dv.z**2, axis=(-2, -1)),
         np.sum(dv.Z**2, axis=(-2, -1)),
     )
-
-
-# Pairs are evaluated in stacks of this many, through the maps' node-stack
-# contract with one pair per node: blocks (M, K, ...), the K pair times and
-# the K per-pair means.  A fixed size bounds the memory of a stack.
-PAIR_CHUNK = 256
-
-Pair = tuple[float, Quad, Quad, str, float]
-
-
-def _chunks(pairs: Iterator[Pair]) -> Iterator[list[Pair]]:
-    """The sampler's pairs, in order, in lists of at most PAIR_CHUNK."""
-    while chunk := list(islice(pairs, PAIR_CHUNK)):
-        yield chunk
-
-
-def _stack(quads: list[Quad]) -> Quad:
-    """K quadruple batches of M atoms as one (M, K, ...) stack."""
-    return Quad(*(np.stack(blocks, axis=1) for blocks in zip(*quads)))
-
-
-def _stack_pairs(chunk: list[Pair]) -> tuple[np.ndarray, Quad, Quad]:
-    """The K pair times and the (M, K, ...) stacks of v1 and of v2."""
-    return (np.array([p[0] for p in chunk]), _stack([p[1] for p in chunk]),
-            _stack([p[2] for p in chunk]))
 
 
 def _particle_mean(x: np.ndarray) -> np.ndarray:
@@ -231,13 +223,6 @@ def _moments(v: Quad) -> NodeMoments:
 def _terminal(coeffs: CoefficientSet, y: np.ndarray, law: NodeMoments) -> np.ndarray:
     """h on a stack of y blocks against the y-part of the per-pair moments."""
     return eval_terminal(coeffs, y, NodeMoments(law.mean[:, : coeffs.dims.d]))
-
-
-def _w2(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact W2 between the uniform clouds on the rows of two sample arrays
-    of equal size: quantile matching in one dimension, else assignment."""
-    law_a, law_b = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
-    return wasserstein2(law_a, law_b, "exact_1d" if law_a.dim == 1 else "assignment")
 
 
 @dataclass
@@ -272,17 +257,22 @@ def estimate_lipschitz(
     """
     eps = 1e-12
     c_hat = 0.0
-    # per stack: its pairs, and for G and for g the (lhs, C block, gamma
-    # block) terms of the three samples of each pair, shape (2, 3, M, K, 3),
-    # kept for gamma once C_hat is final
+    # per stack: its pairs' times, kinds and scales, and for G and for g the
+    # (lhs, C block, gamma block) terms of the three samples of each pair,
+    # shape (2, 3, M, K, 3), kept for gamma once C_hat is final
     stacks = []
-    for chunk in _chunks(sampler.pairs(n_pairs)):
-        chunk = [p for p in chunk if not np.allclose(p[1].flat(), p[2].flat())]
-        if not chunk:
+    for stack in sampler.stacks(n_pairs):
+        flat1, flat2 = stack.v1.flat(), stack.v2.flat()
+        distinct = ~np.isclose(flat1, flat2).all(axis=(0, 2))
+        if not distinct.any():
             continue
-        t, v1, v2 = _stack_pairs(chunk)
-        w2 = np.array([_w2(p[1].flat(), p[2].flat()) for p in chunk])
-        w2y = np.array([_w2(p[1].y, p[2].y) for p in chunk])
+        stack = stack.select(distinct)
+        t, v1, v2 = stack.t, stack.v1, stack.v2
+        # W2 takes (K, M, dim) stacks: pairs first
+        w2 = wasserstein2_stack(flat1[:, distinct].swapaxes(0, 1),
+                                flat2[:, distinct].swapaxes(0, 1))
+        w2y = wasserstein2_stack(v1.y.swapaxes(0, 1), v2.y.swapaxes(0, 1))
+        del flat1, flat2
         mu1, mu2 = _moments(v1), _moments(v2)
         a11 = eval_system(coeffs, t, v1, mu1)
         h11 = _terminal(coeffs, v1.y, mu1)
@@ -312,13 +302,13 @@ def estimate_lipschitz(
                                 ny + n_big_y + nz, n_big_z + dist**2)
             terms[1, ..., j] = (np.sum((a2[1] - a11[1]) ** 2, axis=(-2, -1)),
                                 ny + n_big_y + n_big_z, nz + dist**2)
-        stacks.append((chunk, terms))
+        stacks.append((t, stack.kinds, stack.scales, terms))
 
     if not stacks:
         raise ValueError("degenerate sampler: no distinct pairs produced")
     gamma_hat = 0.0
     violations: list[Witness] = []
-    for chunk, terms in stacks:
+    for times, kinds, scales, terms in stacks:
         needs, has = [], []
         for lhs, c_block, gamma_block in terms:
             mask = gamma_block > eps
@@ -333,15 +323,14 @@ def estimate_lipschitz(
         if np.any(has):
             gamma_hat = max(gamma_hat, float(np.max(need[has])))
         for k, sample, label in np.argwhere(has & (need >= 0.5)):
-            t, _, _, kind, scale = chunk[k]
-            tag = kind + ("", "/points", "/laws")[sample]
+            tag = str(kinds[k]) + ("", "/points", "/laws")[sample]
             value = float(need[k, sample, label])
             violations.append(
                 Witness(
                     kind=f"lipschitz_{'Gg'[label]}",
                     margin=value,
-                    t=t,
-                    scale=scale,
+                    t=float(times[k]),
+                    scale=float(scales[k]),
                     detail=f"{tag} displacement needs gamma={value:.4g}",
                 )
             )
@@ -350,7 +339,7 @@ def estimate_lipschitz(
         gamma_hat=gamma_hat,
         violations=violations,
         gamma_ok=gamma_hat < 0.5,
-        samples_used=3 * sum(len(s[0]) for s in stacks),
+        samples_used=3 * sum(s[0].size for s in stacks),
     )
 
 
@@ -416,15 +405,15 @@ def check_monotonicity(
     sups = [-np.inf, -np.inf]
     found: list[Witness | None] = [None, None]
     used = 0
-    for chunk in _chunks(sampler.pairs(n_pairs)):
-        used += len(chunk)
+    for stack in sampler.stacks(n_pairs):
+        used += stack.t.size
         margins = _monotonicity_margins(
-            coeffs, *_stack_pairs(chunk), theta1, theta2, alpha1, direction
+            coeffs, stack.t, stack.v1, stack.v2, theta1, theta2, alpha1, direction
         )
         for j, (label, margin) in enumerate(zip(("coupling", "terminal"), margins)):
             i = int(np.argmax(margin))
             if margin[i] > sups[j]:
-                t_i, v1, v2, kind, scale = chunk[i]
+                t_i, v1, v2, kind, scale = stack.pair(i)
                 sups[j] = float(margin[i])
                 found[j] = Witness(
                     kind=f"{direction}_{label}",
@@ -441,20 +430,13 @@ def check_monotonicity(
     if local_search and worst is not None:
         rng = np.random.default_rng(sampler.seed + 1)
         v1, v2 = worst.base, worst.displacement
-        t, base = np.array([worst.t]), _stack([v1])
+        t, base = np.array([worst.t]), Quad(*(b[:, None] for b in v1))
         step = worst.scale
         for _ in range(150):
-            cand2 = _quad_add(
-                v2,
-                Quad(
-                    step * rng.standard_normal(v2.y.shape),
-                    step * rng.standard_normal(v2.Y.shape),
-                    step * rng.standard_normal(v2.z.shape),
-                    step * rng.standard_normal(v2.Z.shape),
-                ),
-            )
+            cand2 = Quad(*(b + step * rng.standard_normal(b.shape) for b in v2))
             margin = float(_monotonicity_margins(
-                coeffs, t, base, _stack([cand2]), theta1, theta2, alpha1, direction
+                coeffs, t, base, Quad(*(b[:, None] for b in cand2)), theta1, theta2,
+                alpha1, direction,
             )[0][0])
             if margin > worst.margin:
                 worst = Witness(

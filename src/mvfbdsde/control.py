@@ -607,7 +607,14 @@ def build_adjoint_coefficients(
         def fn(t, chi: Quad, law_chi) -> np.ndarray:
             k = _node_index(t, grid)
             flat = chi.flat()
-            out = np.einsum(_CONTRACT, flat, bank.signed(block_point, k)) + cost[:, k]
+            jac = bank.signed(block_point, k)
+            if jac.ndim == 2:
+                # constant Jacobian: one 2-D product per node, nodes outermost
+                # as the solver stores them, so flat is not copied
+                out = np.matmul(flat.swapaxes(0, -2), jac).swapaxes(0, -2)
+            else:
+                out = np.einsum(_CONTRACT, flat, jac)
+            out += cost[:, k]
             if jac_mean.ndim == 2:
                 out += law_chi.mean @ jac_mean
             else:

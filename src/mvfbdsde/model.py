@@ -335,56 +335,6 @@ class HomotopyProblem:
         return replace(self, alpha=alpha)
 
 
-def build_homotopy_case1(
-    base: CoefficientSet,
-    alpha: float,
-    theta1: float,
-    forcing: Forcing | None = None,
-    xi: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-    *,
-    terminal_kind: str = "map",
-    c: float = 1.0,
-) -> HomotopyProblem:
-    """Continuation member damping the backward pair; needs theta1 > 0."""
-    return HomotopyProblem(
-        base=base,
-        alpha=alpha,
-        case="case1",
-        theta1=theta1,
-        forcing=forcing or Forcing(),
-        xi=xi,
-        x=x,
-        terminal_kind=terminal_kind,
-        c=c,
-    )
-
-
-def build_homotopy_case2(
-    base: CoefficientSet,
-    alpha: float,
-    theta2: float,
-    forcing: Forcing | None = None,
-    xi: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-    *,
-    terminal_kind: str = "map",
-    c: float = 1.0,
-) -> HomotopyProblem:
-    """Continuation member damping the forward pair; needs theta2 > 0."""
-    return HomotopyProblem(
-        base=base,
-        alpha=alpha,
-        case="case2",
-        theta2=theta2,
-        forcing=forcing or Forcing(),
-        xi=xi,
-        x=x,
-        terminal_kind=terminal_kind,
-        c=c,
-    )
-
-
 # ----------------------------------------------------------------------------
 # Linear coefficient tables and the built-in models
 # ----------------------------------------------------------------------------

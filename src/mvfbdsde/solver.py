@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .measure import EmpiricalLaw
 from .model import (
@@ -472,6 +473,8 @@ def picard_solve(
 ) -> SolveReport:
     """Iterate the frozen step until the contraction metric between successive
     iterates drops below ``tol``, then evaluate the limit's residuals.
+    The metric is squared, so a converged iterate can still move by about
+    sqrt(tol) per step.
 
     ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
     Raises SolverError("Picard divergence") when the distance blows past 1e6
@@ -506,8 +509,10 @@ def continuation_solve(
     """Climb the alpha ladder 0 -> 1 in steps of ``delta``.
 
     The base rung is solved exactly; each later rung runs the Picard iteration
-    warm-started at the previous rung.  A failed rung halves the step (up to
-    ``max_halvings`` times) before giving up with the partial ladder attached.
+    warm-started at the previous rung, to ``tol`` on the squared contraction
+    metric (a converged iterate can still move by about sqrt(tol) per step).
+    A failed rung halves the step (up to ``max_halvings`` times) before giving
+    up with the partial ladder attached.
     Only the final state's residuals are evaluated; the rungs skip theirs.
     """
     if not 0.0 < delta <= 1.0:
@@ -715,9 +720,10 @@ def moment_ode_oracle(
     Applies to first-moment models whose forward/backward noise coefficients
     vanish on deterministic inputs with z = Z = 0 and whose components
     decouple.  Each component's unknown Y(0) is scanned over a bracket, all
-    guesses integrated together as one stack; sign changes are bisected to
-    full precision, one guess at a time.  Finding several distinct roots
-    (or a root continuum) flags the boundary-value problem as non-unique.
+    guesses integrated together as one stack; each sign change is rooted by
+    Brent's method (``scipy.optimize.brentq``) to 1e-15 (1 + |root|), one
+    guess at a time.  Finding several distinct roots (or a root continuum)
+    flags the boundary-value problem as non-unique.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_noise_free(model, x, grid, bracket_scale)
@@ -749,16 +755,10 @@ def moment_ode_oracle(
                     roots.append(float(a))
                     continue
                 if fa * fb < 0:
-                    for _ in range(200):
-                        mid = 0.5 * (a + b)
-                        fm = _terminal_residual(model, grid, x0, [mid], comp)[0][0]
-                        if fa * fm <= 0:
-                            b = mid
-                        else:
-                            a, fa = mid, fm
-                        if b - a <= 1e-15 * max(1.0, abs(a)):
-                            break
-                    roots.append(float(0.5 * (a + b)))
+                    roots.append(float(brentq(
+                        lambda g: _terminal_residual(model, grid, x0, [g], comp)[0][0],
+                        a, b, xtol=1e-15, rtol=1e-15,
+                    )))
             if abs(values[-1]) <= ztol:
                 roots.append(float(guesses[-1]))
             # deduplicate

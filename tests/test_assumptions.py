@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from mvfbdsde.assumptions import (
+    KINDS,
     PAIR_CHUNK,
     PairSampler,
+    PairStack,
     _monotonicity_margins,
-    _stack,
     check_control_assumptions,
     check_integrability,
     check_monotonicity,
     estimate_lipschitz,
 )
 from mvfbdsde.control import lq_control_scenario
-from mvfbdsde.measure import EmpiricalLaw, wasserstein2
+from mvfbdsde.measure import EmpiricalLaw, wasserstein2, wasserstein2_stack
 from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
@@ -31,6 +32,11 @@ from mvfbdsde.model import (
 from mvfbdsde.paths import TimeGrid
 
 DIMS = Dimensions(1, 1, 1)
+
+
+def _stack(quads):
+    """K quadruple batches of M atoms as one (M, K, ...) stack."""
+    return Quad(*(np.stack(blocks, axis=1) for blocks in zip(*quads)))
 
 
 def one_pair_margin(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
@@ -472,8 +478,12 @@ class _ListSampler(PairSampler):
         super().__init__(dims)
         self.fixed = pairs
 
-    def pairs(self, n_pairs):
-        return iter(self.fixed[:n_pairs])
+    def stacks(self, n_pairs):
+        pairs = self.fixed[:n_pairs]
+        for lo in range(0, len(pairs), PAIR_CHUNK):
+            t, v1, v2, kinds, scales = zip(*pairs[lo:lo + PAIR_CHUNK])
+            yield PairStack(np.array(t), _stack(v1), _stack(v2), np.array(kinds),
+                            np.array(scales))
 
 
 class TestWitnessAcrossStacks:
@@ -524,3 +534,62 @@ class TestNonFiniteInStack:
                 check_monotonicity(broken, 0.25, 0.25, 0.5, "A2", sampler, 300)
             with pytest.raises(CoefficientError, match=f"coefficient {name} "):
                 estimate_lipschitz(broken, sampler, 300)
+
+
+class TestStackedPairs:
+    def test_smaller_draw_is_a_prefix(self):
+        small = list(PairSampler(DIMS2, seed=71).pairs(37))
+        large = list(PairSampler(DIMS2, seed=71).pairs(UNEVEN))
+        assert len(small) == 37 and len(large) == UNEVEN
+        for (t, v1, v2, kind, scale), (t2, w1, w2, kind2, scale2) in zip(small, large):
+            assert (t, kind, scale) == (t2, kind2, scale2)
+            for a, b in zip((*v1, *v2), (*w1, *w2)):
+                assert np.array_equal(a, b)
+
+    def test_pairs_are_slices_of_the_stacks(self):
+        sampler = PairSampler(DIMS2, seed=72)
+        stacks = list(sampler.stacks(UNEVEN))
+        assert [s.t.size for s in stacks] == [PAIR_CHUNK, PAIR_CHUNK, 37]
+        for i, (t, v1, v2, kind, scale) in enumerate(sampler.pairs(UNEVEN)):
+            stack, k = stacks[i // PAIR_CHUNK], i % PAIR_CHUNK
+            assert (t, kind, scale) == (stack.t[k], stack.kinds[k], stack.scales[k])
+            assert kind == KINDS[i % 5]
+            assert scale == sampler.scales[(i // 5) % len(sampler.scales)]
+            for got, block in zip((*v1, *v2), (*stack.v1, *stack.v2)):
+                assert np.array_equal(got, block[:, k])
+
+    def test_each_kind_has_its_structure(self):
+        sampler = PairSampler(DIMS2, seed=73)
+        stack = next(sampler.stacks(PAIR_CHUNK))
+        v1, dv = stack.v1.flat(), stack.v2.flat() - stack.v1.flat()
+        for k, (kind, scale) in enumerate(zip(stack.kinds, stack.scales)):
+            base, step = v1[:, k], dv[:, k]
+            tol = 1e-12 * scale * (1.0 + np.max(np.abs(base)))
+            if kind == "axis":
+                # one block entry moves, by the same amount on every atom
+                moved = np.flatnonzero(np.any(np.abs(step) > tol, axis=0))
+                assert moved.size == 1
+                col = step[:, moved[0]]
+                assert np.max(np.abs(col - col[0])) <= tol
+                assert 0.5 * scale - tol <= abs(col[0]) <= 2.0 * scale + tol
+            elif kind == "deterministic":
+                assert np.max(np.abs(step - step[:1])) <= tol
+            elif kind == "random":
+                assert np.max(np.abs(step.mean(axis=0))) <= tol
+            elif kind == "mean_shift":
+                # dv = (rho - 1) v1 + c: differences across atoms fix rho
+                dx, dd = base - base[:1], step - step[:1]
+                gain = float(np.sum(dx * dd) / np.sum(dx * dx))
+                assert np.max(np.abs(dd - gain * dx)) <= 10 * tol
+                assert 0.3 <= 1.0 + gain <= 1.7
+        assert set(stack.kinds) == set(KINDS)
+
+    @pytest.mark.parametrize("dims", [DIMS, DIMS2])
+    def test_stacked_w2_matches_each_pair(self, dims):
+        stack = next(PairSampler(dims, seed=74).stacks(80))
+        for a, b in ((stack.v1.flat(), stack.v2.flat()), (stack.v1.y, stack.v2.y)):
+            got = wasserstein2_stack(a.swapaxes(0, 1), b.swapaxes(0, 1))
+            for k in range(a.shape[1]):
+                la, lb = EmpiricalLaw.from_samples(a[:, k]), EmpiricalLaw.from_samples(b[:, k])
+                want = wasserstein2(la, lb, "exact_1d" if la.dim == 1 else "assignment")
+                assert got[k] == pytest.approx(want, rel=1e-12, abs=0)

@@ -247,6 +247,18 @@ class TestDeterminism:
         for name in ("smp.kv", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_check_assumptions_byte_identical_across_threads(self, tmp_path):
+        config = tmp_path / "pairs.cfg"
+        config.write_text("assume.pairs = 600\n")
+        args = ["--config", str(config), "--scenario", "example1",
+                "--command", "check_assumptions"]
+        code1, out1 = run_cli(args + ["--threads", "1"], tmp_path, "t1")
+        code2, out2 = run_cli(args + ["--threads", "8"], tmp_path, "t2")
+        assert code1 == code2 == 0
+        assert "samples_used = 600" in (out1 / "report.txt").read_text()
+        for name in ("assumptions.kv", "report.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_seed_changes_output(self, tmp_path):
         args = ["--scenario", "example1", "--command", "solve"] + FAST
         _, out1 = run_cli(args + ["--seed", "1"], tmp_path, "s1")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mvfbdsde.measure import (
     EmpiricalLaw,
     check_mean_w2_bounds,
-    empirical_mean,
     wasserstein2,
 )
 
@@ -36,15 +35,15 @@ def brute_force_w2(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
 
 class TestEmpiricalMean:
     def test_single_atom(self):
-        assert empirical_mean(law_1d([0.0]))[0] == 0.0
+        assert law_1d([0.0]).mean[0] == 0.0
 
     def test_two_atom_symmetry(self):
-        assert empirical_mean(law_1d([1.0, 3.0]))[0] == pytest.approx(2.0)
+        assert law_1d([1.0, 3.0]).mean[0] == pytest.approx(2.0)
 
     def test_weighted_hand_sum(self):
         # 0.4*1 + 0.3*2 + 0.2*3 + 0.1*4 = 2.0
         law = law_1d([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1])
-        assert empirical_mean(law)[0] == pytest.approx(2.0, abs=1e-12)
+        assert law.mean[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty measure"):
@@ -149,6 +148,15 @@ class TestWasserstein:
         c = EmpiricalLaw.from_samples(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="equal atom counts"):
             wasserstein2(a, c, "assignment")
+
+    def test_assignment_rejects_nonuniform_weights(self):
+        samples = np.arange(6.0).reshape(3, 2)
+        uniform = EmpiricalLaw.from_samples(samples)
+        # within 1e-12 of uniform, but not constant
+        near = EmpiricalLaw(samples, np.array([1 / 3 + 1e-13, 1 / 3 - 1e-13, 1 / 3]))
+        for a, b in ((uniform, near), (near, uniform)):
+            with pytest.raises(ValueError, match="assignment requires uniform weights"):
+                wasserstein2(a, b, "assignment")
 
     def test_sliced_approximates_exact(self):
         rng = np.random.default_rng(6)

@@ -21,8 +21,6 @@ from mvfbdsde.model import (
     LinearTables,
     Quad,
     as_problem,
-    build_homotopy_case1,
-    build_homotopy_case2,
     builtin_counterexample,
     builtin_example_meanfield,
     eval_stack,
@@ -36,6 +34,16 @@ from mvfbdsde.paths import TimeGrid, sample_driver_pair
 from mvfbdsde.solver import RegressionConfig, continuation_solve
 
 DIMS = Dimensions(1, 1, 1)
+
+
+def build_homotopy_case1(base, alpha, theta1, **kwargs):
+    """The continuation member damping the backward pair."""
+    return HomotopyProblem(base=base, alpha=alpha, case="case1", theta1=theta1, **kwargs)
+
+
+def build_homotopy_case2(base, alpha, theta2, **kwargs):
+    """The continuation member damping the forward pair."""
+    return HomotopyProblem(base=base, alpha=alpha, case="case2", theta2=theta2, **kwargs)
 
 
 def const_quad(m, y=0.0, Y=0.0, z=0.0, Z=0.0):

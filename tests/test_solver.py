@@ -740,6 +740,60 @@ def _reference_terminal_residual(model, grid, x0, y0_guess, component):
     return float(path[n, 1] - h_val), path
 
 
+def _bisection_roots(model, grid, x0, bracket_scale=8.0, scan_points=161):
+    """Component 0's shooting roots as the oracle found them by bisection:
+    the same scan, plateau, endpoint and deduplication rules, each sign
+    change halved until its bracket is below 1e-15 max(1, |a|)."""
+    reach = bracket_scale * (1.0 + abs(x0))
+    guesses = np.linspace(-reach, reach, scan_points)
+    values = _terminal_residual(model, grid, x0, guesses, 0)[0]
+    ztol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    if np.sum(np.abs(values) <= ztol) >= 2:
+        return [float(g) for g in guesses[np.abs(values) <= ztol][:8]]
+    roots = []
+    for i in range(scan_points - 1):
+        a, b, fa, fb = guesses[i], guesses[i + 1], values[i], values[i + 1]
+        if abs(fa) <= ztol:
+            roots.append(float(a))
+            continue
+        if fa * fb < 0:
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                fm = _terminal_residual(model, grid, x0, [mid], 0)[0][0]
+                if fa * fm <= 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+                if b - a <= 1e-15 * max(1.0, abs(a)):
+                    break
+            roots.append(float(0.5 * (a + b)))
+    if abs(values[-1]) <= ztol:
+        roots.append(float(guesses[-1]))
+    dedup = []
+    for r in roots:
+        if not dedup or abs(r - dedup[-1]) > 1e-6 * (1.0 + 2.0 * reach):
+            dedup.append(r)
+    return dedup
+
+
+class TestBrentRoots:
+    @pytest.mark.parametrize("case, steps", [
+        ("example1", 12), ("example1", 200), ("counterexample", 120), ("counterexample", 300),
+    ])
+    def test_roots_match_bisection(self, case, steps):
+        if case == "example1":
+            model, horizon, x0 = builtin_example_meanfield(DIMS), 1.0, 1.0
+        else:
+            model, horizon, _, _ = builtin_counterexample()
+            x0 = 0.0
+        grid = TimeGrid(horizon, steps)
+        oracle = moment_ode_oracle(model, x0, grid)
+        want = _bisection_roots(model, grid, x0)
+        assert oracle.unique == (case == "example1") == (len(want) == 1)
+        assert len(oracle.roots[0]) == len(want)
+        assert np.max(np.abs(np.array(oracle.roots[0]) - want)) <= 1e-12
+
+
 class TestStackedShooting:
     @pytest.mark.parametrize("case", ["example1", "counterexample"])
     def test_bit_identical_to_per_guess(self, case):
