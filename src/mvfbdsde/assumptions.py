@@ -16,6 +16,7 @@ import numpy as np
 
 # wasserstein2, the per-pair form of wasserstein2_stack, stays importable from
 # here: bench/tracing.py wraps it under this name
+from .control import _fd_jacobian
 from .measure import EmpiricalLaw, wasserstein2, wasserstein2_stack  # noqa: F401
 from .model import (
     CoefficientSet,
@@ -534,11 +535,14 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
     report = AssumptionReport(samples_used=0)
     report.passes["gamma_below_cap"] = bool(0.0 < gamma < 1.0 / 6.0)
 
+    # largest squared derivative of g and G over 40 random probes of four
+    # particles: in a point block, the square of the Jacobian's spectral norm
+    # per particle; in a mean block, sum_j max_m |d_j|^2 (the first-moment
+    # caps on the measure argument)
     rng = np.random.default_rng(101)
-    h_fd = 1e-5
-    max_dz_sq = 0.0
-    max_d_big_z_sq = 0.0
     u_mid = problem.control_box_center()
+    u = np.broadcast_to(u_mid, (4, problem.d_u)).copy()
+    caps = dict.fromkeys(("z", "Z", "mz", "mZ"), 0.0)
     for _ in range(40):
         v = Quad(
             rng.standard_normal((4, dims.d)),
@@ -547,35 +551,19 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
             rng.standard_normal((4, dims.d, dims.d_w)),
         )
         law = quad_law(v)
-        u = np.broadcast_to(u_mid, (4, problem.d_u)).copy()
         t = float(rng.uniform(0.0, problem.grid.horizon))
         for fn in (problem.dynamics.g, problem.dynamics.G):
-            base_val = fn(t, v, u, law)
-            dir_z = rng.standard_normal(v.z.shape)
-            dir_z /= np.sqrt(np.sum(dir_z**2, axis=(1, 2)))[:, None, None] + 1e-300
-            dir_big = rng.standard_normal(v.Z.shape)
-            dir_big /= np.sqrt(np.sum(dir_big**2, axis=(1, 2)))[:, None, None] + 1e-300
-            step = h_fd * (1.0 + float(np.max(np.abs(v.z))))
-            vz = Quad(v.y, v.Y, v.z + step * dir_z, v.Z)
-            dz_val = (fn(t, vz, u, law) - base_val) / step
-            max_dz_sq = max(max_dz_sq, float(np.max(np.sum(dz_val**2, axis=(1, 2)))))
-            v_big = Quad(v.y, v.Y, v.z, v.Z + step * dir_big)
-            d_big_val = (fn(t, v_big, u, law) - base_val) / step
-            max_d_big_z_sq = max(
-                max_d_big_z_sq, float(np.max(np.sum(d_big_val**2, axis=(1, 2))))
-            )
-    report.passes["noise_z_derivative"] = bool(max_dz_sq < gamma)
-    report.passes["noise_Z_derivative"] = bool(max_d_big_z_sq < gamma)
-    report.estimated_gamma = max(max_dz_sq, max_d_big_z_sq)
-
-    # first-moment derivative caps on the measure argument of the noise maps
-    lcap = gamma / 3.0
-    max_l = 0.0
-    for which in ("g", "G"):
-        for block in ("z", "Z"):
-            val = problem.noise_mean_derivative_sq(which, block)
-            max_l = max(max_l, val)
-    report.passes["lderivative_caps"] = bool(max_l < lcap)
+            for block in caps:
+                jac = _fd_jacobian(fn, t, v, u, law, block, dims, problem.d_u)
+                if block.startswith("m"):
+                    sq = np.sum(np.max(np.sum(jac**2, axis=1), axis=0))
+                else:
+                    sq = np.max(np.linalg.norm(jac, ord=2, axis=(1, 2))) ** 2
+                caps[block] = max(caps[block], float(sq))
+    report.passes["noise_z_derivative"] = bool(caps["z"] < gamma)
+    report.passes["noise_Z_derivative"] = bool(caps["Z"] < gamma)
+    report.estimated_gamma = max(caps["z"], caps["Z"])
+    report.passes["lderivative_caps"] = bool(max(caps["mz"], caps["mZ"]) < gamma / 3.0)
 
     direction = "A2" if problem.c > 0 else "A2_prime"
     frozen_u = np.broadcast_to(u_mid, (problem.grid.steps + 1, problem.d_u))

@@ -27,7 +27,7 @@ from .assumptions import (
     check_monotonicity,
     estimate_lipschitz,
 )
-from .config import COMMANDS, SCENARIOS, ConfigError, ScenarioConfig
+from .config import COMMANDS, SCENARIOS, ConfigError, ScenarioConfig, parse_kv
 from .control import (
     first_order_candidate,
     gradient_consistency,
@@ -78,42 +78,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each flag and the config key it sets
+_FLAG_KEYS = {
+    "scenario": "scenario",
+    "command": "command",
+    "seed": "seed",
+    "steps": "grid.steps",
+    "particles": "ensemble.particles",
+    "delta": "continuation.delta",
+    "tol": "solver.tol",
+    "out": "out",
+    "threads": "threads",
+    "override_horizon": "grid.horizon",
+}
+
+
 def load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario's presets, overridden by the config file, then by the
+    flags, then by MVFBDSDE_OUT."""
     mapping: dict[str, object] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = ScenarioConfig.from_text(text)
-    else:
-        cfg = ScenarioConfig()
-        if args.scenario:
-            cfg.apply_scenario_defaults(args.scenario)
-    if args.scenario:
-        cfg.apply_scenario_defaults(args.scenario)
-    if args.command:
-        cfg.command = args.command
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.particles is not None:
-        cfg.particles = args.particles
-    if args.delta is not None:
-        cfg.delta = args.delta
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out is not None:
-        cfg.out = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
+            mapping = parse_kv(fh.read())
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            mapping[key] = getattr(args, flag)
     if args.override_horizon is not None:
-        cfg.horizon = args.override_horizon
-        cfg.override_horizon = True
+        mapping["override_horizon"] = True
     env_out = os.environ.get("MVFBDSDE_OUT")
     if env_out:
-        cfg.out = env_out
-    cfg.validate()
-    return cfg
+        mapping["out"] = env_out
+    return ScenarioConfig.from_mapping(mapping)
 
 
 def _write_text(path: str, lines: list[str]) -> None:

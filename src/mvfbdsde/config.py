@@ -43,7 +43,7 @@ from .model import (
     linear_coefficient_set,
 )
 from .paths import TimeGrid
-from .solver import RegressionConfig
+from .solver import BASES, RegressionConfig
 
 SCENARIOS = ("example1", "example2", "linear_base", "lq_control", "custom")
 COMMANDS = (
@@ -251,7 +251,7 @@ class ScenarioConfig:
             raise ConfigError("continuation.delta must lie in (0, 1]")
         if self.case not in ("case1", "case2"):
             raise ConfigError("continuation.case must be case1 or case2")
-        if self.basis not in ("constant", "affine_y", "poly2_y_plus_Btail"):
+        if self.basis not in BASES:
             raise ConfigError(f"unknown basis {self.basis!r}")
         if self.threads < 0:
             raise ConfigError("threads must be >= 0")
@@ -292,15 +292,10 @@ class ScenarioConfig:
         raise ConfigError(f"scenario {self.scenario!r} has no coefficient map")
 
     def custom_coefficient_set(self) -> CoefficientSet:
-        tables: dict[str, dict[str, float]] = {k: {} for k in ("f", "f_b", "g", "g_b", "h")}
-        names = {"f": "f", "F": "f_b", "g": "g", "G": "g_b", "h": "h"}
+        tables: dict[str, dict[str, float]] = {k: {} for k in ("f", "F", "g", "G", "h")}
         for key, value in self.model_tables.items():
             parts = key.split(".")
-            if len(parts) != 2 or parts[0] not in names:
+            if len(parts) != 2 or parts[0] not in tables:
                 raise ConfigError(f"bad model key model.{key}")
-            tables[names[parts[0]]][parts[1]] = value
-        lin = LinearTables(
-            f=tables["f"], F=tables["f_b"], g=tables["g"], G=tables["g_b"],
-            h=tables["h"],
-        )
-        return linear_coefficient_set(self.dims, lin, name="custom")
+            tables[parts[0]][parts[1]] = value
+        return linear_coefficient_set(self.dims, LinearTables(**tables), name="custom")

@@ -14,8 +14,10 @@ coefficients:
 The adjoint system over chi is again of the canonical forward-backward type:
 dp carries the Y- and Z-gradients of H (plus copy-averaged measure
 derivatives), dP the y- and z-gradients, with boundary values built from the
-cost gradients.  Measure derivatives are supported for declared first-moment
-structure (derivative of the lifted map = gradient in the mean argument).
+cost gradients.  Measure derivatives are taken in the first moment (the
+derivative of the lifted map is the gradient in the mean argument): from the
+supplied hooks or declared Jacobians, else by central differences, which are
+exactly zero for a map that does not read its law.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .model import (
     HomotopyProblem,
     NodeMoments,
     Quad,
-    quad_law,
     split_flat_mean,
 )
 from .paths import BrownianPair, TimeGrid
@@ -61,22 +62,41 @@ _STACK_FLOATS = 1 << 14
 # ----------------------------------------------------------------------------
 
 
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                       h) -> np.ndarray:
+    """Central differences (fn(x + h_j e_j) - fn(x - h_j e_j)) / 2 h_j of ``fn``
+    at ``x`` in each coordinate j of x's last axis, stacked on a new last
+    axis.  ``h`` broadcasts against ``x`` (one step per coordinate, per leading
+    index or both); h_j, the steps of coordinate j, broadcast against fn's
+    output from its first axis."""
+    x = np.asarray(x, dtype=float)
+    steps = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+    cols = []
+    for j in range(x.shape[-1]):
+        h_j = steps[..., j]
+        up, dn = x.copy(), x.copy()
+        up[..., j] += h_j
+        dn[..., j] -= h_j
+        diff = fn(up) - fn(dn)
+        cols.append(diff / (2 * h_j).reshape(h_j.shape + (1,) * (np.ndim(diff) - h_j.ndim)))
+    return np.stack(cols, axis=-1)
+
+
 @dataclass
 class MomentFunctional:
-    """Scalar function of a measure with declared structure.
+    """Scalar function of a measure through its mean: value = fn(mean).
 
-    ``first_moment``: value = fn(mean); the derivative of the lifted map is
-    grad(mean), constant in the evaluation point.  ``analytic``: a derivative
-    callable (law, points) -> per-point vectors is supplied directly.
+    Its L-derivative is ``grad(mean)``, constant in the evaluation point, when
+    ``grad`` is supplied; else ``lderiv(law, points)``, per-point vectors; else
+    central differences of ``fn`` in the mean.
     """
 
-    structure: str = "first_moment"
     fn: Callable[[np.ndarray], float] | None = None
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     lderiv: Callable[[EmpiricalLaw, np.ndarray], np.ndarray] | None = None
 
     def value(self, law: EmpiricalLaw) -> float:
-        if self.structure == "first_moment" and self.fn is not None:
+        if self.fn is not None:
             return float(self.fn(law.mean))
         raise ValueError("functional has no value rule")
 
@@ -86,25 +106,16 @@ def l_derivative(
 ) -> np.ndarray:
     """Derivative of the lifted functional, evaluated at each given point."""
     points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if functional.structure == "first_moment":
-        mean = law.mean
-        if functional.grad is not None:
-            g = np.asarray(functional.grad(mean), dtype=float)
-        elif functional.fn is not None:
-            g = np.zeros_like(mean)
-            for j in range(mean.shape[0]):
-                h = FD_STEP * (1.0 + abs(mean[j]))
-                up = mean.copy()
-                dn = mean.copy()
-                up[j] += h
-                dn[j] -= h
-                g[j] = (functional.fn(up) - functional.fn(dn)) / (2 * h)
-        else:
-            raise ValueError("L-derivative unavailable")
-        return np.broadcast_to(g, points.shape).copy()
-    if functional.structure == "analytic" and functional.lderiv is not None:
+    mean = law.mean
+    if functional.grad is not None:
+        g = np.asarray(functional.grad(mean), dtype=float)
+    elif functional.lderiv is not None:
         return np.asarray(functional.lderiv(law, points), dtype=float)
-    raise ValueError("L-derivative unavailable")
+    elif functional.fn is not None:
+        g = central_difference(functional.fn, mean, FD_STEP * (1.0 + np.abs(mean)))
+    else:
+        raise ValueError("L-derivative unavailable")
+    return np.broadcast_to(g, points.shape).copy()
 
 
 # ----------------------------------------------------------------------------
@@ -117,61 +128,44 @@ class CostTerm:
     """Pointwise-plus-measure cost x -> value(x, law), per particle.
 
     ``grad`` is the pointwise gradient, ``mean_grad`` the derivative in the
-    mean argument (first-moment structure); both fall back to central
-    differences when not supplied.
+    mean argument averaged over the atoms; each falls back to central
+    differences when not supplied (for ``mean_grad``, of the atoms' mean cost
+    under translated laws).
     """
 
     value: Callable[[np.ndarray, EmpiricalLaw], np.ndarray]
     grad: Callable[[np.ndarray, EmpiricalLaw], np.ndarray] | None = None
     mean_grad: Callable[[EmpiricalLaw], np.ndarray] | None = None
-    law_dependence: str = "none"
 
     def grad_values(self, x: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
         if self.grad is not None:
             return np.asarray(self.grad(x, law), dtype=float)
-        out = np.zeros_like(x)
-        for j in range(x.shape[1]):
-            h = FD_STEP * (1.0 + float(np.max(np.abs(x[:, j]), initial=0.0)))
-            up = x.copy()
-            dn = x.copy()
-            up[:, j] += h
-            dn[:, j] -= h
-            out[:, j] = (self.value(up, law) - self.value(dn, law)) / (2 * h)
-        return out
+        h = FD_STEP * (1.0 + np.max(np.abs(x), axis=0, initial=0.0))
+        return central_difference(lambda xs: self.value(xs, law), x, h)
 
     def mean_grad_values(self, law: EmpiricalLaw) -> np.ndarray:
-        if self.law_dependence == "none":
-            return np.zeros(law.dim)
         if self.mean_grad is not None:
             return np.asarray(self.mean_grad(law), dtype=float)
-        if self.law_dependence != "first_moment":
-            raise ValueError("L-derivative unavailable")
-        probe = law.samples[:1]
-        out = np.zeros(law.dim)
-        for j in range(law.dim):
-            h = FD_STEP * (1.0 + abs(float(law.mean[j])))
-            delta = np.zeros(law.dim)
-            delta[j] = h
-            up = float(np.mean(self.value(probe, law.translated(delta))))
-            dn = float(np.mean(self.value(probe, law.translated(-delta))))
-            out[j] = (up - dn) / (2 * h)
-        return out
+        return central_difference(
+            lambda delta: float(np.mean(self.value(law.samples, law.translated(delta)))),
+            np.zeros(law.dim), FD_STEP * (1.0 + np.abs(law.mean)),
+        )
 
     @classmethod
     def zero(cls) -> "CostTerm":
-        return cls(value=lambda x, law: np.zeros(x.shape[0]), law_dependence="none")
+        return cls(value=lambda x, law: np.zeros(x.shape[0]))
 
 
 @dataclass
 class RunningCost:
     """Per-particle running cost (t, v, u, law) -> (M,) at one node, or
     (M, K) on a stack of K nodes (the coefficient maps' node-stack contract,
-    with u of shape (M, d_u) or (M, K, d_u))."""
+    with u of shape (M, d_u) or (M, K, d_u)).  A gradient without a hook is
+    differenced."""
 
     value: Callable[[float, Quad, np.ndarray, EmpiricalLaw], np.ndarray]
     grads: dict[str, Callable] = field(default_factory=dict)  # keys: y,Y,z,Z,u
     mean_grads: dict[str, Callable] = field(default_factory=dict)  # my,mY,mz,mZ
-    law_dependence: str = "none"
 
     @classmethod
     def zero(cls) -> "RunningCost":
@@ -188,12 +182,12 @@ def _block_replace(v: Quad, u: np.ndarray, block: str, new: np.ndarray):
     return v._replace(**{block: new}), u
 
 
-def _mean_delta(dims: Dimensions, block: str, j: int, h: float) -> np.ndarray:
-    """Flat-space translation vector touching one component of one block."""
+def _mean_shift(dims: Dimensions, block: str, w: np.ndarray) -> np.ndarray:
+    """Flat-space translation vector that moves one mean block by ``w``."""
     delta = np.zeros(dims.flat)
     d, db = dims.d, dims.d_b
-    offsets = {"my": 0, "mY": d, "mz": 2 * d, "mZ": 2 * d + d * db}
-    delta[offsets[block] + j] = h
+    offset = {"my": 0, "mY": d, "mz": 2 * d, "mZ": 2 * d + d * db}[block]
+    delta[offset:offset + w.size] = w
     return delta
 
 
@@ -224,7 +218,6 @@ class ControlledDynamics:
     g: Callable
     F: Callable
     G: Callable
-    law_dependence: str = "first_moment"
     jacobians: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
@@ -271,36 +264,6 @@ class ControlProblem:
         return bool(
             np.all(u >= self.u_lo - tol) and np.all(u <= self.u_hi + tol)
         )
-
-    def noise_mean_derivative_sq(self, which: str, block: str) -> float:
-        """Squared norm of the noise map's derivative in the z/Z mean block."""
-        jac = self.dynamics.jacobians.get((which, "m" + block))
-        if jac is not None:
-            return float(np.sum(np.asarray(jac) ** 2))
-        if self.dynamics.law_dependence == "none":
-            return 0.0
-        if self.dynamics.law_dependence != "first_moment":
-            raise ValueError("L-derivative unavailable")
-        dims = self.dims
-        m = 4
-        rng = np.random.default_rng(7)
-        v = Quad(
-            rng.standard_normal((m, dims.d)),
-            rng.standard_normal((m, dims.d)),
-            rng.standard_normal((m, dims.d, dims.d_b)),
-            rng.standard_normal((m, dims.d, dims.d_w)),
-        )
-        law = quad_law(v)
-        u = np.broadcast_to(self.control_box_center(), (m, self.d_u)).copy()
-        fn = getattr(self.dynamics, which)
-        base = fn(0.0, v, u, law)
-        width = dims.d_b if block == "z" else dims.d_w
-        total = 0.0
-        for j in range(dims.d * width):
-            h = FD_STEP
-            up = fn(0.0, v, u, law.translated(_mean_delta(dims, "m" + block, j, h)))
-            total += float(np.max(np.sum((up - base) ** 2, axis=(1, 2)))) / h**2
-        return total
 
     # -- controls -------------------------------------------------------------
 
@@ -438,33 +401,25 @@ def _fd_jacobian(
 ) -> np.ndarray:
     """Central-difference derivative tensor of ``fn(t, v, u, law)`` in one
     block, flattened, input axis last: (M, out, in) at one node and
-    (M, K, out, in) on a stack of K nodes.  A mean block steps by FD_STEP; a
-    point block by FD_STEP times one plus the block's largest magnitude over
-    the particles of each node."""
+    (M, K, out, in) on a stack of K nodes.  A mean block is differenced as a
+    translation of the law from 0, by FD_STEP; a point block by FD_STEP times
+    one plus the block's largest magnitude over the particles of each node."""
     lead = v.y.shape[:-1]
     size = _size(dims, d_u, block)
-    cols = []
     if block.startswith("m"):
-        h = FD_STEP
-        for j in range(size):
-            delta = _mean_delta(dims, block, j, h)
-            up = fn(t, v, u, law.translated(delta))
-            dn = fn(t, v, u, law.translated(-delta))
-            cols.append(((up - dn) / (2 * h)).reshape(*lead, -1))
-    else:
-        base_arr = _block_get(v, u, block)
-        flat = base_arr.reshape(*lead, size)
-        h = FD_STEP * (1.0 + np.max(np.abs(flat), axis=(0, -1), initial=0.0))
-        for j in range(size):
-            up_arr = flat.copy()
-            dn_arr = flat.copy()
-            up_arr[..., j] += h
-            dn_arr[..., j] -= h
-            v_up, u_up = _block_replace(v, u, block, up_arr.reshape(base_arr.shape))
-            v_dn, u_dn = _block_replace(v, u, block, dn_arr.reshape(base_arr.shape))
-            diff = fn(t, v_up, u_up, law) - fn(t, v_dn, u_dn, law)
-            cols.append(diff.reshape(*lead, -1) / (2 * h[..., None]))
-    return np.stack(cols, axis=-1)
+        return central_difference(
+            lambda w: fn(t, v, u, law.translated(_mean_shift(dims, block, w))).reshape(*lead, -1),
+            np.zeros(size), FD_STEP,
+        )
+    base_arr = _block_get(v, u, block)
+    flat = base_arr.reshape(*lead, size)
+    h = FD_STEP * (1.0 + np.max(np.abs(flat), axis=(0, -1), keepdims=True, initial=0.0))
+
+    def at(w: np.ndarray) -> np.ndarray:
+        v_w, u_w = _block_replace(v, u, block, w.reshape(base_arr.shape))
+        return fn(t, v_w, u_w, law).reshape(*lead, -1)
+
+    return central_difference(at, flat, h)
 
 
 class JacobianBank:
@@ -497,8 +452,6 @@ class JacobianBank:
             in_size = _size(problem.dims, problem.d_u, block)
             if const is not None:
                 arr = np.asarray(const, dtype=float).reshape(out_size, in_size)
-            elif block.startswith("m") and problem.dynamics.law_dependence == "none":
-                arr = np.zeros((out_size, in_size))
             else:
                 arr = _fd_jacobian(
                     getattr(problem.dynamics, coef), *self.point(slice(None)), block,
@@ -532,10 +485,6 @@ def _running_grad(problem: ControlProblem, t, v: Quad, u: np.ndarray, law,
     hook = (rc.mean_grads if block.startswith("m") else rc.grads).get(block)
     if hook is not None:
         return np.asarray(hook(t, v, u, law), dtype=float).reshape(*lead, -1)
-    if block.startswith("m") and rc.law_dependence != "first_moment":
-        if rc.law_dependence != "none":
-            raise ValueError("L-derivative unavailable")
-        return np.zeros((*lead, _size(problem.dims, problem.d_u, block)))
 
     def cost(t, v, u, law):  # the cost as a single output
         return rc.value(t, v, u, law)[..., None]
@@ -1097,26 +1046,26 @@ def gradient_consistency(
     problem: ControlProblem,
     control,
     direction: np.ndarray,
-    h_steps: tuple[float, ...] = (1e-3,),
-    drivers: BrownianPair | None = None,
-    reg: RegressionConfig | None = None,
+    *,
+    drivers: BrownianPair,
+    reg: RegressionConfig,
     tol: float = 1e-6,
 ) -> GradientConsistencyReport:
     """Directional cost derivative two ways: central differences of the cost
-    against the adjoint-side formula -E int <grad_u H, direction> dt."""
-    if drivers is None or reg is None:
-        raise ValueError("drivers and regression config are required")
+    (step 1e-3 along ``direction``) against the adjoint-side formula
+    -E int <grad_u H, direction> dt."""
     values = problem.resolve_control(control)
     direction = np.asarray(direction, dtype=float)
     if direction.ndim == 1:
         direction = direction[:, None]
     if not np.any(direction):
         return GradientConsistencyReport(0.0, 0.0, 0.0)
-    fd = 0.0
-    for h in h_steps:
-        up = estimate_cost(problem, problem.project(values + h * direction), drivers, reg, tol)
-        dn = estimate_cost(problem, problem.project(values - h * direction), drivers, reg, tol)
-        fd = (up.value - dn.value) / (2 * h)
+
+    def cost(s: np.ndarray) -> float:
+        return estimate_cost(problem, problem.project(values + s[0] * direction),
+                             drivers, reg, tol).value
+
+    fd = central_difference(cost, np.zeros(1), 1e-3)[0]
     report = solve_state(problem, values, drivers, reg, tol)
     adj = solve_adjoint(problem, report.final_state, values, drivers, reg, tol)
     grad = mean_control_gradient(problem, report.final_state, adj.adjoint, values)
@@ -1166,6 +1115,9 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
     def means(law) -> Quad:
         return split_flat_mean(law.mean, dims)
 
+    def zeros_of(block: str) -> Callable:
+        return lambda t, v, u, law: np.zeros_like(getattr(v, block))
+
     def f(t, v, u, law):
         return 0.5 * means(law).Y - v.Y + u
 
@@ -1194,9 +1146,7 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
             if (coef, block) not in jac:
                 jac[(coef, block)] = np.zeros((_size(dims, 1, coef), _size(dims, 1, block)))
 
-    dynamics = ControlledDynamics(
-        f=f, g=g, F=big_f, G=big_g, law_dependence="first_moment", jacobians=jac
-    )
+    dynamics = ControlledDynamics(f=f, g=g, F=big_f, G=big_g, jacobians=jac)
 
     rho = pr["rho"]
 
@@ -1205,12 +1155,14 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
         + 0.5 * rho * np.sum(v.y**2, axis=-1),
         grads={
             "y": lambda t, v, u, law: rho * v.y,
-            "Y": lambda t, v, u, law: np.zeros_like(v.Y),
-            "z": lambda t, v, u, law: np.zeros_like(v.z),
-            "Z": lambda t, v, u, law: np.zeros_like(v.Z),
+            "Y": zeros_of("Y"),
+            "z": zeros_of("z"),
+            "Z": zeros_of("Z"),
             "u": lambda t, v, u, law: u,
         },
-        law_dependence="none",
+        # declared zero: differencing them would cost each adjoint build
+        # eight running-cost calls
+        mean_grads={"m" + block: zeros_of(block) for block in "yYzZ"},
     )
 
     kt, lt = pr["kappa_T"], pr["lambda_T"]
@@ -1219,14 +1171,12 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
         + 0.5 * lt * float(law.mean @ law.mean) * np.ones(x.shape[0]),
         grad=lambda x, law: kt * x,
         mean_grad=lambda law: lt * law.mean,
-        law_dependence="first_moment",
     )
     k0 = pr["kappa_0"]
     initial = CostTerm(
         value=lambda x, law: 0.5 * k0 * np.sum(x**2, axis=1),
         grad=lambda x, law: k0 * x,
         mean_grad=lambda law: np.zeros(law.dim),
-        law_dependence="none",
     )
 
     return ControlProblem(
@@ -1315,12 +1265,7 @@ def lq_deterministic_oracle(problem: ControlProblem) -> LQOracle:
         r = shoot(s)
         if np.max(np.abs(r)) < 1e-13:
             break
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(s[j]))
-            e = np.zeros(2)
-            e[j] = h
-            jac[:, j] = (shoot(s + e) - shoot(s - e)) / (2 * h)
+        jac = central_difference(shoot, s, 1e-7 * (1.0 + np.abs(s)))
         s = s - np.linalg.solve(jac, r)
     path = integrate(np.array([x0, s[0], -k0 * s[0], s[1]]))
     y, big_y, p, big_p = path.T

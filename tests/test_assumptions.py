@@ -27,6 +27,7 @@ from mvfbdsde.model import (
     linear_coefficient_set,
     pairing,
     quad_law,
+    split_flat_mean,
     zero_coefficient_set,
 )
 from mvfbdsde.paths import TimeGrid
@@ -239,6 +240,18 @@ class TestControlAssumptions:
         finally:
             problem.dynamics.g = original
         assert not report.passes["noise_Z_derivative"]
+
+    def test_lderivative_caps_difference_the_maps(self):
+        # the declared Jacobians keep g's mean slope at 1/8; the map's is 1/2,
+        # squared 1/4 against the cap gamma / 3 = 1/24
+        problem = lq_control_scenario()
+        dims = problem.dims
+        problem.dynamics.g = (
+            lambda t, v, u, law: 0.5 * split_flat_mean(law.mean, dims).Z - 0.25 * v.Z
+        )
+        report = check_control_assumptions(problem)
+        assert report.passes["noise_Z_derivative"]
+        assert not report.passes["lderivative_caps"]
 
     def test_noise_free_maps_pass_any_gamma(self):
         problem = lq_control_scenario()

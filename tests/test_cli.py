@@ -196,6 +196,16 @@ class TestCliCommands:
         echoed = ScenarioConfig.from_text((out / "config.echo").read_text())
         assert echoed.steps == 40 and echoed.particles == 200
 
+    def test_presets_then_file_then_flags(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("grid.steps = 30\nensemble.particles = 50\n")
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfg_path), "--scenario", "lq_control", "--particles", "60"]
+        )
+        cfg = cli.load_config(args)
+        assert (cfg.scenario, cfg.steps, cfg.particles) == ("lq_control", 30, 60)
+        assert (cfg.tol, cfg.c) == (1e-6, 0.5)  # lq_control presets
+
     def test_horizon_override_flag(self, tmp_path):
         code, out = run_cli(
             ["--scenario", "example2", "--command", "solve",

@@ -58,7 +58,6 @@ def zero_cost_problem(grid=None) -> ControlProblem:
         g=lambda t, v, u, law: np.zeros_like(v.Z),
         F=lambda t, v, u, law: v.y.copy(),
         G=lambda t, v, u, law: np.zeros_like(v.z),
-        law_dependence="none",
     )
     return ControlProblem(
         dims=dims,
@@ -100,7 +99,6 @@ class TestHamiltonian:
             g=lambda t, v, u, law: np.zeros_like(v.Z),
             F=lambda t, v, u, law: np.zeros_like(v.y),
             G=lambda t, v, u, law: np.zeros_like(v.z),
-            law_dependence="none",
         )
         rng = np.random.default_rng(1)
         m = 6
@@ -221,7 +219,7 @@ class TestLDerivative:
         assert np.allclose(l_derivative(fn, law, np.zeros((3, 1))), 1.0, atol=1e-9)
 
     def test_unavailable(self):
-        fn = MomentFunctional(structure="general")
+        fn = MomentFunctional()
         law = EmpiricalLaw.from_samples(np.ones((5, 1)))
         with pytest.raises(ValueError, match="L-derivative unavailable"):
             l_derivative(fn, law, np.zeros((3, 1)))
@@ -245,6 +243,33 @@ class TestLDerivative:
             remainders.append(abs(lifted - base - eps * linear))
         # halving-by-10 the step shrinks the remainder ~100x (quadratic)
         assert remainders[1] <= 0.05 * remainders[0] + 1e-14
+
+
+class TestDifferencedMeanGradients:
+    """A cost that reads its law and supplies no hook gets its mean gradient
+    by differencing."""
+
+    @pytest.mark.parametrize("value", [
+        lambda x, law: 0.5 * float(law.mean @ law.mean) * np.ones(x.shape[0]),
+        lambda x, law: x @ law.mean,  # its mean derivative E[x] averages the atoms
+    ])
+    def test_cost_term(self, value):
+        law = EmpiricalLaw.from_samples(np.array([[1.0], [3.0]]))
+        np.testing.assert_allclose(CostTerm(value=value).mean_grad_values(law), [2.0],
+                                   rtol=0, atol=1e-8)
+
+    def test_running_cost(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 4))
+        dims = problem.dims
+        problem.running_cost = RunningCost(
+            value=lambda t, v, u, law: 0.5 * np.sum(split_flat_mean(law.mean, dims).y ** 2)
+            * np.ones(v.y.shape[:-1])
+        )
+        v = quad_batch(np.random.default_rng(9), 5, dims)
+        law = quad_law(v)
+        grad = _running_grad(problem, 0.0, v, np.zeros((5, 1)), law, "my")
+        np.testing.assert_allclose(grad, np.broadcast_to(v.y.mean(axis=0), (5, 1)),
+                                   rtol=0, atol=1e-8)
 
 
 class TestAdjointConstruction:
@@ -285,7 +310,7 @@ class TestAdjointConstruction:
         chi = quad_batch(rng, m, problem.dims)
         for block in ("my", "mY", "mz", "mZ"):
             grad = grad_hamiltonian_block(problem, bank, 2, chi, block)
-            assert np.allclose(grad, 0.0, atol=1e-12)
+            assert np.all(grad == 0.0)
 
     def test_fd_matches_analytic_jacobians(self, lq):
         problem, drivers = lq
@@ -297,7 +322,7 @@ class TestAdjointConstruction:
         bank_analytic = JacobianBank(problem, state, controls, laws)
         stripped = ControlledDynamics(
             f=problem.dynamics.f, g=problem.dynamics.g, F=problem.dynamics.F,
-            G=problem.dynamics.G, law_dependence="first_moment", jacobians={},
+            G=problem.dynamics.G, jacobians={},
         )
         fd_problem = ControlProblem(
             dims=problem.dims, d_u=1, grid=problem.grid, x=problem.x, c=problem.c,
@@ -358,7 +383,7 @@ def _hookless_running_cost(dims):
         return (0.5 * np.sum(u**2, axis=-1) + 0.3 * np.sum(v.y**2, axis=-1)
                 + 0.2 * np.sum(v.Y * my, axis=-1) + 0.1 * np.sum(v.z**2, axis=(-2, -1)))
 
-    return RunningCost(value=value, law_dependence="first_moment")
+    return RunningCost(value=value)
 
 
 class TestStackedAdjointMaps:
@@ -450,21 +475,18 @@ class TestAdjointSolve:
                    for k, fn in base_rc.grads.items()},
             mean_grads={k: (lambda fn: (lambda t, v, uu, law: 2.0 * fn(t, v, uu, law)))(fn)
                         for k, fn in base_rc.mean_grads.items()},
-            law_dependence=base_rc.law_dependence,
         )
         base_tc = doubled.terminal_cost
         doubled.terminal_cost = CostTerm(
             value=lambda x, law: 2.0 * base_tc.value(x, law),
             grad=lambda x, law: 2.0 * base_tc.grad(x, law),
             mean_grad=lambda law: 2.0 * base_tc.mean_grad(law),
-            law_dependence=base_tc.law_dependence,
         )
         base_ic = doubled.initial_cost
         doubled.initial_cost = CostTerm(
             value=lambda x, law: 2.0 * base_ic.value(x, law),
             grad=lambda x, law: 2.0 * base_ic.grad(x, law),
             mean_grad=lambda law: 2.0 * base_ic.mean_grad(law),
-            law_dependence=base_ic.law_dependence,
         )
         rep2 = solve_state(doubled, u, drivers, REG)
         adj2 = solve_adjoint(doubled, rep2.final_state, u, drivers, REG, tol=1e-10)
