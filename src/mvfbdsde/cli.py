@@ -32,16 +32,16 @@ from .control import (
     first_order_candidate,
     gradient_consistency,
     lq_control_scenario,
+    solve_state,
     verify_smp,
 )
-from .model import EnsembleState, HomotopyProblem, residual
+from .model import EnsembleState, HomotopyProblem
 from .paths import ProcessSpec, discrete_ito_product_check, sample_driver_pair
 from .solver import (
     SolverError,
     continuation_solve,
     detect_nonuniqueness,
     ladder_rows,
-    picard_solve,
     trajectory_rows,
     write_csv,
 )
@@ -137,27 +137,17 @@ def _drivers(cfg: ScenarioConfig):
 def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
     drivers = _drivers(cfg)
     reg = cfg.regression
-    if cfg.scenario == "lq_control":
-        problem = lq_control_scenario(cfg.grid)
-        from .control import solve_state
-
-        u = np.broadcast_to(
-            problem.control_box_center(), (cfg.steps + 1, problem.d_u)
-        ).copy()
-        try:
+    try:
+        if cfg.scenario == "lq_control":
+            problem = lq_control_scenario(cfg.grid)
+            u = np.broadcast_to(
+                problem.control_box_center(), (cfg.steps + 1, problem.d_u)
+            ).copy()
             report = solve_state(problem, u, drivers, reg, cfg.tol)
-        except SolverError as err:
-            if err.report is not None:
-                emit_report(err.report, out_dir)
-            _write_text(os.path.join(out_dir, "report.txt"), [f"solve failed: {err}"])
-            print(f"solve failed: {err}")
-            return EXIT_REFUTED
-    else:
-        coeffs = cfg.coefficient_set()
-        xi = None if cfg.xi == 0.0 else np.full(cfg.d, cfg.xi)
-        try:
+        else:
+            xi = None if cfg.xi == 0.0 else np.full(cfg.d, cfg.xi)
             report = continuation_solve(
-                coeffs,
+                cfg.coefficient_set(),
                 case=cfg.case,
                 theta1=cfg.theta1,
                 theta2=cfg.theta2,
@@ -170,15 +160,14 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
                 max_iter=cfg.max_iter,
                 damping=cfg.damping,
             )
-        except SolverError as err:
-            if err.report is not None:
-                emit_report(err.report, out_dir)
-            _write_text(
-                os.path.join(out_dir, "report.txt"),
-                [f"solve failed: {err}", "see ladder.csv for the partial ladder"],
-            )
-            print(f"solve failed: {err}")
-            return EXIT_REFUTED
+    except SolverError as err:
+        lines = [f"solve failed: {err}"]
+        if err.report is not None:
+            emit_report(err.report, out_dir)
+            lines.append("see ladder.csv for the partial ladder")
+        _write_text(os.path.join(out_dir, "report.txt"), lines)
+        print(f"solve failed: {err}")
+        return EXIT_REFUTED
     emit_report(report, out_dir)
     res = report.residuals
     lines = [

@@ -22,7 +22,6 @@ exactly zero for a map that does not read its law.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -578,7 +577,7 @@ def build_adjoint_coefficients(
         g=drift_or_noise("Z", "mZ", (dims.d, dims.d_w)),
         F=drift_or_noise("y", "my", (dims.d,)),
         G=drift_or_noise("z", "mz", (dims.d, dims.d_b)),
-        h=lambda y_t, law: y_t,  # unused: adjoint problems use the affine terminal
+        h=lambda y_t, law: -problem.c * y_t,
         name=problem.name + "_adjoint",
     )
 
@@ -599,8 +598,6 @@ def build_adjoint_coefficients(
         theta1=1.0,
         xi=shift,
         x=p0,
-        terminal_kind="affine",
-        c=-problem.c,
     )
     return AdjointSystem(
         coefficients=coeffs, p0=p0, c_adj=-problem.c, shift=shift, problem=adj_problem
@@ -612,23 +609,6 @@ class AdjointSolveResult:
     adjoint: EnsembleState  # (p, P, q, Q) in the blocks (y, Y, z, Z)
     report: SolveReport
     system: AdjointSystem
-
-
-def _warm_solve(
-    problem: HomotopyProblem,
-    warm: EnsembleState,
-    drivers: BrownianPair,
-    reg: RegressionConfig,
-    tol: float,
-    max_iter: int,
-) -> SolveReport | None:
-    """Picard on ``problem`` from ``warm``; None when the solve raises
-    SolverError or stops unconverged."""
-    try:
-        report = picard_solve(problem, warm, drivers, reg, tol, max_iter)
-    except SolverError:
-        return None
-    return report if report.converged else None
 
 
 def solve_adjoint(
@@ -649,22 +629,21 @@ def solve_adjoint(
     p = p_0 and retries with damping 0.5 on SolverError.
     """
     system = build_adjoint_coefficients(problem, state, control_values)
-    report = None
     if warm is not None:
-        report = _warm_solve(system.problem, warm, drivers, reg, tol, max_iter)
-    if report is None:
-        zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
         try:
-            report = picard_solve(system.problem, zero, drivers, reg, tol, max_iter)
+            report = picard_solve(system.problem, warm, drivers, reg, tol, max_iter)
+            if report.converged:
+                return AdjointSolveResult(report.final_state, report, system)
         except SolverError:
-            report = picard_solve(
-                system.problem, zero, drivers, reg, tol, max_iter, damping=0.5
-            )
-    return AdjointSolveResult(
-        adjoint=report.final_state,
-        report=report,
-        system=system,
-    )
+            pass
+    zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
+    try:
+        report = picard_solve(system.problem, zero, drivers, reg, tol, max_iter)
+    except SolverError:
+        report = picard_solve(
+            system.problem, zero, drivers, reg, tol, max_iter, damping=0.5
+        )
+    return AdjointSolveResult(report.final_state, report, system)
 
 
 # ----------------------------------------------------------------------------
@@ -688,31 +667,13 @@ def solve_state(
     tol: float = 1e-6,
     warm: EnsembleState | None = None,
 ) -> SolveReport:
-    """Solve the state system under ``control`` up the continuation ladder.
-
-    With ``warm`` (an earlier solved state, e.g. at a nearby control), Picard
-    first runs on the alpha = 1 problem from it, with the ladder's tolerance
-    and per-rung cap of 60 iterations.  Under the certified monotonicity
-    condition the solution is unique, so both routes target the same fixed
-    point.  If that solve raises SolverError or does not converge, the ladder
-    runs as it does without ``warm``.
+    """Solve the state system under ``control`` up the continuation ladder,
+    or, with ``warm`` (an earlier solved state, e.g. at a nearby control), by
+    Picard from it on the alpha = 1 problem when that converges; see
+    ``continuation_solve``.
     """
-    coeffs = problem.coefficients_for(control)
-    if warm is not None:
-        target = HomotopyProblem(
-            base=coeffs,
-            alpha=1.0,
-            case="case1",
-            theta1=problem.theta1,
-            theta2=problem.theta2,
-            xi=problem.xi,
-            x=problem.x,
-        )
-        report = _warm_solve(target, warm, drivers, reg, tol, max_iter=60)
-        if report is not None:
-            return report
     return continuation_solve(
-        coeffs,
+        problem.coefficients_for(control),
         case="case1",
         theta1=problem.theta1,
         theta2=problem.theta2,
@@ -722,7 +683,7 @@ def solve_state(
         tol=tol,
         x=problem.x,
         xi=problem.xi,
-        terminal_kind="map",
+        warm=warm,
     )
 
 

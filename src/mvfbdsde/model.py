@@ -250,11 +250,11 @@ class HomotopyProblem:
     G_a = a*G + (1-a)*theta1*(-z), f_a = a*f, g_a = a*g, and the terminal map
     is a*base + (1-a)*y_T.  ``case2`` damps the forward pair instead:
     f_a = a*f + (1-a)*theta2*(-Y), g_a = a*g + (1-a)*theta2*(-Z), F_a = a*F,
-    G_a = a*G, terminal a*base.  The terminal base is either the coefficient
-    set's map ("map") or the affine c*y_T ("affine"); ``xi`` is added in both
-    modes and may be a per-particle array.  The ``*_at`` maps take the node
-    index ``k`` (an int, or a slice for a node stack) that selects the
-    forcing, then ``(t, v, law)`` as the coefficient maps do.
+    G_a = a*G, terminal a*base.  The terminal base is the coefficient set's
+    map h; ``xi`` is added to it and may be a per-particle array.  The
+    ``*_at`` maps take the node index ``k`` (an int, or a slice for a node
+    stack) that selects the forcing, then ``(t, v, law)`` as the coefficient
+    maps do.
     """
 
     base: CoefficientSet
@@ -265,8 +265,6 @@ class HomotopyProblem:
     forcing: Forcing = field(default_factory=Forcing)
     xi: np.ndarray | None = None
     x: np.ndarray | None = None
-    terminal_kind: str = "map"
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -277,8 +275,6 @@ class HomotopyProblem:
             raise ValueError("case1 requires theta1 > 0")
         if self.case == "case2" and self.theta2 <= 0.0:
             raise ValueError("case2 requires theta2 > 0")
-        if self.terminal_kind not in ("map", "affine"):
-            raise ValueError(f"bad terminal_kind {self.terminal_kind!r}")
 
     @property
     def dims(self) -> Dimensions:
@@ -319,11 +315,7 @@ class HomotopyProblem:
         return self._combine(self.base.G(t, v, law), damp, self.forcing.part("G_term", k))
 
     def terminal(self, y_t: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
-        if self.terminal_kind == "map":
-            base_val = self.base.h(y_t, law)
-        else:
-            base_val = self.c * y_t
-        out = self.alpha * base_val
+        out = self.alpha * self.base.h(y_t, law)
         if self.case == "case1":
             out = out + (1.0 - self.alpha) * y_t
         if self.xi is not None:

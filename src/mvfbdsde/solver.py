@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from .measure import EmpiricalLaw
 from .model import (
     CoefficientSet,
-    Dimensions,
     EnsembleState,
     Forcing,
     HomotopyProblem,
@@ -33,6 +32,8 @@ from .model import (
 from .paths import BrownianPair, TimeGrid
 
 BASES = ("constant", "affine_y", "poly2_y_plus_Btail")
+# step halvings a continuation ladder may take before it gives up
+MAX_HALVINGS = 3
 
 
 class SolverError(RuntimeError):
@@ -500,20 +501,25 @@ def continuation_solve(
     x: np.ndarray | None = None,
     xi: np.ndarray | None = None,
     forcing: Forcing | None = None,
-    terminal_kind: str = "map",
-    c: float = 1.0,
     max_iter: int = 60,
     damping: float = 1.0,
-    max_halvings: int = 3,
+    warm: EnsembleState | None = None,
 ) -> SolveReport:
     """Climb the alpha ladder 0 -> 1 in steps of ``delta``.
 
     The base rung is solved exactly; each later rung runs the Picard iteration
     warm-started at the previous rung, to ``tol`` on the squared contraction
     metric (a converged iterate can still move by about sqrt(tol) per step).
-    A failed rung halves the step (up to ``max_halvings`` times) before giving
+    A failed rung halves the step (up to ``MAX_HALVINGS`` times) before giving
     up with the partial ladder attached.
     Only the final state's residuals are evaluated; the rungs skip theirs.
+
+    With ``warm`` (an earlier solved state, e.g. at a nearby control), Picard
+    first runs on the alpha = 1 problem from it, with the same ``tol``,
+    ``max_iter`` and ``damping``, and its report is returned if it converges.
+    Under the monotonicity condition the solution is unique, so both routes
+    target the same fixed point.  If that solve raises SolverError or does not
+    converge, the ladder runs as it does without ``warm``.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
@@ -527,9 +533,16 @@ def continuation_solve(
         forcing=forcing or Forcing(),
         xi=xi,
         x=x,
-        terminal_kind=terminal_kind,
-        c=c,
     )
+    if warm is not None:
+        try:
+            report = picard_solve(
+                problem.at_alpha(1.0), warm, drivers, reg, tol, max_iter, damping
+            )
+            if report.converged:
+                return report
+        except SolverError:
+            pass
     state = linear_base_solve(problem, drivers, reg)
     ladder = [LadderRung(0.0, 0, True, 0.0, 0.0)]
     report = SolveReport(final_state=state, alpha_ladder=ladder)
@@ -547,7 +560,7 @@ def continuation_solve(
             rung = err.report
         if rung is None or not rung.converged:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 if rung is not None:
                     ladder.extend(rung.alpha_ladder)
                     report.final_state = rung.final_state

@@ -8,7 +8,7 @@ import pytest
 from mvfbdsde import cli
 from mvfbdsde.cli import main
 from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
-from mvfbdsde.solver import NonuniquenessReport, SolveReport
+from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
 
 FAST = ["--steps", "40", "--particles", "200"]
 
@@ -103,6 +103,48 @@ class TestCliCommands:
         assert header == "t,mean_y_0,mean_Y_0,rms_z,rms_Z,std_y,std_Y"
         ladder = (out / "ladder.csv").read_text().splitlines()
         assert len(ladder) == 7  # header + alpha in {0, .2, .4, .6, .8, 1}
+
+    def test_solve_lq_control(self, tmp_path):
+        code, out = run_cli(
+            ["--scenario", "lq_control", "--command", "solve"] + FAST, tmp_path, "lq"
+        )
+        assert code == 0
+        assert (out / "trajectory.csv").exists()
+        assert (out / "ladder.csv").exists()
+        assert "rungs = 5\n" in (out / "report.txt").read_text()
+
+    def test_failed_ladder_exits_2_with_partial_ladder(self, tmp_path):
+        # one Picard step per rung cannot reach tol: the step halves three
+        # times, 0.2 -> 0.025, and the fourth failure gives up
+        cfg_path = tmp_path / "fail.cfg"
+        cfg_path.write_text(
+            "scenario = example1\ncommand = solve\ngrid.steps = 20\n"
+            "ensemble.particles = 200\nsolver.max_iter = 1\nsolver.tol = 1e-12\n"
+        )
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "fail")
+        assert code == 2
+        assert (out / "report.txt").read_text() == (
+            "solve failed: continuation failed at alpha=0.0250\n"
+            "see ladder.csv for the partial ladder\n"
+        )
+        ladder = (out / "ladder.csv").read_text().splitlines()
+        assert len(ladder) == 3  # header, the base rung and the failed rung
+        assert ladder[2].startswith("0.025000000000000001,1,")
+
+    def test_failed_solve_without_report_exits_2(self, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SolverError("regression matrix singular at node 3")
+
+        monkeypatch.setattr(cli, "continuation_solve", singular)
+        code, out = run_cli(
+            ["--scenario", "example1", "--command", "solve"] + FAST, tmp_path, "sing"
+        )
+        assert code == 2
+        assert (out / "report.txt").read_text() == (
+            "solve failed: regression matrix singular at node 3\n"
+        )
+        assert not (out / "ladder.csv").exists()
+        assert not (out / "trajectory.csv").exists()
 
     def test_check_assumptions_counterexample_exits_2(self, tmp_path):
         code, out = run_cli(

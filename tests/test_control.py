@@ -29,7 +29,7 @@ from mvfbdsde.control import _box_grid, _convexity_margin, _running_grad
 from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import Dimensions, EnsembleState, NodeMoments, Quad, quad_law, split_flat_mean
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
-from mvfbdsde.solver import RegressionConfig, d_metric
+from mvfbdsde.solver import RegressionConfig, d_metric, picard_solve
 
 REG = RegressionConfig()
 
@@ -762,18 +762,26 @@ class TestWarmStart:
         problem = lq_control_scenario(TimeGrid(1.0, steps))
         drivers = sample_driver_pair(problem.grid, 1, 1, 1000, seed=42)
         cold = _cold_candidate(problem, drivers, REG)
-        calls = {"continuation_solve": 0, "picard_solve": 0}
-        for name in calls:
-            original = getattr(control_module, name)
+        states, picard_problems = [], []
 
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def recording_state(*args, **kwargs):
+            states.append(solve_state(*args, **kwargs))
+            return states[-1]
 
-            monkeypatch.setattr(control_module, name, counting)
+        def counting_picard(*args, **kwargs):
+            picard_problems.append(args[0].base.name)
+            return picard_solve(*args, **kwargs)
+
+        monkeypatch.setattr(control_module, "solve_state", recording_state)
+        monkeypatch.setattr(control_module, "picard_solve", counting_picard)
         warm = first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)
-        # one ladder for the first state; the other 5 states and all 6
-        # adjoints are single Picard solves
-        assert calls == {"continuation_solve": 1, "picard_solve": 11}
+        # one ladder for the first state; the other 5 states are single
+        # Picard solves at alpha = 1, and each of the 6 adjoints is one
+        # Picard solve from the previous adjoint
+        assert len(states) == 6
+        assert len(states[0].alpha_ladder) > 1
+        for report in states[1:]:
+            assert [r.alpha for r in report.alpha_ladder] == [1.0]
+        assert picard_problems == [problem.name + "_adjoint"] * 6
         assert warm.shape == cold.shape
         assert np.max(np.abs(warm - cold)) <= 1e-3
