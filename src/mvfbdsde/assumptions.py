@@ -507,10 +507,7 @@ def check_integrability(
             )
     try:
         probe_y = np.ones((1, dims.d))
-        h_val = coeffs.h(probe_y, EmpiricalLaw.from_samples(probe_y))
-        if not np.all(np.isfinite(h_val)):
-            offending.append(grid.steps)
-            message = message or "terminal map non-finite"
+        eval_terminal(coeffs, probe_y, EmpiricalLaw.from_samples(probe_y))
     except Exception as exc:
         offending.append(grid.steps)
         message = message or str(exc)

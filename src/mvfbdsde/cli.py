@@ -1,12 +1,14 @@
 """Batch entry point: load a scenario, run a pipeline, emit CSV + text reports.
 
 Exit codes: 0 = success / property verified; 1 = operational error (bad
-config, bad inputs); 2 = the machinery ran and refuted the checked property
-(a failed assumption, detected nonuniqueness, a failed optimality check, or a
-non-convergent solve).  detect_nonuniqueness also exits 2 when the solve from
-any warm start fails, and lists those starts in report.txt.  The refutation
-code is deliberate: for the built-in counterexample a failing monotonicity
-check is the correct outcome and must be distinguishable from broken tooling.
+config or inputs, a non-finite config value, or a coefficient map with
+non-finite or misshapen output, under every command); 2 = the machinery ran
+and refuted the checked property (a failed assumption, detected
+nonuniqueness, a failed optimality check, or a non-convergent solve).
+detect_nonuniqueness also exits 2 when the solve from any warm start fails,
+and lists those starts in report.txt.  The refutation code is deliberate:
+for the built-in counterexample a failing monotonicity check is the correct
+outcome and must be distinguishable from broken tooling.
 
 All file outputs are deterministic functions of (config, seed); timing is
 printed to stdout only.

@@ -19,7 +19,7 @@ Recognized keys::
     solver.tol / solver.basis / solver.ridge / solver.max_iter / solver.damping
     assume.theta1 / assume.theta2 / assume.alpha1 / assume.pairs
     initial.x                scalar initial state (broadcast over components)
-    terminal.c / terminal.xi scalar terminal data
+    terminal.xi              scalar shift added to the terminal map
     out                      output directory
     threads                  worker cap, 0 = auto
     override_horizon         true to allow a non-default example2 horizon
@@ -131,7 +131,6 @@ class ScenarioConfig:
     alpha1: float = 0.5
     n_pairs: int = 10000
     x: float = 1.0
-    c: float = 1.0
     xi: float = 0.0
     out: str = "out"
     threads: int = 0
@@ -160,7 +159,6 @@ class ScenarioConfig:
         "assume.alpha1": "alpha1",
         "assume.pairs": "n_pairs",
         "initial.x": "x",
-        "terminal.c": "c",
         "terminal.xi": "xi",
         "out": "out",
         "threads": "threads",
@@ -188,16 +186,18 @@ class ScenarioConfig:
                         raise ConfigError(f"{key} must be an integer")
                     value = int(value)
                 elif isinstance(current, float):
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise ConfigError(f"{key} must be numeric")
+                    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                            or not math.isfinite(value)):
+                        raise ConfigError(f"{key} must be a finite number")
                     value = float(value)
                 else:
                     value = str(value)
                 setattr(cfg, attr, value)
             elif key.startswith("model."):
                 tail = key[len("model."):]
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"model key {key!r} needs a numeric value")
+                if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                        or not math.isfinite(value)):
+                    raise ConfigError(f"model key {key!r} needs a finite number")
                 cfg.model_tables[tail] = float(value)
             else:
                 raise ConfigError(f"unknown key {key!r}")
@@ -219,7 +219,7 @@ class ScenarioConfig:
                                 theta1=1.0, theta2=0.0, xi=0.5),
             "lq_control": dict(horizon=1.0, steps=50, particles=1000, x=1.0,
                                delta=0.25, theta1=0.125, theta2=0.125,
-                               alpha1=0.5, tol=1e-6, c=0.5),
+                               alpha1=0.5, tol=1e-6),
             "custom": dict(),
         }
         for key, value in presets[scenario].items():

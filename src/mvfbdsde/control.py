@@ -29,6 +29,7 @@ import numpy as np
 
 from .measure import EmpiricalLaw
 from .model import (
+    CoefficientError,
     CoefficientSet,
     Dimensions,
     EnsembleState,
@@ -625,7 +626,8 @@ def solve_adjoint(
 
     With ``warm`` (an earlier adjoint solve's ``report.final_state``, e.g. at
     a nearby control) the iteration starts there.  Without it, or when that
-    solve raises SolverError or does not converge, it starts at zero with
+    solve raises SolverError or CoefficientError (a non-finite warm state
+    trips the map check) or does not converge, it starts at zero with
     p = p_0 and retries with damping 0.5 on SolverError.
     """
     system = build_adjoint_coefficients(problem, state, control_values)
@@ -634,7 +636,7 @@ def solve_adjoint(
             report = picard_solve(system.problem, warm, drivers, reg, tol, max_iter)
             if report.converged:
                 return AdjointSolveResult(report.final_state, report, system)
-        except SolverError:
+        except (SolverError, CoefficientError):
             pass
     zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
     try:
@@ -922,7 +924,6 @@ def verify_smp(
     cost_margins: list[float] = []
     witnesses: list[str] = []
     inconclusive = 0
-    nodes = problem.grid.nodes
     for i in range(n_perturbations):
         kind = i % 3
         if kind == 0:

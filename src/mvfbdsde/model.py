@@ -126,15 +126,15 @@ class CoefficientSet:
     y, Y (M, d), z (M, d, d_b), Z (M, d, d_w) and ``law.mean`` is (flat,).  On
     a stack ``t`` holds the K node times, the blocks are (M, K, ...) and
     ``law.mean`` is (K, flat).  ``f``/``F`` return the shape of ``v.y``, ``g``
-    that of ``v.Z`` and ``G`` that of ``v.z``; the solver accepts any output
-    that broadcasts to it.  The law is read only through ``law.mean``: the
-    solver and the certification routines pass a NodeMoments view.  ``h``
-    maps (y_T of shape (M, d), law of y_T with ``mean`` (d,)) to (M, d), or a
-    stack (M, K, d) with ``mean`` (K, d) to (M, K, d).  The certification
-    routines stack their sampled pairs as nodes (one pair per node, M atoms)
-    and the moment oracle its shooting guesses (one Dirac ensemble per node,
-    M = 1), so ``h`` also runs on stacks there.  Evaluation must be
-    deterministic and reentrant.
+    that of ``v.Z`` and ``G`` that of ``v.z``; every evaluator accepts any
+    finite output that broadcasts to it.  The law is read only through
+    ``law.mean``: the solver and the certification routines pass a
+    NodeMoments view.  ``h`` maps (y_T of shape (M, d), law of y_T with
+    ``mean`` (d,)) to (M, d), or a stack (M, K, d) with ``mean`` (K, d) to
+    (M, K, d).  The certification routines stack their sampled pairs as
+    nodes (one pair per node, M atoms) and the moment oracle its shooting
+    guesses (one Dirac ensemble per node, M = 1), so ``h`` also runs on
+    stacks there.  Evaluation must be deterministic and reentrant.
     """
 
     dims: Dimensions
@@ -151,30 +151,17 @@ class CoefficientSet:
                 raise TypeError(f"coefficient {label} is not callable")
 
 
-def _check_finite(value: np.ndarray, shape: tuple, label: str) -> np.ndarray:
+def _checked(value, shape: tuple, label: str) -> np.ndarray:
+    """A map's output, checked finite at its own size and then broadcast to
+    ``shape``; CoefficientError names the map when either check fails."""
     value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        raise CoefficientError(
-            f"coefficient {label} returned shape {value.shape}, expected {shape}"
-        )
     if not np.all(np.isfinite(value)):
         raise CoefficientError(f"coefficient {label} produced non-finite values")
-    return value
-
-
-def eval_stack(
-    problem: "HomotopyProblem", name: str, k: int | slice, t, v: Quad, law: Law
-) -> np.ndarray:
-    """One map of the problem (``name`` in f, g, F, G) over the nodes ``k``,
-    broadcast to its output shape; CoefficientError names a map whose output
-    does not broadcast."""
-    like = {"f": v.y, "F": v.y, "g": v.Z, "G": v.z}[name]
-    value = getattr(problem, name + "_at")(k, t, v, law)
     try:
-        return np.broadcast_to(value, like.shape)
+        return value if value.shape == shape else np.broadcast_to(value, shape)
     except ValueError:
         raise CoefficientError(
-            f"coefficient {name} returned shape {np.shape(value)}, expected {like.shape}"
+            f"coefficient {label} returned shape {value.shape}, expected {shape}"
         ) from None
 
 
@@ -188,22 +175,23 @@ def eval_system(
 
     When ``law`` is omitted it is the empirical law of ``states`` (one node
     only); passing a law explicitly decouples point and measure arguments
-    (the Picard freeze).  Each output must have exactly its block's shape and
-    be finite, else CoefficientError names the map.
+    (the Picard freeze).  Each output must be finite and broadcast to its
+    block's shape, else CoefficientError names the map: ``_checked``, the
+    rule every map output in the program passes.
     """
     if law is None:
         law = quad_law(states)
-    f = _check_finite(coeffs.f(t, states, law), states.y.shape, "f")
-    g = _check_finite(coeffs.g(t, states, law), states.Z.shape, "g")
-    big_f = _check_finite(coeffs.F(t, states, law), states.y.shape, "F")
-    big_g = _check_finite(coeffs.G(t, states, law), states.z.shape, "G")
+    f = _checked(coeffs.f(t, states, law), states.y.shape, "f")
+    g = _checked(coeffs.g(t, states, law), states.Z.shape, "g")
+    big_f = _checked(coeffs.F(t, states, law), states.y.shape, "F")
+    big_g = _checked(coeffs.G(t, states, law), states.z.shape, "G")
     return f, g, big_f, big_g
 
 
 def eval_terminal(coeffs: CoefficientSet, y_t: np.ndarray, law: Law) -> np.ndarray:
     """The terminal map at y_T (one node or a stack), checked like
     ``eval_system``."""
-    return _check_finite(coeffs.h(y_t, law), y_t.shape, "h")
+    return _checked(coeffs.h(y_t, law), y_t.shape, "h")
 
 
 def pairing(a: tuple[np.ndarray, ...], v: Quad) -> np.ndarray:
@@ -237,10 +225,6 @@ class Forcing:
     G_term: np.ndarray | None = None
     g_term: np.ndarray | None = None
 
-    def part(self, which: str, k: int | slice) -> np.ndarray | None:
-        arr = getattr(self, which)
-        return None if arr is None else arr[:, k]
-
 
 @dataclass(frozen=True)
 class HomotopyProblem:
@@ -251,10 +235,10 @@ class HomotopyProblem:
     is a*base + (1-a)*y_T.  ``case2`` damps the forward pair instead:
     f_a = a*f + (1-a)*theta2*(-Y), g_a = a*g + (1-a)*theta2*(-Z), F_a = a*F,
     G_a = a*G, terminal a*base.  The terminal base is the coefficient set's
-    map h; ``xi`` is added to it and may be a per-particle array.  The
-    ``*_at`` maps take the node index ``k`` (an int, or a slice for a node
-    stack) that selects the forcing, then ``(t, v, law)`` as the coefficient
-    maps do.
+    map h; ``xi`` is added to it and may be a per-particle array.
+    ``evaluate`` takes the node index ``k`` that selects the forcing, then
+    ``(t, v, law)`` as the coefficient maps do; the base maps and h are
+    checked as ``eval_system`` and ``eval_terminal`` check them.
     """
 
     base: CoefficientSet
@@ -288,34 +272,35 @@ class HomotopyProblem:
             return np.broadcast_to(x, (m, self.dims.d)).copy()
         return x.copy()
 
-    def _combine(
-        self, base_val: np.ndarray, damp: np.ndarray | None, forcing: np.ndarray | None
-    ) -> np.ndarray:
-        out = self.alpha * base_val
-        if damp is not None:
-            out = out + (1.0 - self.alpha) * damp
-        if forcing is not None:
-            out = out + forcing
-        return out
-
-    def f_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
-        damp = -self.theta2 * v.Y if self.case == "case2" else None
-        return self._combine(self.base.f(t, v, law), damp, self.forcing.part("f_term", k))
-
-    def g_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
-        damp = -self.theta2 * v.Z if self.case == "case2" else None
-        return self._combine(self.base.g(t, v, law), damp, self.forcing.part("g_term", k))
-
-    def F_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
-        damp = -self.theta1 * v.y if self.case == "case1" else None
-        return self._combine(self.base.F(t, v, law), damp, self.forcing.part("F_term", k))
-
-    def G_at(self, k: int | slice, t, v: Quad, law: Law) -> np.ndarray:
-        damp = -self.theta1 * v.z if self.case == "case1" else None
-        return self._combine(self.base.G(t, v, law), damp, self.forcing.part("G_term", k))
+    def evaluate(
+        self, k: int | slice, t, v: Quad, law: Law
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(f, g, F, G): each base map checked as in ``eval_system``, times
+        alpha, plus (1 - alpha) times the case's damping, plus the forcing at
+        node ``k`` (an int, or a slice for a node stack)."""
+        if self.case == "case1":
+            theta, damped = self.theta1, {"F": v.y, "G": v.z}
+        else:
+            theta, damped = self.theta2, {"f": v.Y, "g": v.Z}
+        out = []
+        for name, block in (("f", v.y), ("g", v.Z), ("F", v.y), ("G", v.z)):
+            # damping, map output, sum, then both freed: other orders change
+            # how much heap glibc returns between Picard steps, costing the
+            # sweeps up to ~1,600 fresh-page faults a step at M=4000, N=200
+            damp = -theta * damped[name] if name in damped else None
+            base = _checked(getattr(self.base, name)(t, v, law), block.shape, name)
+            value = self.alpha * base
+            if damp is not None:
+                value = value + (1.0 - self.alpha) * damp
+            forcing = getattr(self.forcing, name + "_term")
+            if forcing is not None:
+                value = value + forcing[:, k]
+            del base, damp
+            out.append(value)
+        return tuple(out)
 
     def terminal(self, y_t: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
-        out = self.alpha * self.base.h(y_t, law)
+        out = self.alpha * eval_terminal(self.base, y_t, law)
         if self.case == "case1":
             out = out + (1.0 - self.alpha) * y_t
         if self.xi is not None:
@@ -564,9 +549,9 @@ def residual(
     Forward: max over steps of the particle-RMS of
     y_{k+1} - [y_k + f_k dt + g_k dW_k - z_{k+1} dB_k]; backward analogously
     for Y with F at the left node and G at the right node; terminal: RMS of
-    Y_N - terminal(y_N).  Coefficients are evaluated at the state's own nodes
-    and first moments, f, g and F over the stack of left nodes and G over the
-    stack of right nodes.
+    Y_N - terminal(y_N).  Coefficients are evaluated once over all N+1 of the
+    state's own nodes and first moments; f, g and F are read at the left
+    nodes and G at the right nodes.
     """
     if isinstance(problem, CoefficientSet):
         problem = as_problem(problem)
@@ -574,15 +559,11 @@ def residual(
         raise ValueError("state and drivers disagree in shape")
     grid = state.grid
     dt = grid.dt
-    nodes = grid.nodes
     n = grid.steps
-    laws = state.node_laws()
+    v, laws = state.at(slice(None)), state.node_laws()
+    f, g, big_f, big_g = problem.evaluate(slice(None), grid.nodes, v, laws)
     left, right = slice(0, n), slice(1, n + 1)
-    v_left = state.at(left)
-    f, g, big_f = (
-        eval_stack(problem, name, left, nodes[left], v_left, laws[left]) for name in "fgF"
-    )
-    big_g = eval_stack(problem, "G", right, nodes[right], state.at(right), laws[right])
+    f, g, big_f, big_g = f[:, left], g[:, left], big_f[:, left], big_g[:, right]
     dw, db = drivers.dW, drivers.dB
     fdef = (
         state.y[:, right]

@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from .measure import EmpiricalLaw
 from .model import (
+    CoefficientError,
     CoefficientSet,
     EnsembleState,
     Forcing,
@@ -26,7 +27,8 @@ from .model import (
     NodeMoments,
     Quad,
     ResidualTriple,
-    eval_stack,
+    eval_system,
+    eval_terminal,
     residual,
 )
 from .paths import BrownianPair, TimeGrid
@@ -327,11 +329,8 @@ def solve_decoupled_step(
         raise ValueError("frozen state and drivers disagree in shape")
     n = grid.steps
     m = frozen.particles
-    every = slice(None)
-    v, laws = frozen.at(every), frozen.node_laws()
-    f_hat, g_hat, fb_hat, gb_hat = (
-        eval_stack(problem, name, every, grid.nodes, v, laws) for name in "fgFG"
-    )
+    v, laws = frozen.at(slice(None)), frozen.node_laws()
+    f_hat, g_hat, fb_hat, gb_hat = problem.evaluate(slice(None), grid.nodes, v, laws)
 
     btail = _btail(reg, drivers)
     x0 = problem.initial(m)
@@ -518,7 +517,8 @@ def continuation_solve(
     first runs on the alpha = 1 problem from it, with the same ``tol``,
     ``max_iter`` and ``damping``, and its report is returned if it converges.
     Under the monotonicity condition the solution is unique, so both routes
-    target the same fixed point.  If that solve raises SolverError or does not
+    target the same fixed point.  If that solve raises SolverError or
+    CoefficientError (a non-finite warm state trips the map check) or does not
     converge, the ladder runs as it does without ``warm``.
     """
     if not 0.0 < delta <= 1.0:
@@ -541,7 +541,7 @@ def continuation_solve(
             )
             if report.converged:
                 return report
-        except SolverError:
+        except (SolverError, CoefficientError):
             pass
     state = linear_base_solve(problem, drivers, reg)
     ladder = [LadderRung(0.0, 0, True, 0.0, 0.0)]
@@ -642,7 +642,6 @@ class MomentOracleResult:
     Y: np.ndarray  # (N+1, d)
     unique: bool
     roots: list[list[float]]  # per component
-    noise_free: bool = True  # the oracle asserts z* = Z* = 0
 
 
 def _dirac_stack(atoms: Quad) -> tuple[Quad, NodeMoments]:
@@ -656,7 +655,8 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the noise-free reduction by RK4 from every guess of Y(0) at
     once; returns the terminal gaps (K,) and the paths (K, N+1, 2) of
-    (y, Y).  Each RK4 stage makes one f and one F call over the K guesses."""
+    (y, Y).  Each RK4 stage makes one raw f and one raw F call over the K
+    guesses (``eval_system`` would add g and G and double the calls)."""
     n = grid.steps
     dt = grid.dt
     dims = model.dims
@@ -687,7 +687,7 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
         t += dt
     y_t = np.zeros((k, dims.d))
     y_t[:, component] = path[:, n, 0]
-    h_val = model.h(y_t[None], NodeMoments(y_t))[0, :, component]
+    h_val = eval_terminal(model, y_t[None], NodeMoments(y_t))[0, :, component]
     return path[:, n, 1] - h_val, path
 
 
@@ -695,8 +695,8 @@ def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid,
                       bracket_scale: float) -> None:
     """Raise ValueError unless g and G vanish on deterministic inputs with
     z = Z = 0.  Probes y and Y at the bracket ends and at x, on the first,
-    middle and last node, each under its own Dirac law: one g and one G call
-    over the stack of probes, and the first failing probe is named."""
+    middle and last node, each under its own Dirac law: one ``eval_system``
+    call over the stack of probes, and the first failing probe is named."""
     reach = bracket_scale * (1.0 + np.abs(x))
     levels = (-reach, x, reach)
     nodes = grid.nodes
@@ -707,10 +707,8 @@ def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid,
         atoms.Y[i] = big_y
     v, law = _dirac_stack(atoms)
     t = np.array([p[0] for p in probes])
-    nonzero = np.stack([
-        np.max(np.abs(np.broadcast_to(fn(t, v, law), like.shape)), axis=(0, 2, 3)) > 1e-12
-        for fn, like in ((model.g, v.Z), (model.G, v.z))
-    ])
+    _, g, _, big_g = eval_system(model, t, v, law)
+    nonzero = np.stack([np.max(np.abs(out), axis=(0, 2, 3)) > 1e-12 for out in (g, big_g)])
     if np.any(nonzero):
         i = int(np.argmax(np.any(nonzero, axis=0)))
         name = "g" if nonzero[0, i] else "G"

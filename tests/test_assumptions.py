@@ -40,6 +40,14 @@ def _stack(quads):
     return Quad(*(np.stack(blocks, axis=1) for blocks in zip(*quads)))
 
 
+def time_only_drift(model):
+    """``model`` with f read off the node times alone: its output has shape
+    np.shape(t) + (1,) and broadcasts to its block."""
+    return model.__class__(
+        **{**model.__dict__, "f": lambda t, v, law: np.ones(np.shape(t) + (1,))}
+    )
+
+
 def one_pair_margin(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
     """Coupling margin of one pair, evaluated as a stack of one."""
     margin, _ = _monotonicity_margins(
@@ -59,6 +67,10 @@ class TestLipschitz:
         assert est.gamma_hat <= 0.145
         assert est.gamma_ok
         assert not est.violations
+        # the drift pair's constant is F's alone once f is read off the time
+        timed = estimate_lipschitz(time_only_drift(model), PairSampler(DIMS, seed=3), 1500)
+        assert 0.9 <= timed.c_hat <= 1.02
+        assert timed.gamma_ok and not timed.violations
 
     def test_zero_model(self):
         est = estimate_lipschitz(zero_coefficient_set(DIMS), PairSampler(DIMS, seed=4), 300)
@@ -92,6 +104,12 @@ class TestMonotonicity:
         assert report.ok, report.text()
         assert report.monotonicity_margin <= 1e-9
         assert report.alpha1_margin <= 1e-9
+        # a drift read off the time alone no longer damps Y, so theta2 = 0
+        timed = check_monotonicity(
+            time_only_drift(model), 0.25, 0.0, 0.5, "A2", PairSampler(DIMS, seed=3), 4000,
+            local_search=True,
+        )
+        assert timed.ok, timed.text()
 
     def test_counterexample_fails_with_pure_backward_witness(self):
         coeffs, _, _, dims = builtin_counterexample()

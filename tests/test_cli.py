@@ -1,5 +1,6 @@
 """Config grammar, CLI exit codes, file outputs, and determinism."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mvfbdsde import cli
 from mvfbdsde.cli import main
 from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
+from mvfbdsde.model import builtin_example_meanfield
 from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
 
 FAST = ["--steps", "40", "--particles", "200"]
@@ -181,6 +183,34 @@ class TestCliCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "entry", ["model.F.y = nan", "solver.tol = nan", "grid.horizon = inf",
+                  "assume.theta1 = -inf"],
+    )
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(f"scenario = custom\ncommand = solve\n{entry}\n")
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "nan")
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check_assumptions"])
+    def test_non_finite_coefficient_exits_1(self, tmp_path, monkeypatch, capsys, command):
+        # every command rejects a map with non-finite output the same way
+        def nan_set(cfg):
+            base = builtin_example_meanfield(cfg.dims)
+            return dataclasses.replace(
+                base, F=lambda t, v, law: np.full(np.shape(v.y), np.nan)
+            )
+
+        monkeypatch.setattr(ScenarioConfig, "coefficient_set", nan_set)
+        code, _ = run_cli(
+            ["--scenario", "example1", "--command", command] + FAST, tmp_path, command
+        )
+        assert code == 1
+        assert "coefficient F produced non-finite values" in capsys.readouterr().err
+
     def test_missing_config_file_exits_1(self, tmp_path):
         code, _ = run_cli(["--config", str(tmp_path / "nope.cfg")], tmp_path, "e")
         assert code == 1
@@ -246,7 +276,7 @@ class TestCliCommands:
         )
         cfg = cli.load_config(args)
         assert (cfg.scenario, cfg.steps, cfg.particles) == ("lq_control", 30, 60)
-        assert (cfg.tol, cfg.c) == (1e-6, 0.5)  # lq_control presets
+        assert (cfg.tol, cfg.delta) == (1e-6, 0.25)  # lq_control presets
 
     def test_horizon_override_flag(self, tmp_path):
         code, out = run_cli(

@@ -1,0 +1,34 @@
+"""Every name a module of the package imports is referenced by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mvfbdsde"
+# imported and unreferenced on purpose: bench/tracing.py wraps the name there
+ALLOWED = {("assumptions", "wasserstein2")}
+# the package's __init__ re-exports everything it imports (__all__ is built
+# from dir()), so it is not scanned
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    referenced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(
+        name for name in _imported(tree) - referenced
+        if (path.stem, name) not in ALLOWED
+    )
+    assert not unused, f"{path.name} imports {unused} and never references them"

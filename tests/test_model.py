@@ -23,7 +23,6 @@ from mvfbdsde.model import (
     as_problem,
     builtin_counterexample,
     builtin_example_meanfield,
-    eval_stack,
     eval_system,
     linear_coefficient_set,
     pairing,
@@ -115,10 +114,10 @@ class TestHomotopy:
         rng = np.random.default_rng(1)
         v = random_quad(rng, 8)
         law = quad_law(v)
-        assert np.allclose(prob.F_at(0, 0.3, v, law), -0.7 * v.y)
-        assert np.allclose(prob.G_at(0, 0.3, v, law), -0.7 * v.z)
-        assert np.allclose(prob.f_at(0, 0.3, v, law), 0.0)
-        assert np.allclose(prob.g_at(0, 0.3, v, law), 0.0)
+        assert np.allclose(prob.evaluate(0, 0.3, v, law)[2], -0.7 * v.y)
+        assert np.allclose(prob.evaluate(0, 0.3, v, law)[3], -0.7 * v.z)
+        assert np.allclose(prob.evaluate(0, 0.3, v, law)[0], 0.0)
+        assert np.allclose(prob.evaluate(0, 0.3, v, law)[1], 0.0)
         # terminal collapses to the identity
         y_t = rng.standard_normal((8, 1))
         assert np.allclose(prob.terminal(y_t, EmpiricalLaw.from_samples(y_t)), y_t)
@@ -131,10 +130,10 @@ class TestHomotopy:
             v = random_quad(rng, 6)
             law = quad_law(v)
             t = float(rng.uniform(0, 1))
-            assert np.allclose(prob.f_at(0, t, v, law), model.f(t, v, law))
-            assert np.allclose(prob.g_at(0, t, v, law), model.g(t, v, law))
-            assert np.allclose(prob.F_at(0, t, v, law), model.F(t, v, law))
-            assert np.allclose(prob.G_at(0, t, v, law), model.G(t, v, law))
+            assert np.allclose(prob.evaluate(0, t, v, law)[0], model.f(t, v, law))
+            assert np.allclose(prob.evaluate(0, t, v, law)[1], model.g(t, v, law))
+            assert np.allclose(prob.evaluate(0, t, v, law)[2], model.F(t, v, law))
+            assert np.allclose(prob.evaluate(0, t, v, law)[3], model.G(t, v, law))
 
     def test_case1_half_alpha_scales_drift(self):
         model = builtin_example_meanfield(DIMS)
@@ -142,7 +141,7 @@ class TestHomotopy:
         rng = np.random.default_rng(3)
         v = random_quad(rng, 4)
         law = quad_law(v)
-        assert np.allclose(prob.f_at(0, 0.0, v, law), 0.5 * model.f(0.0, v, law))
+        assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], 0.5 * model.f(0.0, v, law))
 
     def test_case2_alpha0(self):
         model = builtin_example_meanfield(DIMS)
@@ -151,9 +150,9 @@ class TestHomotopy:
         rng = np.random.default_rng(4)
         v = random_quad(rng, 8)
         law = quad_law(v)
-        assert np.allclose(prob.f_at(0, 0.1, v, law), -0.4 * v.Y)
-        assert np.allclose(prob.g_at(0, 0.1, v, law), -0.4 * v.Z)
-        assert np.allclose(prob.F_at(0, 0.1, v, law), 0.0)
+        assert np.allclose(prob.evaluate(0, 0.1, v, law)[0], -0.4 * v.Y)
+        assert np.allclose(prob.evaluate(0, 0.1, v, law)[1], -0.4 * v.Z)
+        assert np.allclose(prob.evaluate(0, 0.1, v, law)[2], 0.0)
         y_t = rng.standard_normal((8, 1))
         # terminal map vanishes at alpha 0, leaving only the shift
         assert np.allclose(prob.terminal(y_t, EmpiricalLaw.from_samples(y_t)), 0.25)
@@ -164,8 +163,8 @@ class TestHomotopy:
         rng = np.random.default_rng(5)
         v = random_quad(rng, 8)
         law = quad_law(v)
-        assert np.allclose(prob.f_at(0, 0.0, v, law), model.f(0.0, v, law))
-        assert np.allclose(prob.G_at(0, 0.0, v, law), model.G(0.0, v, law))
+        assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], model.f(0.0, v, law))
+        assert np.allclose(prob.evaluate(0, 0.0, v, law)[3], model.G(0.0, v, law))
 
     def test_alpha_bounds_and_theta_preconditions(self):
         model = builtin_example_meanfield(DIMS)
@@ -185,7 +184,7 @@ class TestHomotopy:
         for alpha in (0.0, 0.3, 0.7, 1.0):
             prob = build_homotopy_case1(model, alpha=alpha, theta1=0.9)
             expected = alpha * model.F(0.2, v, law) + (1 - alpha) * 0.9 * (-v.y)
-            assert np.allclose(prob.F_at(0, 0.2, v, law), expected, atol=1e-14)
+            assert np.allclose(prob.evaluate(0, 0.2, v, law)[2], expected, atol=1e-14)
 
 
 class TestBuiltins:
@@ -341,11 +340,11 @@ def assert_stack_matches_nodes(problem, state, atol=1e-14):
     every = slice(None)
     nodes = state.grid.nodes
     laws = state.node_laws()
-    for name in "fgFG":
-        stacked = eval_stack(problem, name, every, nodes, state.at(every), laws)
+    for i, name in enumerate("fgFG"):
+        stacked = problem.evaluate(every, nodes, state.at(every), laws)[i]
         for k, t in enumerate(nodes):
             vk = state.at(k)
-            single = getattr(problem, name + "_at")(k, float(t), vk, quad_law(vk))
+            single = problem.evaluate(k, float(t), vk, quad_law(vk))[i]
             np.testing.assert_allclose(
                 stacked[:, k], np.broadcast_to(single, stacked[:, k].shape),
                 rtol=0, atol=atol, err_msg=f"map {name} at node {k}",
@@ -445,10 +444,10 @@ def _reference_residual(problem, state, drivers):
     laws = [quad_law(state.at(k)) for k in range(n + 1)]
     for k in range(n):
         vk, vk1 = state.at(k), state.at(k + 1)
-        f_k = problem.f_at(k, nodes[k], vk, laws[k])
-        g_k = problem.g_at(k, nodes[k], vk, laws[k])
-        big_f = problem.F_at(k, nodes[k], vk, laws[k])
-        big_g = problem.G_at(k + 1, nodes[k + 1], vk1, laws[k + 1])
+        f_k = problem.evaluate(k, nodes[k], vk, laws[k])[0]
+        g_k = problem.evaluate(k, nodes[k], vk, laws[k])[1]
+        big_f = problem.evaluate(k, nodes[k], vk, laws[k])[2]
+        big_g = problem.evaluate(k + 1, nodes[k + 1], vk1, laws[k + 1])[3]
         dw, db = drivers.dW[:, k], drivers.dB[:, k]
         fdef = (state.y[:, k + 1] - state.y[:, k] - f_k * dt
                 - np.einsum("mij,mj->mi", g_k, dw)

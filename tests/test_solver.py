@@ -560,6 +560,22 @@ class TestContinuation:
         for rung in report.alpha_ladder[1:]:
             assert rung.median_ratio < 0.9
 
+    def test_non_finite_map_is_named_by_solve_and_residual(self):
+        # F turns NaN after t = 0.5: a map fault, not a failed rung
+        model = builtin_example_meanfield(DIMS)
+
+        def late_nan(t, v, law):
+            return np.where(np.asarray(t)[..., None] > 0.5, np.nan, model.F(t, v, law))
+
+        bad = dataclasses.replace(model, F=late_nan)
+        grid = TimeGrid(1.0, 10)
+        drivers = sample_driver_pair(grid, 1, 1, 50, seed=26)
+        with pytest.raises(CoefficientError, match="coefficient F produced non-finite"):
+            continuation_solve(bad, "case1", 0.25, 0.25, 0.5, drivers, REG, x=np.ones(1))
+        state = EnsembleState.zeros(50, DIMS, grid, x=np.ones(1))
+        with pytest.raises(CoefficientError, match="coefficient F produced non-finite"):
+            residual(bad, state, drivers)
+
     def test_zero_base_trivial(self):
         grid = TimeGrid(1.0, 20)
         drivers = sample_driver_pair(grid, 1, 1, 50, seed=22)
@@ -700,6 +716,15 @@ class TestMomentOracle:
         noisy = dataclasses.replace(model, **shifted)
         with pytest.raises(ValueError, match=f"{named} is nonzero"):
             moment_ode_oracle(noisy, 1.0, TimeGrid(1.0, 20))
+
+    def test_non_finite_noise_map_named(self):
+        # NaN > 1e-12 is False: the noise probe must check finiteness itself
+        model = builtin_example_meanfield(DIMS)
+        bad = dataclasses.replace(
+            model, G=lambda t, v, law: np.full(np.shape(v.z), np.nan)
+        )
+        with pytest.raises(CoefficientError, match="coefficient G produced non-finite"):
+            moment_ode_oracle(bad, 1.0, TimeGrid(1.0, 20))
 
     def test_first_noisy_probe_named(self):
         # G shifted on the last node only: probed after g everywhere else
