@@ -36,6 +36,7 @@ from .model import (
     HomotopyProblem,
     NodeMoments,
     Quad,
+    pairing,
     split_flat_mean,
 )
 from .paths import BrownianPair, TimeGrid
@@ -170,16 +171,6 @@ class RunningCost:
     @classmethod
     def zero(cls) -> "RunningCost":
         return cls(value=lambda t, v, u, law: np.zeros(v.y.shape[:-1]))
-
-
-def _block_get(v: Quad, u: np.ndarray, block: str) -> np.ndarray:
-    return u if block == "u" else getattr(v, block)
-
-
-def _block_replace(v: Quad, u: np.ndarray, block: str, new: np.ndarray):
-    if block == "u":
-        return v, new
-    return v._replace(**{block: new}), u
 
 
 def _mean_shift(dims: Dimensions, block: str, w: np.ndarray) -> np.ndarray:
@@ -369,13 +360,7 @@ def hamiltonian(
     ell = problem.running_cost.value(t, v, u, law)
     if np.shape(ell) != v.y.shape[:-1]:
         raise ValueError(f"running cost returned shape {np.shape(ell)}, wanted {v.y.shape[:-1]}")
-    out = (
-        np.sum(chi.y * big_f, axis=-1)
-        - np.sum(chi.Y * f, axis=-1)
-        + np.sum(chi.z * big_g, axis=(-2, -1))
-        - np.sum(chi.Z * g, axis=(-2, -1))
-        - ell
-    )
+    out = pairing((big_f, -f, big_g, -g), chi) - ell
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite Hamiltonian value")
     return out
@@ -411,12 +396,13 @@ def _fd_jacobian(
             lambda w: fn(t, v, u, law.translated(_mean_shift(dims, block, w))).reshape(*lead, -1),
             np.zeros(size), FD_STEP,
         )
-    base_arr = _block_get(v, u, block)
+    base_arr = u if block == "u" else getattr(v, block)
     flat = base_arr.reshape(*lead, size)
     h = FD_STEP * (1.0 + np.max(np.abs(flat), axis=(0, -1), keepdims=True, initial=0.0))
 
     def at(w: np.ndarray) -> np.ndarray:
-        v_w, u_w = _block_replace(v, u, block, w.reshape(base_arr.shape))
+        w = w.reshape(base_arr.shape)
+        v_w, u_w = (v, w) if block == "u" else (v._replace(**{block: w}), u)
         return fn(t, v_w, u_w, law).reshape(*lead, -1)
 
     return central_difference(at, flat, h)
@@ -514,21 +500,14 @@ def grad_hamiltonian_block(
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class AdjointSystem:
-    coefficients: CoefficientSet
-    p0: np.ndarray
-    c_adj: float
-    shift: np.ndarray
-    problem: HomotopyProblem
-
-
 def build_adjoint_coefficients(
     problem: ControlProblem,
     state: EnsembleState,
     control_values: np.ndarray,
-) -> AdjointSystem:
-    """Linear coefficient system over the adjoint quadruple.
+) -> HomotopyProblem:
+    """Linear coefficient system over the adjoint quadruple, as the alpha = 1
+    problem the solver runs: its ``base`` holds the adjoint maps, ``x`` is
+    p_0 and ``xi`` the terminal shift.
 
     Drift/noise entries are H-gradients along the baked state trajectory; the
     copy-averaged measure terms reduce, for first-moment structure, to plain
@@ -592,7 +571,7 @@ def build_adjoint_coefficients(
         problem.terminal_cost.grad_values(y_t, law_yt)
         + problem.terminal_cost.mean_grad_values(law_yt)[None, :]
     )
-    adj_problem = HomotopyProblem(
+    return HomotopyProblem(
         base=coeffs,
         alpha=1.0,
         case="case1",
@@ -600,16 +579,6 @@ def build_adjoint_coefficients(
         xi=shift,
         x=p0,
     )
-    return AdjointSystem(
-        coefficients=coeffs, p0=p0, c_adj=-problem.c, shift=shift, problem=adj_problem
-    )
-
-
-@dataclass
-class AdjointSolveResult:
-    adjoint: EnsembleState  # (p, P, q, Q) in the blocks (y, Y, z, Z)
-    report: SolveReport
-    system: AdjointSystem
 
 
 def solve_adjoint(
@@ -621,31 +590,29 @@ def solve_adjoint(
     tol: float = 1e-6,
     max_iter: int = 80,
     warm: EnsembleState | None = None,
-) -> AdjointSolveResult:
-    """Picard solve of the (linear) adjoint system.
+) -> SolveReport:
+    """Picard solve of the (linear) adjoint system; the adjoint (p, P, q, Q)
+    is the report's ``final_state``, in the blocks (y, Y, z, Z).
 
-    With ``warm`` (an earlier adjoint solve's ``report.final_state``, e.g. at
-    a nearby control) the iteration starts there.  Without it, or when that
+    With ``warm`` (an earlier adjoint solve's ``final_state``, e.g. at a
+    nearby control) the iteration starts there.  Without it, or when that
     solve raises SolverError or CoefficientError (a non-finite warm state
     trips the map check) or does not converge, it starts at zero with
     p = p_0 and retries with damping 0.5 on SolverError.
     """
-    system = build_adjoint_coefficients(problem, state, control_values)
+    adj_problem = build_adjoint_coefficients(problem, state, control_values)
     if warm is not None:
         try:
-            report = picard_solve(system.problem, warm, drivers, reg, tol, max_iter)
+            report = picard_solve(adj_problem, warm, drivers, reg, tol, max_iter)
             if report.converged:
-                return AdjointSolveResult(report.final_state, report, system)
+                return report
         except (SolverError, CoefficientError):
             pass
-    zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=system.p0)
+    zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=adj_problem.x)
     try:
-        report = picard_solve(system.problem, zero, drivers, reg, tol, max_iter)
+        return picard_solve(adj_problem, zero, drivers, reg, tol, max_iter)
     except SolverError:
-        report = picard_solve(
-            system.problem, zero, drivers, reg, tol, max_iter, damping=0.5
-        )
-    return AdjointSolveResult(report.final_state, report, system)
+        return picard_solve(adj_problem, zero, drivers, reg, tol, max_iter, damping=0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -770,7 +737,7 @@ def first_order_candidate(
     state = adjoint = None
     for _ in range(iters):
         state = solve_state(problem, u, drivers, reg, tol, warm=state).final_state
-        adjoint = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint).adjoint
+        adjoint = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint).final_state
         grad = mean_control_gradient(problem, state, adjoint, u)
         # every iterate takes a relaxed projected ascent step: u + grad
         # maximises H exactly only when H_uu = -I, as for a running cost
@@ -872,7 +839,7 @@ def verify_smp(
 
     base_cost = estimate_cost(problem, values, drivers, reg, tol)
     state = base_cost.solve_report.final_state
-    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).adjoint
+    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).final_state
     laws = state.node_laws()
 
     # (a) convexity of the two endpoint costs
@@ -1030,7 +997,7 @@ def gradient_consistency(
     fd = central_difference(cost, np.zeros(1), 1e-3)[0]
     report = solve_state(problem, values, drivers, reg, tol)
     adj = solve_adjoint(problem, report.final_state, values, drivers, reg, tol)
-    grad = mean_control_gradient(problem, report.final_state, adj.adjoint, values)
+    grad = mean_control_gradient(problem, report.final_state, adj.final_state, values)
     n = problem.grid.steps
     dt = problem.grid.dt
     adjoint_side = -float(np.sum(grad[:n] * direction[:n]) * dt)

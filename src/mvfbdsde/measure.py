@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 WEIGHT_TOL = 1e-12
 ASSIGNMENT_CAP = 512
@@ -118,6 +117,9 @@ def _w2_assignment(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
         raise ValueError(f"assignment capped at {ASSIGNMENT_CAP} atoms")
     if not (a.is_uniform() and b.is_uniform()):
         raise ValueError("assignment requires uniform weights")
+    # imported on use: scipy.optimize is most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     diff = a.samples[:, None, :] - b.samples[None, :, :]
     cost = np.sum(diff**2, axis=2)
     rows, cols = linear_sum_assignment(cost)
@@ -146,6 +148,9 @@ def wasserstein2_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("kn,kn->k", gap, gap) / n)
     if n > ASSIGNMENT_CAP:
         raise ValueError(f"assignment capped at {ASSIGNMENT_CAP} atoms")
+    # imported on use: scipy.optimize is most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     matched = np.empty_like(b)
     step = max(1, _COST_BYTES // (8 * n * n))
     for lo in range(0, k, step):

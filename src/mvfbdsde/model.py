@@ -355,42 +355,16 @@ def linear_coefficient_set(
 ) -> CoefficientSet:
     """Build a coefficient set from scalar linear tables."""
 
-    def mean_blocks(law: Law) -> Quad:
-        return split_flat_mean(law.mean, dims)
-
-    def drift(table: dict[str, float]) -> CoefFn:
+    def combine(table: dict[str, float], like: str) -> CoefFn:
+        """Sum of coef x source in table order, on the shape of block
+        ``like``; an m* key reads that block of the law's mean."""
         def fn(t, v: Quad, law: Law) -> np.ndarray:
-            out = np.zeros_like(v.y)
-            if not table:
-                return out
-            mb = mean_blocks(law) if any(k.startswith("m") for k in table) else None
+            out = np.zeros_like(getattr(v, like))
             for key, coef in table.items():
-                if key == "y":
-                    out += coef * v.y
-                elif key == "Y":
-                    out += coef * v.Y
-                elif key == "my":
-                    out += coef * mb.y
-                elif key == "mY":
-                    out += coef * mb.Y
-            return out
-
-        return fn
-
-    def noise(table: dict[str, float], which: str) -> CoefFn:
-        def fn(t, v: Quad, law: Law) -> np.ndarray:
-            block = v.z if which == "z" else v.Z
-            out = np.zeros_like(block)
-            if not table:
-                return out
-            mb = mean_blocks(law) if any(k.startswith("m") for k in table) else None
-            for key, coef in table.items():
-                if key in ("z", "Z"):
-                    out += coef * block
-                elif key == "mz":
-                    out += coef * mb.z
-                elif key == "mZ":
-                    out += coef * mb.Z
+                if key.startswith("m"):
+                    out += coef * getattr(split_flat_mean(law.mean, dims), key[1:])
+                else:
+                    out += coef * getattr(v, key)
             return out
 
         return fn
@@ -409,10 +383,10 @@ def linear_coefficient_set(
 
     return CoefficientSet(
         dims=dims,
-        f=drift(tables.f),
-        g=noise(tables.g, "Z"),
-        F=drift(tables.F),
-        G=noise(tables.G, "z"),
+        f=combine(tables.f, "y"),
+        g=combine(tables.g, "Z"),
+        F=combine(tables.F, "y"),
+        G=combine(tables.G, "z"),
         h=terminal(tables.h),
         name=name,
     )

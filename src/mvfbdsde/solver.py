@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .measure import EmpiricalLaw
 from .model import (
@@ -27,6 +26,7 @@ from .model import (
     NodeMoments,
     Quad,
     ResidualTriple,
+    _checked,
     eval_system,
     eval_terminal,
     residual,
@@ -149,18 +149,11 @@ class SolveReport:
 
     final_state: EnsembleState
     picard_residuals: list[float] = field(default_factory=list)
-    contraction_ratios: list[float] = field(default_factory=list)
     alpha_ladder: list[LadderRung] = field(default_factory=list)
     residuals: ResidualTriple | None = None
     wallclock: float = 0.0
     converged: bool = False
     iterations: int = 0
-
-    def tail_median_ratio(self, burn_in: int = 2) -> float:
-        tail = self.contraction_ratios[burn_in:]
-        if not tail:
-            tail = self.contraction_ratios
-        return float(np.median(tail)) if tail else float("nan")
 
 
 def d_metric(a: EnsembleState, b: EnsembleState) -> float:
@@ -431,10 +424,6 @@ def _iterate(
                 grid=current.grid,
             )
         dist = d_metric(proposal, current)
-        if report.picard_residuals:
-            prev = report.picard_residuals[-1]
-            if prev > 0:
-                report.contraction_ratios.append(dist / prev)
         report.picard_residuals.append(dist)
         current = proposal
         report.iterations = it
@@ -448,14 +437,19 @@ def _iterate(
             report.wallclock = time.perf_counter() - start
             raise SolverError("Picard divergence", report)
     report.final_state = current
+    dists = report.picard_residuals
+    # contraction ratios where the previous distance is positive; the median
+    # skips the first two (burn-in) unless nothing else is left
+    ratios = [b / a for a, b in zip(dists, dists[1:]) if a > 0]
+    tail = ratios[2:] or ratios
     report.alpha_ladder = [
         LadderRung(
             alpha=problem.alpha,
             iterations=report.iterations,
             converged=report.converged,
-            final_distance=report.picard_residuals[-1] if report.picard_residuals else 0.0,
-            median_ratio=report.tail_median_ratio(),
-            residual_history=list(report.picard_residuals),
+            final_distance=dists[-1] if dists else 0.0,
+            median_ratio=float(np.median(tail)) if tail else float("nan"),
+            residual_history=list(dists),
         )
     ]
     report.wallclock = time.perf_counter() - start
@@ -574,7 +568,6 @@ def continuation_solve(
         state = rung.final_state
         alpha = target
         report.picard_residuals = rung.picard_residuals
-        report.contraction_ratios = rung.contraction_ratios
         report.iterations += rung.iterations
     report.final_state = state
     report.converged = all(r.converged for r in ladder)
@@ -655,8 +648,9 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the noise-free reduction by RK4 from every guess of Y(0) at
     once; returns the terminal gaps (K,) and the paths (K, N+1, 2) of
-    (y, Y).  Each RK4 stage makes one raw f and one raw F call over the K
-    guesses (``eval_system`` would add g and G and double the calls)."""
+    (y, Y).  Each RK4 stage makes one f and one F call over the K guesses,
+    each checked as ``eval_system`` checks it (``eval_system`` itself would
+    add g and G and double the calls)."""
     n = grid.steps
     dt = grid.dt
     dims = model.dims
@@ -671,10 +665,9 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
         atoms.Y[:, component] = state[:, 1]
         v, law = _dirac_stack(atoms)
         t = np.full(k, tt)
-        return np.stack(
-            [model.f(t, v, law)[0, :, component], model.F(t, v, law)[0, :, component]],
-            axis=1,
-        )
+        f = _checked(model.f(t, v, law), v.y.shape, "f")
+        big_f = _checked(model.F(t, v, law), v.y.shape, "F")
+        return np.stack([f[0, :, component], big_f[0, :, component]], axis=1)
 
     t = 0.0
     for step in range(n):
@@ -736,6 +729,9 @@ def moment_ode_oracle(
     guess at a time.  Finding several distinct roots (or a root continuum)
     flags the boundary-value problem as non-unique.
     """
+    # imported on use: scipy.optimize is most of the package's import time
+    from scipy.optimize import brentq
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_noise_free(model, x, grid, bracket_scale)
     d = model.dims.d

@@ -332,8 +332,8 @@ def test_criterion_8_control_smp():
     adj = solve_adjoint(problem, state_rep.final_state, candidate, drivers0, REG,
                         tol=1e-6)
     big_y0 = state_rep.final_state.Y[:, 0]
-    p0_res = float(np.max(np.abs(adj.adjoint.y[:, 0] + 0.5 * big_y0)))
-    term_res = adj.report.residuals.terminal
+    p0_res = float(np.max(np.abs(adj.final_state.y[:, 0] + 0.5 * big_y0)))
+    term_res = adj.residuals.terminal
     ok = (
         cert.ok
         and all(verdicts)

@@ -132,6 +132,9 @@ class TestCliCommands:
         ladder = (out / "ladder.csv").read_text().splitlines()
         assert len(ladder) == 3  # header, the base rung and the failed rung
         assert ladder[2].startswith("0.025000000000000001,1,")
+        # median ratios: 0 for the exact base rung, none from one iteration
+        assert ladder[1].split(",")[3] == "0"
+        assert ladder[2].split(",")[3] == "nan"
 
     def test_failed_solve_without_report_exits_2(self, tmp_path, monkeypatch):
         def singular(*args, **kwargs):

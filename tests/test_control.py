@@ -170,6 +170,44 @@ class TestHamiltonian:
             single = hamiltonian(problem, float(t[i]), entry(v), u[:, i], entry(chi), law[i])
             np.testing.assert_allclose(stacked[:, i], single, rtol=0, atol=1e-14)
 
+    def test_stack_is_bitwise_the_expanded_sum(self):
+        # <p,F> - <P,f> + <q,G> - <Q,g> - cost, term by term, on stacks of
+        # the solver's particle-major views and of gathered nodes
+        dims = Dimensions(2, d_w=1, d_b=3)
+        grid = TimeGrid(1.0, 6)
+
+        def means(law):
+            return split_flat_mean(law.mean, dims)
+
+        problem = zero_cost_problem(grid)
+        problem.dims = dims
+        problem.dynamics = ControlledDynamics(
+            f=lambda t, v, u, law: np.sin(v.Y) * u + means(law).y,
+            g=lambda t, v, u, law: np.cos(v.Z) - means(law).Z,
+            F=lambda t, v, u, law: v.y * v.Y[..., ::-1] - 0.5 * means(law).Y,
+            G=lambda t, v, u, law: np.tanh(v.z) * means(law).z,
+        )
+        problem.running_cost = RunningCost(
+            value=lambda t, v, u, law: np.sum(v.y**2, axis=-1) + u[..., 0] ** 2
+        )
+        rng = np.random.default_rng(14)
+        state, adjoint = (EnsembleState.zeros(7, dims, grid) for _ in range(2))
+        for arr in (*state.at(slice(None)), *adjoint.at(slice(None))):
+            arr += rng.standard_normal(arr.shape)
+        laws = state.node_laws()
+        dyn = problem.dynamics
+        for k in (slice(None), np.array([4, 0, 4, 6])):
+            t, v, chi, law = grid.nodes[k], state.at(k), adjoint.at(k), laws[k]
+            u = rng.uniform(-1, 1, size=v.y.shape[:-1] + (1,))
+            want = (
+                np.sum(chi.y * dyn.F(t, v, u, law), axis=-1)
+                - np.sum(chi.Y * dyn.f(t, v, u, law), axis=-1)
+                + np.sum(chi.z * dyn.G(t, v, u, law), axis=(-2, -1))
+                - np.sum(chi.Z * dyn.g(t, v, u, law), axis=(-2, -1))
+                - problem.running_cost.value(t, v, u, law)
+            )
+            assert np.array_equal(hamiltonian(problem, t, v, u, chi, law), want)
+
     def test_running_cost_shape_checked(self, lq):
         problem, _ = lq
         m, k = 4, 4
@@ -289,13 +327,13 @@ class TestAdjointConstruction:
         chi = quad_batch(state_rng, m, problem.dims)
         law = quad_law(chi)
         t = float(grid.nodes[3])
-        assert np.allclose(system.coefficients.f(t, chi, law), 0.0, atol=1e-9)
-        assert np.allclose(system.coefficients.F(t, chi, law), chi.y, atol=1e-9)
-        assert np.allclose(system.coefficients.g(t, chi, law), 0.0, atol=1e-9)
-        assert np.allclose(system.coefficients.G(t, chi, law), 0.0, atol=1e-9)
-        assert np.allclose(system.p0, 0.0)
-        assert np.allclose(system.shift, 0.0)
-        assert system.c_adj == -problem.c
+        assert np.allclose(system.base.f(t, chi, law), 0.0, atol=1e-9)
+        assert np.allclose(system.base.F(t, chi, law), chi.y, atol=1e-9)
+        assert np.allclose(system.base.g(t, chi, law), 0.0, atol=1e-9)
+        assert np.allclose(system.base.G(t, chi, law), 0.0, atol=1e-9)
+        assert np.allclose(system.x, 0.0)
+        assert np.allclose(system.xi, 0.0)
+        assert np.array_equal(system.base.h(chi.y, law), -problem.c * chi.y)
 
     def test_law_free_problem_has_no_mean_terms(self):
         problem = zero_cost_problem()
@@ -409,7 +447,7 @@ class TestStackedAdjointMaps:
 
         state = random_state()
         controls = rng.uniform(-1.0, 1.0, size=(n + 1, 1))
-        maps = build_adjoint_coefficients(problem, state, controls).coefficients
+        maps = build_adjoint_coefficients(problem, state, controls).base
         reference = _reference_adjoint_maps(problem, state, controls)
         chi = random_state()
         laws = chi.node_laws()
@@ -443,7 +481,8 @@ class TestAdjointSolve:
             problem, rep.final_state, np.zeros((problem.grid.steps + 1, 1)),
             drivers, REG,
         )
-        for arr in (adj.adjoint.y, adj.adjoint.Y, adj.adjoint.z, adj.adjoint.Z):
+        adjoint = adj.final_state
+        for arr in (adjoint.y, adjoint.Y, adjoint.z, adjoint.Z):
             assert np.max(np.abs(arr)) <= 1e-10
 
     def test_lq_adjoint_matches_bvp_oracle(self, lq):
@@ -452,15 +491,15 @@ class TestAdjointSolve:
         rep = solve_state(problem, oracle.u[:, None], drivers, REG, tol=1e-6)
         adj = solve_adjoint(problem, rep.final_state, oracle.u[:, None], drivers,
                             REG, tol=1e-8)
-        assert adj.report.converged
-        mean_p = adj.adjoint.y[:, :, 0].mean(axis=0)
-        mean_big = adj.adjoint.Y[:, :, 0].mean(axis=0)
+        assert adj.converged
+        mean_p = adj.final_state.y[:, :, 0].mean(axis=0)
+        mean_big = adj.final_state.Y[:, :, 0].mean(axis=0)
         assert np.max(np.abs(mean_p - oracle.p)) <= 0.02
         assert np.max(np.abs(mean_big - oracle.P)) <= 0.02
         # boundary data hold by construction: p_0 exactly, P_T within solver tol
         big_y0 = rep.final_state.Y[:, 0]
-        assert np.allclose(adj.adjoint.y[:, 0], -0.5 * big_y0, atol=1e-12)
-        assert adj.report.residuals.terminal <= 1e-3
+        assert np.allclose(adj.final_state.y[:, 0], -0.5 * big_y0, atol=1e-12)
+        assert adj.residuals.terminal <= 1e-3
 
     def test_cost_scaling_scales_adjoint(self, lq):
         problem, drivers = lq
@@ -490,8 +529,8 @@ class TestAdjointSolve:
         )
         rep2 = solve_state(doubled, u, drivers, REG)
         adj2 = solve_adjoint(doubled, rep2.final_state, u, drivers, REG, tol=1e-10)
-        assert np.max(np.abs(adj2.adjoint.y - 2.0 * adj1.adjoint.y)) <= 1e-3
-        assert np.max(np.abs(adj2.adjoint.Y - 2.0 * adj1.adjoint.Y)) <= 1e-3
+        assert np.max(np.abs(adj2.final_state.y - 2.0 * adj1.final_state.y)) <= 1e-3
+        assert np.max(np.abs(adj2.final_state.Y - 2.0 * adj1.final_state.Y)) <= 1e-3
 
 
 class TestCost:
@@ -588,7 +627,7 @@ def _per_node_verify(problem, candidate, n_perturbations, drivers, reg, tol, see
     values = problem.resolve_control(candidate)
     base_cost = estimate_cost(problem, values, drivers, reg, tol)
     state = base_cost.solve_report.final_state
-    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).report.final_state
+    adjoint = solve_adjoint(problem, state, values, drivers, reg, tol).final_state
     laws = state.node_laws()
     for term in (problem.terminal_cost, problem.initial_cost):
         _convexity_margin(term, problem.dims.d, rng)
@@ -676,7 +715,7 @@ class TestGradientConsistency:
         cand = first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)
         rep = solve_state(problem, cand, drivers, REG, tol=1e-6)
         adj = solve_adjoint(problem, rep.final_state, cand, drivers, REG, tol=1e-8)
-        grad = mean_control_gradient(problem, rep.final_state, adj.adjoint, cand)
+        grad = mean_control_gradient(problem, rep.final_state, adj.final_state, cand)
         rng = np.random.default_rng(4)
         n = problem.grid.steps
         dt = problem.grid.dt
@@ -698,7 +737,7 @@ def _cold_candidate(problem, drivers, reg, iters=6, tol=1e-6, relax=0.6):
     for _ in range(iters):
         report = solve_state(problem, u, drivers, reg, tol)
         adj = solve_adjoint(problem, report.final_state, u, drivers, reg, tol)
-        grad = mean_control_gradient(problem, report.final_state, adj.adjoint, u)
+        grad = mean_control_gradient(problem, report.final_state, adj.final_state, u)
         u_new = problem.project(u + grad)
         u = (1.0 - relax) * u + relax * u_new
     return problem.project(u)
@@ -739,9 +778,9 @@ class TestWarmStart:
         with np.errstate(over="ignore", invalid="ignore"):
             adj = solve_adjoint(problem, cold.final_state, u, drivers, REG,
                                 warm=self._bad_start(problem, value))
-        assert _same_state(adj.report.final_state, ref.report.final_state)
-        assert adj.report.picard_residuals == ref.report.picard_residuals
-        assert adj.report.residuals == ref.report.residuals
+        assert _same_state(adj.final_state, ref.final_state)
+        assert adj.picard_residuals == ref.picard_residuals
+        assert adj.residuals == ref.residuals
 
     def test_warm_state_at_the_solution_skips_the_ladder(self, small):
         problem, drivers, u, cold = small

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is referenced by that module."""
+"""Every name a module of the package imports is referenced by that module,
+and importing the package does not load scipy.optimize."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,14 @@ def test_every_import_is_referenced(path):
         if (path.stem, name) not in ALLOWED
     )
     assert not unused, f"{path.name} imports {unused} and never references them"
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the package's import time; the functions
+    # that need it import it themselves
+    code = "import sys, mvfbdsde; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

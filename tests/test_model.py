@@ -28,6 +28,7 @@ from mvfbdsde.model import (
     pairing,
     quad_law,
     residual,
+    split_flat_mean,
 )
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
 from mvfbdsde.solver import RegressionConfig, continuation_solve
@@ -326,6 +327,79 @@ class TestLinearTables:
         ):
             assert np.allclose(got, want, atol=1e-15)
 
+    @pytest.mark.parametrize("tables", [
+        LinearTables(
+            f={"mY": -0.4, "y": 0.3, "my": 0.7, "Y": -1.2},
+            F={"Y": 0.6, "y": -0.9, "mY": 0.25, "my": -0.1},
+            g={"Z": -0.5, "mZ": 0.125},
+            G={"mz": 0.25, "z": -0.75},
+        ),
+        LinearTables(),
+        LinearTables(f={"mY": 1.0}, F={"my": -1.0}, g={"mZ": 0.5}, G={"mz": 0.25}),
+    ], ids=["every_key", "empty", "mean_only"])
+    def test_bitwise_the_per_block_closures(self, tables):
+        dims = Dimensions(2, d_w=1, d_b=3)
+        maps = linear_coefficient_set(dims, tables)
+        reference = _per_block_table_maps(dims, tables)
+        state = random_state(np.random.default_rng(11), 13, dims, TimeGrid(1.0, 5))
+        laws = state.node_laws()
+        nodes = state.grid.nodes
+        for k in (2, slice(None)):
+            t = nodes[k] if isinstance(k, slice) else float(nodes[k])
+            for name in "fgFG":
+                got = getattr(maps, name)(t, state.at(k), laws[k])
+                want = reference[name](t, state.at(k), laws[k])
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), f"map {name} at {k}"
+
+
+def _per_block_table_maps(dims, tables):
+    """The drift and noise closures linear_coefficient_set used to build,
+    one per block kind, with the law's mean blocks split once per call."""
+
+    def mean_blocks(law):
+        return split_flat_mean(law.mean, dims)
+
+    def drift(table):
+        def fn(t, v, law):
+            out = np.zeros_like(v.y)
+            if not table:
+                return out
+            mb = mean_blocks(law) if any(k.startswith("m") for k in table) else None
+            for key, coef in table.items():
+                if key == "y":
+                    out += coef * v.y
+                elif key == "Y":
+                    out += coef * v.Y
+                elif key == "my":
+                    out += coef * mb.y
+                elif key == "mY":
+                    out += coef * mb.Y
+            return out
+
+        return fn
+
+    def noise(table, which):
+        def fn(t, v, law):
+            block = v.z if which == "z" else v.Z
+            out = np.zeros_like(block)
+            if not table:
+                return out
+            mb = mean_blocks(law) if any(k.startswith("m") for k in table) else None
+            for key, coef in table.items():
+                if key in ("z", "Z"):
+                    out += coef * block
+                elif key == "mz":
+                    out += coef * mb.z
+                elif key == "mZ":
+                    out += coef * mb.Z
+            return out
+
+        return fn
+
+    return {"f": drift(tables.f), "g": noise(tables.g, "Z"),
+            "F": drift(tables.F), "G": noise(tables.G, "z")}
+
 
 def random_state(rng, m, dims, grid, scale=1.0):
     state = EnsembleState.zeros(m, dims, grid)
@@ -427,7 +501,7 @@ class TestNodeStacks:
         controls = rng.uniform(-1.0, 1.0, size=(problem.grid.steps + 1, 1))
         system = build_adjoint_coefficients(problem, state, controls)
         chi = random_state(rng, 17, problem.dims, problem.grid)
-        assert_stack_matches_nodes(as_problem(system.coefficients), chi, atol=1e-12)
+        assert_stack_matches_nodes(as_problem(system.base), chi, atol=1e-12)
 
     def test_coefficient_maps_must_be_callable(self):
         base = builtin_example_meanfield(DIMS)

@@ -718,13 +718,22 @@ class TestMomentOracle:
             moment_ode_oracle(noisy, 1.0, TimeGrid(1.0, 20))
 
     def test_non_finite_noise_map_named(self):
-        # NaN > 1e-12 is False: the noise probe must check finiteness itself
+        # NaN > 1e-12 is False: the noise probe must check finiteness itself.
+        # An f that is NaN only between the probe's levels is caught in the
+        # RK4 stages, not passed on to the terminal gap as h's.
         model = builtin_example_meanfield(DIMS)
-        bad = dataclasses.replace(
-            model, G=lambda t, v, law: np.full(np.shape(v.z), np.nan)
-        )
-        with pytest.raises(CoefficientError, match="coefficient G produced non-finite"):
-            moment_ode_oracle(bad, 1.0, TimeGrid(1.0, 20))
+
+        def nan_g(t, v, law):
+            return np.full(np.shape(v.z), np.nan)
+
+        def nan_f(t, v, law):
+            return np.where((np.abs(v.Y) > 3) & (np.abs(v.Y) < 8), np.nan, model.f(t, v, law))
+
+        for name, fn, steps in (("G", nan_g, 20), ("f", nan_f, 50)):
+            bad = dataclasses.replace(model, **{name: fn})
+            with pytest.raises(CoefficientError,
+                               match=f"coefficient {name} produced non-finite"):
+                moment_ode_oracle(bad, 1.0, TimeGrid(1.0, steps))
 
     def test_first_noisy_probe_named(self):
         # G shifted on the last node only: probed after g everywhere else
