@@ -59,7 +59,6 @@ from .control import (
     first_order_candidate,
     gradient_consistency,
     hamiltonian,
-    l_derivative,
     lq_control_scenario,
     lq_deterministic_oracle,
     solve_adjoint,

@@ -136,11 +136,10 @@ class PairSampler:
     scales: tuple[float, ...] = (0.25, 1.0, 3.0)
 
     def _random_stack(self, rng: np.random.Generator, scale: np.ndarray) -> Quad:
-        m, k, d = self.atoms, scale.size, self.dims.d
-        shapes = ((d,), (d,), (d, self.dims.d_b), (d, self.dims.d_w))
+        m, k = self.atoms, scale.size
         return Quad(*(
             scale.reshape(1, k, *(1,) * len(s)) * rng.standard_normal((m, k, *s))
-            for s in shapes
+            for s in self.dims.shapes
         ))
 
     def _axes(self) -> list[tuple[str, tuple]]:
@@ -233,9 +232,6 @@ class LipschitzEstimate:
     violations: list[Witness]
     gamma_ok: bool = True
     samples_used: int = 0
-
-    def __iter__(self):  # allows tuple-style unpacking
-        return iter((self.c_hat, self.gamma_hat, self.violations))
 
 
 def estimate_lipschitz(
@@ -478,7 +474,6 @@ class IntegrabilityReport:
 def check_integrability(
     coeffs: CoefficientSet,
     grid: TimeGrid,
-    probe_law: EmpiricalLaw | None = None,
 ) -> IntegrabilityReport:
     """Finiteness and square-summability of t -> A(t, v, law) at fixed probes."""
     dims = coeffs.dims
@@ -494,9 +489,8 @@ def check_integrability(
     total = 0.0
     for k, t in enumerate(grid.nodes):
         for probe in probes:
-            law = probe_law or quad_law(probe)
             try:
-                f, g, big_f, big_g = eval_system(coeffs, float(t), probe, law)
+                f, g, big_f, big_g = eval_system(coeffs, float(t), probe)
             except Exception as exc:  # non-finite or misshapen
                 offending.append(k)
                 message = message or str(exc)
@@ -541,12 +535,7 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
     u = np.broadcast_to(u_mid, (4, problem.d_u)).copy()
     caps = dict.fromkeys(("z", "Z", "mz", "mZ"), 0.0)
     for _ in range(40):
-        v = Quad(
-            rng.standard_normal((4, dims.d)),
-            rng.standard_normal((4, dims.d)),
-            rng.standard_normal((4, dims.d, dims.d_b)),
-            rng.standard_normal((4, dims.d, dims.d_w)),
-        )
+        v = Quad(*(rng.standard_normal((4, *shape)) for shape in dims.shapes))
         law = quad_law(v)
         t = float(rng.uniform(0.0, problem.grid.horizon))
         for fn in (problem.dynamics.g, problem.dynamics.G):

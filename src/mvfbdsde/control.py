@@ -59,7 +59,7 @@ _STACK_FLOATS = 1 << 14
 
 
 # ----------------------------------------------------------------------------
-# Measure functionals and L-derivatives
+# Central differences
 # ----------------------------------------------------------------------------
 
 
@@ -81,42 +81,6 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         diff = fn(up) - fn(dn)
         cols.append(diff / (2 * h_j).reshape(h_j.shape + (1,) * (np.ndim(diff) - h_j.ndim)))
     return np.stack(cols, axis=-1)
-
-
-@dataclass
-class MomentFunctional:
-    """Scalar function of a measure through its mean: value = fn(mean).
-
-    Its L-derivative is ``grad(mean)``, constant in the evaluation point, when
-    ``grad`` is supplied; else ``lderiv(law, points)``, per-point vectors; else
-    central differences of ``fn`` in the mean.
-    """
-
-    fn: Callable[[np.ndarray], float] | None = None
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    lderiv: Callable[[EmpiricalLaw, np.ndarray], np.ndarray] | None = None
-
-    def value(self, law: EmpiricalLaw) -> float:
-        if self.fn is not None:
-            return float(self.fn(law.mean))
-        raise ValueError("functional has no value rule")
-
-
-def l_derivative(
-    functional: MomentFunctional, law: EmpiricalLaw, eval_points: np.ndarray
-) -> np.ndarray:
-    """Derivative of the lifted functional, evaluated at each given point."""
-    points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    mean = law.mean
-    if functional.grad is not None:
-        g = np.asarray(functional.grad(mean), dtype=float)
-    elif functional.lderiv is not None:
-        return np.asarray(functional.lderiv(law, points), dtype=float)
-    elif functional.fn is not None:
-        g = central_difference(functional.fn, mean, FD_STEP * (1.0 + np.abs(mean)))
-    else:
-        raise ValueError("L-derivative unavailable")
-    return np.broadcast_to(g, points.shape).copy()
 
 
 # ----------------------------------------------------------------------------
@@ -176,9 +140,8 @@ class RunningCost:
 def _mean_shift(dims: Dimensions, block: str, w: np.ndarray) -> np.ndarray:
     """Flat-space translation vector that moves one mean block by ``w``."""
     delta = np.zeros(dims.flat)
-    d, db = dims.d, dims.d_b
-    offset = {"my": 0, "mY": d, "mz": 2 * d, "mZ": 2 * d + d * db}[block]
-    delta[offset:offset + w.size] = w
+    view = getattr(split_flat_mean(delta, dims), block.removeprefix("m"))
+    view[...] = w.reshape(view.shape)
     return delta
 
 
@@ -337,7 +300,7 @@ def _node_index(t, grid: TimeGrid):
 
 
 # ----------------------------------------------------------------------------
-# Hamiltonian and derivative banks
+# Hamiltonian and its derivatives
 # ----------------------------------------------------------------------------
 
 
@@ -408,59 +371,33 @@ def _fd_jacobian(
     return central_difference(at, flat, h)
 
 
-class JacobianBank:
-    """Flattened derivative tensors of the display-form dynamics along a
-    state trajectory.  A constant Jacobian is one (out, in) matrix; any other
-    is differenced once over all nodes and kept as (M, N+1, out, in)."""
+def _trajectory(problem: ControlProblem, state: EnsembleState,
+                controls: np.ndarray) -> tuple:
+    """(t, v, u, law) of the state trajectory over all N+1 nodes."""
+    v = state.at(slice(None))
+    u = np.broadcast_to(controls, v.y.shape[:-1] + (problem.d_u,))
+    return state.grid.nodes, v, u, state.node_laws()
 
-    def __init__(self, problem: ControlProblem, state: EnsembleState,
-                 controls: np.ndarray, laws: NodeMoments):
-        self.problem = problem
-        self.state = state
-        self.controls = controls
-        self.laws = laws
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
 
-    def point(self, k: int | slice | np.ndarray) -> tuple:
-        """(t, v, u, law) of the trajectory at node k or a stack of nodes."""
-        v = self.state.at(k)
-        u = np.broadcast_to(self.controls[k], v.y.shape[:-1] + (self.problem.d_u,))
-        return self.state.grid.nodes[k], v, u, self.laws[k]
-
-    def get(self, coef: str, block: str, k: int | slice | np.ndarray) -> np.ndarray:
-        """The Jacobian at node(s) k: (out, in) when constant, else
-        (M, out, in) at one node or (M, K, out, in) on a stack."""
-        arr = self._cache.get((coef, block))
-        if arr is None:
-            problem = self.problem
-            const = problem.dynamics.jacobians.get((coef, block))
-            out_size = _size(problem.dims, problem.d_u, coef)
-            in_size = _size(problem.dims, problem.d_u, block)
-            if const is not None:
-                arr = np.asarray(const, dtype=float).reshape(out_size, in_size)
-            else:
-                arr = _fd_jacobian(
-                    getattr(problem.dynamics, coef), *self.point(slice(None)), block,
-                    problem.dims, problem.d_u,
-                )
-            self._cache[(coef, block)] = arr
-        return arr if arr.ndim == 2 else arr[:, k]
-
-    def signed(self, block: str, k: int | slice | np.ndarray) -> np.ndarray:
-        """The Jacobians of (F, -f, G, -g) in one block stacked on the output
-        axis, in the order of a flat chi = (p, P, q, Q), at node(s) k:
-        (flat, in) when all four are constant, else (M, flat, in) at one node
-        or (M, K, flat, in) on a stack."""
-        arr = self._cache.get(("signed", block))
-        if arr is None:
-            parts = [sign * self.get(coef, block, slice(None))
-                     for coef, sign in (("F", 1.0), ("f", -1.0), ("G", 1.0), ("g", -1.0))]
-            lead = () if all(part.ndim == 2 for part in parts) else self.state.y.shape[:2]
-            arr = np.concatenate(
-                [np.broadcast_to(part, (*lead, *part.shape[-2:])) for part in parts], axis=-2
-            )
-            self._cache[("signed", block)] = arr
-        return arr if arr.ndim == 2 else arr[:, k]
+def _signed_jacobian(problem: ControlProblem, trajectory: tuple, block: str) -> np.ndarray:
+    """The Jacobians of (F, -f, G, -g) in one block along ``trajectory``,
+    stacked on the output axis in the order of a flat chi = (p, P, q, Q):
+    (flat, in) when all four are declared, else (M, N+1, flat, in), each
+    undeclared one differenced."""
+    dyn, dims, d_u = problem.dynamics, problem.dims, problem.d_u
+    parts = []
+    for coef, sign in (("F", 1.0), ("f", -1.0), ("G", 1.0), ("g", -1.0)):
+        const = dyn.jacobians.get((coef, block))
+        if const is None:
+            jac = _fd_jacobian(getattr(dyn, coef), *trajectory, block, dims, d_u)
+        else:
+            jac = np.asarray(const, dtype=float).reshape(_size(dims, d_u, coef),
+                                                         _size(dims, d_u, block))
+        parts.append(sign * jac)
+    lead = () if all(part.ndim == 2 for part in parts) else trajectory[1].y.shape[:2]
+    return np.concatenate(
+        [np.broadcast_to(part, (*lead, *part.shape[-2:])) for part in parts], axis=-2
+    )
 
 
 def _running_grad(problem: ControlProblem, t, v: Quad, u: np.ndarray, law,
@@ -476,23 +413,6 @@ def _running_grad(problem: ControlProblem, t, v: Quad, u: np.ndarray, law,
         return rc.value(t, v, u, law)[..., None]
 
     return _fd_jacobian(cost, t, v, u, law, block, problem.dims, problem.d_u)[..., 0, :]
-
-
-def grad_hamiltonian_block(
-    problem: ControlProblem,
-    bank: JacobianBank,
-    k: int | slice | np.ndarray,
-    chi: Quad,
-    block: str,
-) -> np.ndarray:
-    """Per-particle gradient of H in one (possibly mean) block, flattened:
-    (M, in) at node k, (M, K, in) on a stack of nodes k with chi of shape
-    (M, K, ...).
-
-    <p, dF> - <P, df> + <q, dG> - <Q, dg> - d(cost); chi supplies (p, P, q, Q).
-    """
-    out = np.einsum(_CONTRACT, chi.flat(), bank.signed(block, k))
-    return out - _running_grad(problem, *bank.point(k), block)
 
 
 # ----------------------------------------------------------------------------
@@ -512,36 +432,35 @@ def build_adjoint_coefficients(
     Drift/noise entries are H-gradients along the baked state trajectory; the
     copy-averaged measure terms reduce, for first-moment structure, to plain
     ensemble means of the mean-block gradients paired with the adjoint batch.
-    What does not depend on chi is built once: the signed Jacobians and, per
-    map, minus the running-cost gradient in its point block and minus the
-    particle mean of that in its mean block.  A call adds to this cost term
-    one contraction of the flat chi and the mean-field term: ``law_chi.mean``
-    against a constant mean-block Jacobian, else the particle mean of the
-    contraction.
+    What does not depend on chi is built with the map: its point and mean
+    blocks' signed Jacobians (``_signed_jacobian``), minus the running-cost
+    gradient in its point block and minus the particle mean of that in its
+    mean block.  A call adds to this cost term one contraction of the flat
+    chi and the mean-field term: ``law_chi.mean`` against a constant
+    mean-block Jacobian, else the particle mean of the contraction.
     Boundary data: p_0 from the initial-cost gradients, terminal
     P_T = shift - c p_T with the shift built from the terminal-cost gradients.
     """
     dims = problem.dims
     grid = state.grid
     n = grid.steps
-    bank = JacobianBank(problem, state, control_values, state.node_laws())
-    trajectory = bank.point(slice(None))
+    trajectory = _trajectory(problem, state, control_values)
 
     def drift_or_noise(block_point: str, block_mean: str, out_shape: tuple):
         cost = -_running_grad(problem, *trajectory, block_point)
         cost -= _running_grad(problem, *trajectory, block_mean).mean(axis=0)
-        jac_mean = bank.signed(block_mean, slice(None))
+        jac = _signed_jacobian(problem, trajectory, block_point)
+        jac_mean = _signed_jacobian(problem, trajectory, block_mean)
 
         def fn(t, chi: Quad, law_chi) -> np.ndarray:
             k = _node_index(t, grid)
             flat = chi.flat()
-            jac = bank.signed(block_point, k)
             if jac.ndim == 2:
                 # constant Jacobian: one 2-D product per node, nodes outermost
                 # as the solver stores them, so flat is not copied
                 out = np.matmul(flat.swapaxes(0, -2), jac).swapaxes(0, -2)
             else:
-                out = np.einsum(_CONTRACT, flat, jac)
+                out = np.einsum(_CONTRACT, flat, jac[:, k])
             out += cost[:, k]
             if jac_mean.ndim == 2:
                 out += law_chi.mean @ jac_mean
@@ -713,9 +632,10 @@ def mean_control_gradient(
     control_values: np.ndarray,
 ) -> np.ndarray:
     """Ensemble-averaged grad_u H along the trajectory, shape (N+1, d_u)."""
-    bank = JacobianBank(problem, state, control_values, state.node_laws())
-    chi = adjoint.at(slice(None))
-    return grad_hamiltonian_block(problem, bank, slice(None), chi, "u").mean(axis=0)
+    trajectory = _trajectory(problem, state, control_values)
+    grad = np.einsum(_CONTRACT, adjoint.at(slice(None)).flat(),
+                     _signed_jacobian(problem, trajectory, "u"))
+    return (grad - _running_grad(problem, *trajectory, "u")).mean(axis=0)
 
 
 def first_order_candidate(
@@ -939,11 +859,9 @@ def _segment_end(problem: ControlProblem, m: int, scale: float,
                  rng: np.random.Generator) -> list[np.ndarray]:
     """One random end of a concavity segment: the blocks y, Y, z, Z (M, ...),
     a control in the box and a flat mean shift."""
-    dims = problem.dims
-    v = [scale * rng.standard_normal((m, *shape))
-         for shape in ((dims.d,), (dims.d,), (dims.d, dims.d_b), (dims.d, dims.d_w))]
+    v = [scale * rng.standard_normal((m, *shape)) for shape in problem.dims.shapes]
     u = problem.project(scale * rng.standard_normal(problem.d_u))
-    return [*v, u, scale * rng.standard_normal(dims.flat)]
+    return [*v, u, scale * rng.standard_normal(problem.dims.flat)]
 
 
 def _mean_hamiltonian(problem: ControlProblem, t: np.ndarray, v: Quad,

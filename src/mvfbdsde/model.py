@@ -45,9 +45,14 @@ class Dimensions:
             raise ValueError("all dimensions must be >= 1")
 
     @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Per-particle shapes of the blocks y, Y, z, Z."""
+        return (self.d,), (self.d,), (self.d, self.d_b), (self.d, self.d_w)
+
+    @property
     def flat(self) -> int:
         """Length of a flattened quadruple vector."""
-        return self.d + self.d + self.d * self.d_b + self.d * self.d_w
+        return sum(int(np.prod(shape)) for shape in self.shapes)
 
 
 class Quad(NamedTuple):
@@ -70,12 +75,7 @@ class Quad(NamedTuple):
 
     @classmethod
     def zeros(cls, m: int, dims: Dimensions) -> "Quad":
-        return cls(
-            np.zeros((m, dims.d)),
-            np.zeros((m, dims.d)),
-            np.zeros((m, dims.d, dims.d_b)),
-            np.zeros((m, dims.d, dims.d_w)),
-        )
+        return cls(*(np.zeros((m, *shape)) for shape in dims.shapes))
 
 
 def quad_law(v: Quad) -> EmpiricalLaw:
@@ -474,13 +474,7 @@ class EnsembleState:
         cls, m: int, dims: Dimensions, grid: TimeGrid, x: np.ndarray | None = None
     ) -> "EnsembleState":
         n = grid.steps
-        state = cls(
-            np.zeros((m, n + 1, dims.d)),
-            np.zeros((m, n + 1, dims.d)),
-            np.zeros((m, n + 1, dims.d, dims.d_b)),
-            np.zeros((m, n + 1, dims.d, dims.d_w)),
-            grid,
-        )
+        state = cls(*(np.zeros((m, n + 1, *shape)) for shape in dims.shapes), grid)
         if x is not None:
             x = np.asarray(x, dtype=float)
             state.y[:, :, :] = x[:, None, :] if x.ndim > 1 else x[None, None, :]

@@ -83,11 +83,6 @@ class TestLipschitz:
         est = estimate_lipschitz(model, PairSampler(DIMS, seed=6), 800)
         assert 2.0 - 1e-9 <= est.c_hat <= 2.0 + 1e-9
 
-    def test_tuple_unpacking(self):
-        est = estimate_lipschitz(zero_coefficient_set(DIMS), PairSampler(DIMS, seed=7), 50)
-        c_hat, gamma_hat, violations = est
-        assert (c_hat, gamma_hat, violations) == (0.0, 0.0, [])
-
     def test_degenerate_sampler_rejected(self):
         sampler = PairSampler(DIMS, seed=8, scales=(0.0,))
         with pytest.raises(ValueError, match="degenerate sampler"):

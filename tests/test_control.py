@@ -8,16 +8,12 @@ from mvfbdsde.control import (
     ControlledDynamics,
     ControlProblem,
     CostTerm,
-    JacobianBank,
-    MomentFunctional,
     RunningCost,
     build_adjoint_coefficients,
     estimate_cost,
     first_order_candidate,
-    grad_hamiltonian_block,
     gradient_consistency,
     hamiltonian,
-    l_derivative,
     lq_control_scenario,
     lq_deterministic_oracle,
     mean_control_gradient,
@@ -25,7 +21,17 @@ from mvfbdsde.control import (
     solve_state,
     verify_smp,
 )
-from mvfbdsde.control import _box_grid, _convexity_margin, _running_grad
+from mvfbdsde.control import (
+    _CONTRACT,
+    _box_grid,
+    _convexity_margin,
+    _fd_jacobian,
+    _node_index,
+    _running_grad,
+    _signed_jacobian,
+    _size,
+    _trajectory,
+)
 from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import Dimensions, EnsembleState, NodeMoments, Quad, quad_law, split_flat_mean
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
@@ -236,53 +242,6 @@ class TestHamiltonian:
             hamiltonian(problem, t, v, u, chi, law)
 
 
-class TestLDerivative:
-    def test_half_squared_mean(self):
-        fn = MomentFunctional(fn=lambda m: 0.5 * float(m @ m))
-        rng = np.random.default_rng(4)
-        samples = rng.standard_normal((40, 1)) + 2.0
-        law = EmpiricalLaw.from_samples(samples)
-        pts = rng.standard_normal((7, 1))
-        deriv = l_derivative(fn, law, pts)
-        assert np.allclose(deriv, law.mean[0], atol=1e-7)
-
-    def test_constant_functional(self):
-        fn = MomentFunctional(fn=lambda m: 3.0)
-        law = EmpiricalLaw.from_samples(np.ones((5, 2)))
-        assert np.allclose(l_derivative(fn, law, np.zeros((3, 2))), 0.0, atol=1e-9)
-
-    def test_linear_lift(self):
-        fn = MomentFunctional(fn=lambda m: float(m[0]))
-        law = EmpiricalLaw.from_samples(np.ones((5, 1)))
-        assert np.allclose(l_derivative(fn, law, np.zeros((3, 1))), 1.0, atol=1e-9)
-
-    def test_unavailable(self):
-        fn = MomentFunctional()
-        law = EmpiricalLaw.from_samples(np.ones((5, 1)))
-        with pytest.raises(ValueError, match="L-derivative unavailable"):
-            l_derivative(fn, law, np.zeros((3, 1)))
-
-    def test_lift_consistency_superlinear_remainder(self):
-        # perturbing every atom by eps*h moves the lifted value by
-        # eps * E<deriv, h> + o(eps)
-        fn = MomentFunctional(
-            fn=lambda m: float(np.cos(m[0]) + 0.5 * m[0] ** 2)
-        )
-        rng = np.random.default_rng(5)
-        samples = rng.standard_normal((64, 1))
-        law = EmpiricalLaw.from_samples(samples)
-        h = rng.standard_normal((64, 1))
-        deriv = l_derivative(fn, law, samples)
-        linear = float(np.mean(np.sum(deriv * h, axis=1)))
-        remainders = []
-        for eps in (1e-3, 1e-4):
-            lifted = fn.fn(EmpiricalLaw.from_samples(samples + eps * h).mean)
-            base = fn.fn(law.mean)
-            remainders.append(abs(lifted - base - eps * linear))
-        # halving-by-10 the step shrinks the remainder ~100x (quadratic)
-        assert remainders[1] <= 0.05 * remainders[0] + 1e-14
-
-
 class TestDifferencedMeanGradients:
     """A cost that reads its law and supplies no hook gets its mean gradient
     by differencing."""
@@ -308,6 +267,25 @@ class TestDifferencedMeanGradients:
         grad = _running_grad(problem, 0.0, v, np.zeros((5, 1)), law, "my")
         np.testing.assert_allclose(grad, np.broadcast_to(v.y.mean(axis=0), (5, 1)),
                                    rtol=0, atol=1e-8)
+
+    def test_lift_consistency_superlinear_remainder(self):
+        # perturbing every atom by eps*h moves the lifted value by
+        # eps * <mean gradient, E h> + o(eps)
+        def lifted(mean):
+            return float(np.cos(mean[0]) + 0.5 * mean[0] ** 2)
+
+        cost = CostTerm(value=lambda x, law: lifted(law.mean) * np.ones(x.shape[0]))
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((64, 1))
+        law = EmpiricalLaw.from_samples(samples)
+        h = rng.standard_normal((64, 1))
+        linear = float(cost.mean_grad_values(law) @ h.mean(axis=0))
+        remainders = []
+        for eps in (1e-3, 1e-4):
+            moved = EmpiricalLaw.from_samples(samples + eps * h).mean
+            remainders.append(abs(lifted(moved) - lifted(law.mean) - eps * linear))
+        # shrinking the step 10x shrinks the remainder ~100x (quadratic)
+        assert remainders[1] <= 0.05 * remainders[0] + 1e-14
 
 
 class TestAdjointConstruction:
@@ -342,12 +320,11 @@ class TestAdjointConstruction:
 
         state = EnsembleState.zeros(m, problem.dims, problem.grid, x=problem.x)
         controls = np.zeros((problem.grid.steps + 1, 1))
-        laws = state.node_laws()
-        bank = JacobianBank(problem, state, controls, laws)
+        trajectory = _trajectory(problem, state, controls)
         rng = np.random.default_rng(7)
         chi = quad_batch(rng, m, problem.dims)
         for block in ("my", "mY", "mz", "mZ"):
-            grad = grad_hamiltonian_block(problem, bank, 2, chi, block)
+            grad = _h_gradient(problem, trajectory, chi, block, 2)
             assert np.all(grad == 0.0)
 
     def test_fd_matches_analytic_jacobians(self, lq):
@@ -356,8 +333,7 @@ class TestAdjointConstruction:
         rep = solve_state(problem, np.zeros((problem.grid.steps + 1, 1)), drivers_subset(drivers, m), REG)
         state = rep.final_state
         controls = np.zeros((problem.grid.steps + 1, 1))
-        laws = state.node_laws()
-        bank_analytic = JacobianBank(problem, state, controls, laws)
+        trajectory = _trajectory(problem, state, controls)
         stripped = ControlledDynamics(
             f=problem.dynamics.f, g=problem.dynamics.g, F=problem.dynamics.F,
             G=problem.dynamics.G, jacobians={},
@@ -368,32 +344,52 @@ class TestAdjointConstruction:
             terminal_cost=problem.terminal_cost, initial_cost=problem.initial_cost,
             u_lo=problem.u_lo, u_hi=problem.u_hi,
         )
-        bank_fd = JacobianBank(fd_problem, state, controls, laws)
         rng = np.random.default_rng(8)
         chi = quad_batch(rng, m, problem.dims)
         for block in ("y", "Y", "z", "Z", "u", "my", "mY", "mz", "mZ"):
-            ga = grad_hamiltonian_block(problem, bank_analytic, 5, chi, block)
-            gf = grad_hamiltonian_block(fd_problem, bank_fd, 5, chi, block)
+            ga = _h_gradient(problem, trajectory, chi, block, 5)
+            gf = _h_gradient(fd_problem, trajectory, chi, block, 5)
             scale = max(1.0, float(np.max(np.abs(ga))))
             assert np.max(np.abs(ga - gf)) <= 1e-4 * scale, block
 
 
+def _h_gradient(problem, trajectory, chi, block, k):
+    """Per-particle gradient of H in one block at node k: chi (M, ...)
+    against the signed Jacobian, minus the running-cost gradient."""
+    jac = _signed_jacobian(problem, trajectory, block)
+    jac = jac if jac.ndim == 2 else jac[:, k]
+    return (np.einsum(_CONTRACT, chi.flat(), jac)
+            - _running_grad(problem, *trajectory, block)[:, k])
+
+
 def _reference_adjoint_maps(problem, state, controls):
-    """The per-block adjoint assembly the stacked maps replaced: every call
-    pairs chi with each of the four Jacobians of the point block and of the
-    mean block, and differences or evaluates the running-cost gradients at the
-    called nodes again."""
-    bank = JacobianBank(problem, state, controls, state.node_laws())
-    grid, dims = state.grid, problem.dims
+    """The per-block adjoint assembly: every call pairs chi with each of the
+    four Jacobians of the point block and of the mean block, each taken from
+    the declared table or differenced at the called nodes, and differences or
+    evaluates the running-cost gradients there again."""
+    grid, dims, d_u = state.grid, problem.dims, problem.d_u
+    laws = state.node_laws()
+
+    def point(k):
+        v = state.at(k)
+        return grid.nodes[k], v, np.broadcast_to(controls[k], v.y.shape[:-1] + (d_u,)), laws[k]
+
+    def jacobian(coef, block, k):
+        const = problem.dynamics.jacobians.get((coef, block))
+        if const is not None:
+            return np.asarray(const, dtype=float).reshape(_size(dims, d_u, coef),
+                                                          _size(dims, d_u, block))
+        fn = getattr(problem.dynamics, coef)
+        return _fd_jacobian(fn, *point(k), block, dims, d_u)
 
     def grad_block(k, chi, block):
         lead = chi.y.shape[:-1]
         p, big_p, q, big_q = (a.reshape(*lead, -1) for a in chi)
-        out = np.einsum("...o,...oi->...i", p, bank.get("F", block, k))
-        out = out - np.einsum("...o,...oi->...i", big_p, bank.get("f", block, k))
-        out = out + np.einsum("...o,...oi->...i", q, bank.get("G", block, k))
-        out = out - np.einsum("...o,...oi->...i", big_q, bank.get("g", block, k))
-        return out - _running_grad(problem, *bank.point(k), block)
+        out = np.einsum("...o,...oi->...i", p, jacobian("F", block, k))
+        out = out - np.einsum("...o,...oi->...i", big_p, jacobian("f", block, k))
+        out = out + np.einsum("...o,...oi->...i", q, jacobian("G", block, k))
+        out = out - np.einsum("...o,...oi->...i", big_q, jacobian("g", block, k))
+        return out - _running_grad(problem, *point(k), block)
 
     def drift_or_noise(block_point, block_mean, out_shape):
         def fn(t, chi, law_chi):
@@ -413,6 +409,73 @@ def _reference_adjoint_maps(problem, state, controls):
     }
 
 
+def _bank_assembly(problem, state, controls):
+    """The adjoint maps and the control gradient as they were assembled
+    before the signed Jacobians became plain arrays: each (coefficient,
+    block) Jacobian cached over the whole trajectory, the signed stack of a
+    block concatenated from the cache and sliced per call."""
+    dims, d_u, grid = problem.dims, problem.d_u, state.grid
+    v = state.at(slice(None))
+    trajectory = (grid.nodes, v, np.broadcast_to(controls, v.y.shape[:-1] + (d_u,)),
+                  state.node_laws())
+    cache = {}
+
+    def get(coef, block):
+        if (coef, block) not in cache:
+            const = problem.dynamics.jacobians.get((coef, block))
+            if const is not None:
+                cache[coef, block] = np.asarray(const, dtype=float).reshape(
+                    _size(dims, d_u, coef), _size(dims, d_u, block))
+            else:
+                cache[coef, block] = _fd_jacobian(getattr(problem.dynamics, coef),
+                                                  *trajectory, block, dims, d_u)
+        return cache[coef, block]
+
+    def signed(block, k):
+        if ("signed", block) not in cache:
+            parts = [sign * get(coef, block)
+                     for coef, sign in (("F", 1.0), ("f", -1.0), ("G", 1.0), ("g", -1.0))]
+            lead = () if all(part.ndim == 2 for part in parts) else state.y.shape[:2]
+            cache["signed", block] = np.concatenate(
+                [np.broadcast_to(part, (*lead, *part.shape[-2:])) for part in parts], axis=-2)
+        arr = cache["signed", block]
+        return arr if arr.ndim == 2 else arr[:, k]
+
+    def drift_or_noise(block_point, block_mean, out_shape):
+        cost = -_running_grad(problem, *trajectory, block_point)
+        cost -= _running_grad(problem, *trajectory, block_mean).mean(axis=0)
+        jac_mean = signed(block_mean, slice(None))
+
+        def fn(t, chi, law_chi):
+            k = _node_index(t, grid)
+            flat = chi.flat()
+            jac = signed(block_point, k)
+            if jac.ndim == 2:
+                out = np.matmul(flat.swapaxes(0, -2), jac).swapaxes(0, -2)
+            else:
+                out = np.einsum(_CONTRACT, flat, jac)
+            out += cost[:, k]
+            if jac_mean.ndim == 2:
+                out += law_chi.mean @ jac_mean
+            else:
+                out += np.einsum(_CONTRACT, flat, jac_mean[:, k]).mean(axis=0)
+            return out.reshape(*chi.y.shape[:-1], *out_shape)
+
+        return fn
+
+    def control_gradient(adjoint):
+        out = np.einsum(_CONTRACT, adjoint.at(slice(None)).flat(), signed("u", slice(None)))
+        return (out - _running_grad(problem, *trajectory, "u")).mean(axis=0)
+
+    maps = {
+        "f": drift_or_noise("Y", "mY", (dims.d,)),
+        "g": drift_or_noise("Z", "mZ", (dims.d, dims.d_w)),
+        "F": drift_or_noise("y", "my", (dims.d,)),
+        "G": drift_or_noise("z", "mz", (dims.d, dims.d_b)),
+    }
+    return maps, control_gradient
+
+
 def _hookless_running_cost(dims):
     """A running cost in the point blocks, the control and the mean of y,
     with no gradient hooks: every adjoint cost term is differenced."""
@@ -424,37 +487,51 @@ def _hookless_running_cost(dims):
     return RunningCost(value=value)
 
 
+VARIANTS = ["analytic", "differenced", "hookless_cost"]
+
+
+def _variant_case(variant):
+    """The LQ problem on 9 steps, with its Jacobians stripped (differenced)
+    or a hookless running cost, a random state (M = 17) and random controls,
+    and a random-state factory for the adjoint argument."""
+    problem = lq_control_scenario(TimeGrid(1.0, 9))
+    if variant == "differenced":
+        dyn = problem.dynamics
+        problem.dynamics = ControlledDynamics(f=dyn.f, g=dyn.g, F=dyn.F, G=dyn.G,
+                                              jacobians={})
+    elif variant == "hookless_cost":
+        problem.running_cost = _hookless_running_cost(problem.dims)
+    rng = np.random.default_rng(25)
+
+    def random_state():
+        state = EnsembleState.zeros(17, problem.dims, problem.grid)
+        for arr in (state.y, state.Y, state.z, state.Z):
+            arr += rng.standard_normal(arr.shape)
+        return state
+
+    state = random_state()
+    controls = rng.uniform(-1.0, 1.0, size=(problem.grid.steps + 1, 1))
+    return problem, state, controls, random_state
+
+
+def _map_calls(n):
+    """The Picard step's full grid, the residual's left and right stacks and
+    one node."""
+    return (slice(None), slice(0, n), slice(1, n + 1), 4)
+
+
 class TestStackedAdjointMaps:
     """The adjoint maps built once per system against the per-block assembly."""
 
-    @pytest.mark.parametrize("variant", ["analytic", "differenced", "hookless_cost"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_maps_match_per_block_assembly(self, variant):
-        problem = lq_control_scenario(TimeGrid(1.0, 9))
-        if variant == "differenced":
-            dyn = problem.dynamics
-            problem.dynamics = ControlledDynamics(f=dyn.f, g=dyn.g, F=dyn.F, G=dyn.G,
-                                                  jacobians={})
-        elif variant == "hookless_cost":
-            problem.running_cost = _hookless_running_cost(problem.dims)
-        rng = np.random.default_rng(25)
-        n, m = problem.grid.steps, 17
-
-        def random_state():
-            state = EnsembleState.zeros(m, problem.dims, problem.grid)
-            for arr in (state.y, state.Y, state.z, state.Z):
-                arr += rng.standard_normal(arr.shape)
-            return state
-
-        state = random_state()
-        controls = rng.uniform(-1.0, 1.0, size=(n + 1, 1))
+        problem, state, controls, random_state = _variant_case(variant)
         maps = build_adjoint_coefficients(problem, state, controls).base
         reference = _reference_adjoint_maps(problem, state, controls)
         chi = random_state()
         laws = chi.node_laws()
         nodes = problem.grid.nodes
-        # the Picard step's full grid, the residual's left and right stacks
-        # and one node
-        for k in (slice(None), slice(0, n), slice(1, n + 1), 4):
+        for k in _map_calls(problem.grid.steps):
             t = nodes[k] if isinstance(k, slice) else float(nodes[k])
             for name in "fgFG":
                 got = getattr(maps, name)(t, chi.at(k), laws[k])
@@ -462,6 +539,23 @@ class TestStackedAdjointMaps:
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13,
                                            err_msg=f"{variant} map {name} at {k}")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_identical_to_cached_assembly(self, variant):
+        problem, state, controls, random_state = _variant_case(variant)
+        maps = build_adjoint_coefficients(problem, state, controls).base
+        reference, control_gradient = _bank_assembly(problem, state, controls)
+        chi = random_state()
+        laws = chi.node_laws()
+        nodes = problem.grid.nodes
+        for k in _map_calls(problem.grid.steps):
+            t = nodes[k] if isinstance(k, slice) else float(nodes[k])
+            for name in "fgFG":
+                got = getattr(maps, name)(t, chi.at(k), laws[k])
+                assert np.array_equal(got, reference[name](t, chi.at(k), laws[k])), \
+                    f"{variant} map {name} at {k}"
+        assert np.array_equal(mean_control_gradient(problem, state, chi, controls),
+                              control_gradient(chi))
 
 
 def drivers_subset(drivers, m):

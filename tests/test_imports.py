@@ -1,5 +1,6 @@
 """Every name a module of the package imports is referenced by that module,
-and importing the package does not load scipy.optimize."""
+every module-level private function and class is referenced somewhere in
+the package, and importing the package does not load scipy.optimize."""
 
 import ast
 import os
@@ -36,6 +37,26 @@ def test_every_import_is_referenced(path):
         if (path.stem, name) not in ALLOWED
     )
     assert not unused, f"{path.name} imports {unused} and never references them"
+
+
+def test_every_private_helper_is_referenced():
+    # a private helper that nothing in the package names is dead code that a
+    # refactor left behind; tests do not count as callers
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = sorted(
+        f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+    assert not dead, f"private helpers referenced nowhere in the package: {dead}"
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
