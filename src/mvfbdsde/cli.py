@@ -17,6 +17,7 @@ printed to stdout only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -29,7 +30,8 @@ from .assumptions import (
     check_monotonicity,
     estimate_lipschitz,
 )
-from .config import COMMANDS, SCENARIOS, ConfigError, ScenarioConfig, parse_kv
+from .config import COMMANDS, KEYS, SCENARIOS, ConfigError, ScenarioConfig
+from .config import parse_kv, serialize_kv
 from .control import (
     first_order_candidate,
     gradient_consistency,
@@ -54,45 +56,33 @@ EXIT_REFUTED = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is the config key it sets."""
     parser = argparse.ArgumentParser(
         prog="mvfbdsde",
         description="Solve and verify coupled two-driver mean-field "
         "forward-backward systems.",
     )
     parser.add_argument("--config", help="key=value scenario file")
-    parser.add_argument("--scenario", choices=SCENARIOS)
-    parser.add_argument("--command", choices=COMMANDS)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--particles", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--out", help="output directory (env MVFBDSDE_OUT wins)")
+    parser.add_argument("--scenario", choices=SCENARIOS, dest=KEYS["scenario"])
+    parser.add_argument("--command", choices=COMMANDS, dest=KEYS["command"])
+    parser.add_argument("--seed", type=int, dest=KEYS["seed"])
+    parser.add_argument("--steps", type=int, dest=KEYS["steps"], metavar="STEPS")
+    parser.add_argument("--particles", type=int, dest=KEYS["particles"], metavar="PARTICLES")
+    parser.add_argument("--delta", type=float, dest=KEYS["delta"], metavar="DELTA")
+    parser.add_argument("--tol", type=float, dest=KEYS["tol"], metavar="TOL")
     parser.add_argument(
-        "--threads", type=int,
+        "--out", dest=KEYS["out"], help="output directory (env MVFBDSDE_OUT wins)"
+    )
+    parser.add_argument(
+        "--threads", type=int, dest=KEYS["threads"],
         help="worker cap, 0 = auto; execution is vectorized and results do "
         "not depend on this value",
     )
     parser.add_argument(
-        "--override-horizon", type=float, dest="override_horizon",
+        "--override-horizon", type=float, dest=KEYS["horizon"], metavar="OVERRIDE_HORIZON",
         help="replace a scenario-pinned horizon",
     )
     return parser
-
-
-# each flag and the config key it sets
-_FLAG_KEYS = {
-    "scenario": "scenario",
-    "command": "command",
-    "seed": "seed",
-    "steps": "grid.steps",
-    "particles": "ensemble.particles",
-    "delta": "continuation.delta",
-    "tol": "solver.tol",
-    "out": "out",
-    "threads": "threads",
-    "override_horizon": "grid.horizon",
-}
 
 
 def load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -102,26 +92,18 @@ def load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             mapping = parse_kv(fh.read())
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
-            mapping[key] = getattr(args, flag)
-    if args.override_horizon is not None:
-        mapping["override_horizon"] = True
+    mapping.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
+    if vars(args)[KEYS["horizon"]] is not None:  # only --override-horizon sets it
+        mapping[KEYS["override_horizon"]] = True
     env_out = os.environ.get("MVFBDSDE_OUT")
     if env_out:
-        mapping["out"] = env_out
+        mapping[KEYS["out"]] = env_out
     return ScenarioConfig.from_mapping(mapping)
 
 
-def _write_text(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _write_kv(path: str, mapping: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(mapping):
-            fh.write(f"{key} = {mapping[key]}\n")
 
 
 def emit_report(report, out_dir: str) -> None:
@@ -136,12 +118,18 @@ def _drivers(cfg: ScenarioConfig):
     return sample_driver_pair(cfg.grid, cfg.d_w, cfg.d_b, cfg.particles, cfg.seed)
 
 
+def _lq_problem(cfg: ScenarioConfig):
+    """The LQ control problem with the config's ladder step and constants."""
+    return dataclasses.replace(lq_control_scenario(cfg.grid), delta=cfg.delta,
+                               theta1=cfg.theta1, theta2=cfg.theta2, alpha1=cfg.alpha1)
+
+
 def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
     drivers = _drivers(cfg)
     reg = cfg.regression
     try:
         if cfg.scenario == "lq_control":
-            problem = lq_control_scenario(cfg.grid)
+            problem = _lq_problem(cfg)
             u = np.broadcast_to(
                 problem.control_box_center(), (cfg.steps + 1, problem.d_u)
             ).copy()
@@ -167,7 +155,7 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
         if err.report is not None:
             emit_report(err.report, out_dir)
             lines.append("see ladder.csv for the partial ladder")
-        _write_text(os.path.join(out_dir, "report.txt"), lines)
+        _write_lines(os.path.join(out_dir, "report.txt"), lines)
         print(f"solve failed: {err}")
         return EXIT_REFUTED
     emit_report(report, out_dir)
@@ -181,7 +169,7 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
         f"terminal_residual = {res.terminal:.6e}",
         f"rungs = {len(report.alpha_ladder)}",
     ]
-    _write_text(os.path.join(out_dir, "report.txt"), lines)
+    _write_lines(os.path.join(out_dir, "report.txt"), lines)
     print("\n".join(lines))
     print(f"wallclock = {report.wallclock:.2f}s")
     return EXIT_OK if report.converged else EXIT_REFUTED
@@ -190,10 +178,10 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
 def _cmd_check_assumptions(cfg: ScenarioConfig, out_dir: str) -> int:
     sampler = PairSampler(cfg.dims, seed=cfg.seed, t_max=cfg.horizon)
     if cfg.scenario == "lq_control":
-        problem = lq_control_scenario(cfg.grid)
-        report = check_control_assumptions(problem, sampler)
-        _write_text(os.path.join(out_dir, "report.txt"), report.text().splitlines())
-        _write_kv(os.path.join(out_dir, "assumptions.kv"), report.kv())
+        report = check_control_assumptions(_lq_problem(cfg), sampler)
+        _write_lines(os.path.join(out_dir, "report.txt"), report.text().splitlines())
+        _write_lines(os.path.join(out_dir, "assumptions.kv"),
+                     serialize_kv(report.kv()).splitlines())
         print(report.text())
         return EXIT_OK if report.ok else EXIT_REFUTED
 
@@ -214,8 +202,9 @@ def _cmd_check_assumptions(cfg: ScenarioConfig, out_dir: str) -> int:
     mono.estimated_gamma = lip.gamma_hat
     mono.passes["lipschitz.gamma_below_half"] = lip.gamma_ok
     mono.passes["integrability"] = bool(integ)
-    _write_text(os.path.join(out_dir, "report.txt"), mono.text().splitlines())
-    _write_kv(os.path.join(out_dir, "assumptions.kv"), mono.kv())
+    _write_lines(os.path.join(out_dir, "report.txt"), mono.text().splitlines())
+    _write_lines(os.path.join(out_dir, "assumptions.kv"),
+                 serialize_kv(mono.kv()).splitlines())
     print(mono.text())
     return EXIT_OK if mono.ok else EXIT_REFUTED
 
@@ -279,7 +268,7 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
             )
     distinct = report.max_distance > threshold
     lines.append(f"distinct_limits = {distinct}")
-    _write_text(os.path.join(out_dir, "report.txt"), lines)
+    _write_lines(os.path.join(out_dir, "report.txt"), lines)
     print("\n".join(lines))
     return EXIT_REFUTED if distinct or report.failed_starts else EXIT_OK
 
@@ -287,7 +276,7 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
 def _cmd_verify_smp(cfg: ScenarioConfig, out_dir: str) -> int:
     if cfg.scenario != "lq_control":
         raise ConfigError("verify_smp needs scenario = lq_control")
-    problem = lq_control_scenario(cfg.grid)
+    problem = _lq_problem(cfg)
     drivers = _drivers(cfg)
     reg = cfg.regression
     candidate = first_order_candidate(problem, drivers, reg, tol=cfg.tol)
@@ -307,8 +296,8 @@ def _cmd_verify_smp(cfg: ScenarioConfig, out_dir: str) -> int:
     kv["gradient_rel_error"] = format(grad.rel_error, ".17g")
     lines = report.text().splitlines()
     lines.append(f"gradient_rel_error = {grad.rel_error:.6g}")
-    _write_text(os.path.join(out_dir, "report.txt"), lines)
-    _write_kv(os.path.join(out_dir, "smp.kv"), kv)
+    _write_lines(os.path.join(out_dir, "report.txt"), lines)
+    _write_lines(os.path.join(out_dir, "smp.kv"), serialize_kv(kv).splitlines())
     print("\n".join(lines))
     return EXIT_OK if report.verdict and grad.rel_error <= 0.05 else EXIT_REFUTED
 
@@ -344,7 +333,7 @@ def _cmd_ito_check(cfg: ScenarioConfig, out_dir: str) -> int:
         passed = res <= bound
         ok = ok and passed
         lines.append(f"{name}: residual = {res:.6e} ({'pass' if passed else 'FAIL'})")
-    _write_text(os.path.join(out_dir, "report.txt"), lines)
+    _write_lines(os.path.join(out_dir, "report.txt"), lines)
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -353,9 +342,7 @@ def run(cfg: ScenarioConfig) -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     out_dir = cfg.out
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(cfg.to_text())
+    _write_lines(os.path.join(out_dir, "config.echo"), cfg.to_text().splitlines())
     dispatch = {
         "solve": _cmd_solve,
         "check_assumptions": _cmd_check_assumptions,

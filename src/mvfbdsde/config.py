@@ -4,6 +4,11 @@ Grammar: one ``key = value`` per line, ``#`` starts a comment, keys are
 case-sensitive dotted paths.  Values parse as int, float, bool (true/false),
 or bare string.  Parsing then serializing then parsing again is the identity.
 
+Each ``ScenarioConfig`` field declares its key, and a value must fit the type
+of the field's default: a bool takes only true/false, an int only a whole
+number, a float only a finite number (``model.*`` entries too), none of them
+a bool; anything else is a ConfigError naming the key.
+
 Recognized keys::
 
     scenario                 example1 | example2 | linear_base | lq_control | custom
@@ -25,15 +30,21 @@ Recognized keys::
     override_horizon         true to allow a non-default example2 horizon
     model.<coef>.<src>       linear tables for scenario = custom, e.g.
                              model.f.mY = 0.5 (coef in f,F,g,G,h; src per table)
+
+lq_control fixes dims.*, initial.x, continuation.case, terminal.xi,
+solver.max_iter and solver.damping itself and ignores those entries, but
+dims.* still shape its drivers and certification pairs: keep them at 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .control import lq_control_scenario
 from .model import (
     CoefficientSet,
     Dimensions,
@@ -108,67 +119,63 @@ def serialize_kv(mapping: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _coerce(key: str, value, default):
+    """``value`` as the type of ``default``, the default of the setting
+    ``key``, by the module's type rule; a string setting takes the value's text."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{key} must be true or false")
+    if isinstance(default, int):
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        raise ConfigError(f"{key} must be a whole number")
+    if isinstance(default, float):
+        # finite as a float: false for nan, inf and ints beyond the float range
+        if number and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ConfigError(f"{key} must be a finite number")
+    return _format_value(value)
+
+
+def _setting(key: str, default):
+    """A field set by the config key ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class ScenarioConfig:
-    scenario: str = "example1"
-    command: str = "solve"
-    seed: int = 20240611
-    horizon: float = 1.0
-    steps: int = 200
-    particles: int = 4000
-    d: int = 1
-    d_w: int = 1
-    d_b: int = 1
-    delta: float = 0.2
-    case: str = "case1"
-    tol: float = 1e-5
-    basis: str = "affine_y"
-    ridge: float = 1e-8
-    max_iter: int = 60
-    damping: float = 1.0
-    theta1: float = 0.25
-    theta2: float = 0.25
-    alpha1: float = 0.5
-    n_pairs: int = 10000
-    x: float = 1.0
-    xi: float = 0.0
-    out: str = "out"
-    threads: int = 0
-    override_horizon: bool = False
+    scenario: str = _setting("scenario", "example1")
+    command: str = _setting("command", "solve")
+    seed: int = _setting("seed", 20240611)
+    horizon: float = _setting("grid.horizon", 1.0)
+    steps: int = _setting("grid.steps", 200)
+    particles: int = _setting("ensemble.particles", 4000)
+    d: int = _setting("dims.d", 1)
+    d_w: int = _setting("dims.d_w", 1)
+    d_b: int = _setting("dims.d_b", 1)
+    delta: float = _setting("continuation.delta", 0.2)
+    case: str = _setting("continuation.case", "case1")
+    tol: float = _setting("solver.tol", 1e-5)
+    basis: str = _setting("solver.basis", "affine_y")
+    ridge: float = _setting("solver.ridge", 1e-8)
+    max_iter: int = _setting("solver.max_iter", 60)
+    damping: float = _setting("solver.damping", 1.0)
+    theta1: float = _setting("assume.theta1", 0.25)
+    theta2: float = _setting("assume.theta2", 0.25)
+    alpha1: float = _setting("assume.alpha1", 0.5)
+    n_pairs: int = _setting("assume.pairs", 10000)
+    x: float = _setting("initial.x", 1.0)
+    xi: float = _setting("terminal.xi", 0.0)
+    out: str = _setting("out", "out")
+    threads: int = _setting("threads", 0)
+    override_horizon: bool = _setting("override_horizon", False)
     model_tables: dict[str, float] = field(default_factory=dict)
-
-    _KEYMAP = {
-        "scenario": "scenario",
-        "command": "command",
-        "seed": "seed",
-        "grid.horizon": "horizon",
-        "grid.steps": "steps",
-        "ensemble.particles": "particles",
-        "dims.d": "d",
-        "dims.d_w": "d_w",
-        "dims.d_b": "d_b",
-        "continuation.delta": "delta",
-        "continuation.case": "case",
-        "solver.tol": "tol",
-        "solver.basis": "basis",
-        "solver.ridge": "ridge",
-        "solver.max_iter": "max_iter",
-        "solver.damping": "damping",
-        "assume.theta1": "theta1",
-        "assume.theta2": "theta2",
-        "assume.alpha1": "alpha1",
-        "assume.pairs": "n_pairs",
-        "initial.x": "x",
-        "terminal.xi": "xi",
-        "out": "out",
-        "threads": "threads",
-        "override_horizon": "override_horizon",
-    }
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        mapping = parse_kv(text)
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(parse_kv(text))
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, object]) -> "ScenarioConfig":
@@ -176,29 +183,10 @@ class ScenarioConfig:
         if "scenario" in mapping:
             cfg.apply_scenario_defaults(str(mapping["scenario"]))
         for key, value in mapping.items():
-            if key in cls._KEYMAP:
-                attr = cls._KEYMAP[key]
-                current = getattr(cfg, attr)
-                if isinstance(current, bool):
-                    value = bool(value)
-                elif isinstance(current, int) and not isinstance(value, bool):
-                    if isinstance(value, float) and not value.is_integer():
-                        raise ConfigError(f"{key} must be an integer")
-                    value = int(value)
-                elif isinstance(current, float):
-                    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                            or not math.isfinite(value)):
-                        raise ConfigError(f"{key} must be a finite number")
-                    value = float(value)
-                else:
-                    value = str(value)
-                setattr(cfg, attr, value)
+            if key in _FIELDS:
+                setattr(cfg, _FIELDS[key].name, _coerce(key, value, _FIELDS[key].default))
             elif key.startswith("model."):
-                tail = key[len("model."):]
-                if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                        or not math.isfinite(value)):
-                    raise ConfigError(f"model key {key!r} needs a finite number")
-                cfg.model_tables[tail] = float(value)
+                cfg.model_tables[key[len("model."):]] = _coerce(key, value, 0.0)
             else:
                 raise ConfigError(f"unknown key {key!r}")
         cfg.validate()
@@ -208,27 +196,24 @@ class ScenarioConfig:
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
         self.scenario = scenario
+        # example1 and custom run on the field defaults
         presets = {
-            "example1": dict(horizon=1.0, steps=200, particles=4000, x=1.0,
-                             delta=0.2, theta1=0.25, theta2=0.25, alpha1=0.5,
-                             tol=1e-5),
             "example2": dict(horizon=EXAMPLE2_HORIZON, steps=300, particles=2000,
                              x=0.0, delta=0.2, theta1=1.0, theta2=0.0,
                              alpha1=0.5, tol=1e-4, damping=0.35),
             "linear_base": dict(horizon=1.0, steps=100, particles=1000, x=1.0,
                                 theta1=1.0, theta2=0.0, xi=0.5),
-            "lq_control": dict(horizon=1.0, steps=50, particles=1000, x=1.0,
-                               delta=0.25, theta1=0.125, theta2=0.125,
-                               alpha1=0.5, tol=1e-6),
-            "custom": dict(),
+            "lq_control": dict(horizon=1.0, steps=50, particles=1000, x=1.0, tol=1e-6),
         }
-        for key, value in presets[scenario].items():
+        for key, value in presets.get(scenario, {}).items():
             setattr(self, key, value)
+        if scenario == "lq_control":  # the control problem owns its ladder step and constants
+            lq = lq_control_scenario()
+            for key in ("delta", "theta1", "theta2", "alpha1"):
+                setattr(self, key, getattr(lq, key))
 
     def to_mapping(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for key, attr in self._KEYMAP.items():
-            out[key] = getattr(self, attr)
+        out = {key: getattr(self, f.name) for key, f in _FIELDS.items()}
         for key, value in sorted(self.model_tables.items()):
             out[f"model.{key}"] = value
         return out
@@ -241,24 +226,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.steps < 2:
-            raise ConfigError("grid.steps must be >= 2")
-        if self.particles < 2:
-            raise ConfigError("ensemble.particles must be >= 2")
-        if self.horizon <= 0:
-            raise ConfigError("grid.horizon must be > 0")
-        if not 0 < self.delta <= 1:
-            raise ConfigError("continuation.delta must lie in (0, 1]")
-        if self.case not in ("case1", "case2"):
-            raise ConfigError("continuation.case must be case1 or case2")
-        if self.basis not in BASES:
-            raise ConfigError(f"unknown basis {self.basis!r}")
-        if self.threads < 0:
-            raise ConfigError("threads must be >= 0")
+        for ok, attr, rule in (
+            (self.steps >= 2, "steps", "must be >= 2"),
+            (self.particles >= 2, "particles", "must be >= 2"),
+            (self.horizon > 0, "horizon", "must be > 0"),
+            (0 < self.delta <= 1, "delta", "must lie in (0, 1]"),
+            (self.case in ("case1", "case2"), "case", "must be case1 or case2"),
+            (self.basis in BASES, "basis", f"{self.basis!r} is unknown"),
+            (self.threads >= 0, "threads", "must be >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{KEYS[attr]} {rule}")
         if self.scenario == "example2" and not self.override_horizon:
             if abs(self.horizon - EXAMPLE2_HORIZON) > 1e-12:
                 raise ConfigError(
-                    "example2 fixes grid.horizon = 3*pi/4; pass an explicit "
+                    f"example2 fixes {KEYS['horizon']} = 3*pi/4; pass an explicit "
                     "horizon override to change it"
                 )
 
@@ -299,3 +281,8 @@ class ScenarioConfig:
                 raise ConfigError(f"bad model key model.{key}")
             tables[parts[0]][parts[1]] = value
         return linear_coefficient_set(self.dims, LinearTables(**tables), name="custom")
+
+
+# each config key's field, and each field's key, from the fields' own metadata
+_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig) if f.metadata}
+KEYS = {f.name: key for key, f in _FIELDS.items()}

@@ -732,6 +732,12 @@ def _convexity_margin(term: CostTerm, dims_d: int, rng: np.random.Generator,
     return worst
 
 
+# verify_smp's slack on the Hamiltonian's concavity margin and on the
+# maximum condition's gap
+CONCAVITY_TOL = 1e-7
+MAX_COND_TOL = 1e-4
+
+
 def verify_smp(
     problem: ControlProblem,
     candidate,
@@ -740,8 +746,6 @@ def verify_smp(
     reg: RegressionConfig,
     tol: float = 1e-6,
     seed: int = 0,
-    concavity_tol: float = 1e-7,
-    max_cond_tol: float = 1e-4,
 ) -> SMPReport:
     """Four sampled checks behind the sufficiency theorem.
 
@@ -839,8 +843,8 @@ def verify_smp(
 
     checks = {
         "cost_convexity": bool(convexity_margin >= -1e-9),
-        "hamiltonian_concavity": bool(concavity_margin >= -concavity_tol),
-        "max_condition": bool(max_gap >= -max_cond_tol),
+        "hamiltonian_concavity": bool(concavity_margin >= -CONCAVITY_TOL),
+        "max_condition": bool(max_gap >= -MAX_COND_TOL),
         "cost_dominance": bool(all(mg >= 0.0 for mg in cost_margins)),
     }
     return SMPReport(

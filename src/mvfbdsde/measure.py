@@ -15,6 +15,7 @@ import numpy as np
 
 WEIGHT_TOL = 1e-12
 ASSIGNMENT_CAP = 512
+MARGINAL_TOL = 1e-8  # check_mean_w2_bounds' tolerance on the coupling's means
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,11 @@ class EmpiricalLaw:
 def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
     """Weighted quantile matching; exact for one-dimensional laws.  Two
     clouds of equal size with exactly constant weights match in sorted
-    order, so their distance is the RMS of the sorted differences."""
+    order, as a stack of one pair."""
+    if a.n_atoms == b.n_atoms and a.is_uniform() and b.is_uniform():
+        return float(wasserstein2_stack(a.samples[None], b.samples[None])[0])
     xa = a.samples[:, 0]
     xb = b.samples[:, 0]
-    if len(xa) == len(xb) and a.is_uniform() and b.is_uniform():
-        gap = np.sort(xa) - np.sort(xb)
-        return float(np.sqrt(gap @ gap / len(gap)))
     ia = np.argsort(xa, kind="stable")
     ib = np.argsort(xb, kind="stable")
     xa, wa = xa[ia], a.weights[ia]
@@ -109,23 +109,6 @@ def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
     return float(np.sqrt(max(cost, 0.0)))
 
 
-def _w2_assignment(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """Exact optimal matching for uniform clouds with equal atom counts."""
-    if a.n_atoms != b.n_atoms:
-        raise ValueError("assignment requires equal atom counts")
-    if a.n_atoms > ASSIGNMENT_CAP:
-        raise ValueError(f"assignment capped at {ASSIGNMENT_CAP} atoms")
-    if not (a.is_uniform() and b.is_uniform()):
-        raise ValueError("assignment requires uniform weights")
-    # imported on use: scipy.optimize is most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
-    diff = a.samples[:, None, :] - b.samples[None, :, :]
-    cost = np.sum(diff**2, axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
-
-
 # a stack's cost matrices are built this many bytes at a time: 2 MiB was as
 # fast but raised the certification runs' peak RSS through the allocator
 _COST_BYTES = 2**19
@@ -138,7 +121,7 @@ def wasserstein2_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     One dimension matches in sorted order, the whole stack at once.  Else
     each pair solves its own assignment on a cost |a|^2 + |b|^2 - 2ab^T
     (clipped at 0) built for a sub-stack at a time; the matched costs are
-    then taken from the differences themselves, as ``wasserstein2`` does.
+    then taken from the differences themselves.
     """
     k, n, dim = a.shape
     if b.shape != a.shape:
@@ -202,7 +185,13 @@ def wasserstein2(
             raise ValueError("exact_1d requires dimension 1")
         return _w2_exact_1d(a, b)
     if method == "assignment":
-        return _w2_assignment(a, b)
+        if a.n_atoms != b.n_atoms:
+            raise ValueError("assignment requires equal atom counts")
+        if a.n_atoms > ASSIGNMENT_CAP:
+            raise ValueError(f"assignment capped at {ASSIGNMENT_CAP} atoms")
+        if not (a.is_uniform() and b.is_uniform()):
+            raise ValueError("assignment requires uniform weights")
+        return float(wasserstein2_stack(a.samples[None], b.samples[None])[0])
     if method == "sliced":
         return _w2_sliced(a, b, projections, seed)
     raise ValueError(f"unknown method {method!r}")
@@ -225,14 +214,12 @@ def check_mean_w2_bounds(
     a: EmpiricalLaw,
     b: EmpiricalLaw,
     coupling_samples: tuple[np.ndarray, np.ndarray],
-    *,
-    marginal_tol: float = 1e-8,
 ) -> MeanW2Bounds:
     """Mean gap, exact distance, and L2 cost of a supplied coupling.
 
     ``coupling_samples`` is a pair of equal-length sample arrays whose rows are
     paired draws with marginals ``a`` and ``b``.  Marginal means are verified
-    against the laws' means within ``marginal_tol``.  The distance is exact:
+    against the laws' means within ``MARGINAL_TOL``.  The distance is exact:
     quantile matching in one dimension, else assignment, which needs uniform
     clouds of equal size; other inputs raise ValueError.
     """
@@ -244,10 +231,10 @@ def check_mean_w2_bounds(
         raise ValueError("coupling sample shapes disagree")
     gap_a = float(np.linalg.norm(xs.mean(axis=0) - a.mean))
     gap_b = float(np.linalg.norm(ys.mean(axis=0) - b.mean))
-    if gap_a > marginal_tol or gap_b > marginal_tol:
+    if gap_a > MARGINAL_TOL or gap_b > MARGINAL_TOL:
         raise ValueError(
             f"coupling marginals off by ({gap_a:.3e}, {gap_b:.3e}), "
-            f"tolerance {marginal_tol:.3e}"
+            f"tolerance {MARGINAL_TOL:.3e}"
         )
     mean_gap = float(np.linalg.norm(a.mean - b.mean))
     if a.dim == 1:

@@ -15,7 +15,7 @@ from mvfbdsde.assumptions import (
     estimate_lipschitz,
 )
 from mvfbdsde.control import lq_control_scenario
-from mvfbdsde.measure import EmpiricalLaw, wasserstein2, wasserstein2_stack
+from mvfbdsde.measure import EmpiricalLaw, wasserstein2_stack
 from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
@@ -31,6 +31,7 @@ from mvfbdsde.model import (
     zero_coefficient_set,
 )
 from mvfbdsde.paths import TimeGrid
+from test_measure import reference_assignment_w2
 
 DIMS = Dimensions(1, 1, 1)
 
@@ -356,7 +357,7 @@ def reference_monotonicity(coeffs, theta1, theta2, alpha1, direction, sampler,
 
 def _reference_w2(a, b):
     la, lb = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
-    return wasserstein2(la, lb, "exact_1d" if la.dim == 1 else "assignment")
+    return reference_assignment_w2(la, lb)
 
 
 def reference_lipschitz(coeffs, sampler, n_pairs):
@@ -617,5 +618,5 @@ class TestStackedPairs:
             got = wasserstein2_stack(a.swapaxes(0, 1), b.swapaxes(0, 1))
             for k in range(a.shape[1]):
                 la, lb = EmpiricalLaw.from_samples(a[:, k]), EmpiricalLaw.from_samples(b[:, k])
-                want = wasserstein2(la, lb, "exact_1d" if la.dim == 1 else "assignment")
+                want = reference_assignment_w2(la, lb)
                 assert got[k] == pytest.approx(want, rel=1e-12, abs=0)

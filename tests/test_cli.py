@@ -9,6 +9,7 @@ import pytest
 from mvfbdsde import cli
 from mvfbdsde.cli import main
 from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
+from mvfbdsde.control import lq_control_scenario
 from mvfbdsde.model import builtin_example_meanfield
 from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
 
@@ -62,6 +63,22 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_mapping({"grid.horizon": -1.0})
 
+    def test_lq_control_preset_matches_the_problem(self):
+        # the CLI replaces the problem's constants with the config's, so a
+        # default run stays unchanged only if the preset takes them from it
+        cfg = ScenarioConfig.from_mapping({"scenario": "lq_control"})
+        problem = lq_control_scenario()
+        for attr in ("delta", "theta1", "theta2", "alpha1"):
+            assert getattr(cfg, attr) == getattr(problem, attr), attr
+
+    def test_every_flag_sets_a_config_key(self):
+        defaults = ScenarioConfig().to_mapping()
+        dests = [a.dest for a in cli.build_parser()._actions
+                 if a.dest not in ("help", "config")]
+        assert len(dests) == 10
+        for dest in dests:
+            ScenarioConfig.from_mapping({dest: defaults[dest]})
+
     def test_custom_model_tables(self):
         cfg = ScenarioConfig.from_text(
             "scenario = custom\n"
@@ -114,6 +131,16 @@ class TestCliCommands:
         assert (out / "trajectory.csv").exists()
         assert (out / "ladder.csv").exists()
         assert "rungs = 5\n" in (out / "report.txt").read_text()
+
+    def test_lq_control_takes_the_config_delta(self, tmp_path):
+        code, out = run_cli(
+            ["--scenario", "lq_control", "--command", "solve", "--delta", "0.5",
+             "--steps", "20", "--particles", "200"],
+            tmp_path, "lq_delta",
+        )
+        assert code == 0
+        rows = (out / "ladder.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.5", "1"]
 
     def test_failed_ladder_exits_2_with_partial_ladder(self, tmp_path):
         # one Picard step per rung cannot reach tol: the step halves three
@@ -196,6 +223,22 @@ class TestCliCommands:
         code, out = run_cli(["--config", str(cfg_path)], tmp_path, "nan")
         assert code == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [("grid.steps = true", "grid.steps"),
+         ("override_horizon = no", "override_horizon"),
+         ("threads = yes", "threads"),
+         pytest.param(f"grid.horizon = 1{'0' * 400}", "grid.horizon",
+                      id="grid.horizon = 10**400")],
+    )
+    def test_mistyped_config_value_exits_1(self, tmp_path, capsys, entry, key):
+        cfg_path = tmp_path / "typed.cfg"
+        cfg_path.write_text(f"scenario = custom\ncommand = solve\n{entry}\n")
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "typed")
+        assert code == 1
+        assert f"config error: {key} " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "check_assumptions"])
