@@ -14,6 +14,7 @@ from .model import (
     Forcing,
     HomotopyProblem,
     LinearTables,
+    NodeMoments,
     Quad,
     ResidualTriple,
     builtin_counterexample,

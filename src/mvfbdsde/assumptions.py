@@ -17,7 +17,7 @@ import numpy as np
 # wasserstein2, the per-pair form of wasserstein2_stack, stays importable from
 # here: bench/tracing.py wraps it under this name
 from .control import _fd_jacobian
-from .measure import EmpiricalLaw, wasserstein2, wasserstein2_stack  # noqa: F401
+from .measure import wasserstein2, wasserstein2_stack  # noqa: F401
 from .model import (
     CoefficientSet,
     Dimensions,
@@ -26,7 +26,6 @@ from .model import (
     eval_system,
     eval_terminal,
     pairing,
-    quad_law,
 )
 from .paths import TimeGrid
 
@@ -490,7 +489,8 @@ def check_integrability(
     for k, t in enumerate(grid.nodes):
         for probe in probes:
             try:
-                f, g, big_f, big_g = eval_system(coeffs, float(t), probe)
+                law = NodeMoments.of(probe.flat())
+                f, g, big_f, big_g = eval_system(coeffs, float(t), probe, law)
             except Exception as exc:  # non-finite or misshapen
                 offending.append(k)
                 message = message or str(exc)
@@ -501,7 +501,7 @@ def check_integrability(
             )
     try:
         probe_y = np.ones((1, dims.d))
-        eval_terminal(coeffs, probe_y, EmpiricalLaw.from_samples(probe_y))
+        eval_terminal(coeffs, probe_y, NodeMoments.of(probe_y))
     except Exception as exc:
         offending.append(grid.steps)
         message = message or str(exc)
@@ -536,7 +536,7 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
     caps = dict.fromkeys(("z", "Z", "mz", "mZ"), 0.0)
     for _ in range(40):
         v = Quad(*(rng.standard_normal((4, *shape)) for shape in dims.shapes))
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         t = float(rng.uniform(0.0, problem.grid.horizon))
         for fn in (problem.dynamics.g, problem.dynamics.G):
             for block in caps:

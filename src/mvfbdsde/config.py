@@ -31,9 +31,9 @@ Recognized keys::
     model.<coef>.<src>       linear tables for scenario = custom, e.g.
                              model.f.mY = 0.5 (coef in f,F,g,G,h; src per table)
 
-lq_control fixes dims.*, initial.x, continuation.case, terminal.xi,
-solver.max_iter and solver.damping itself and ignores those entries, but
-dims.* still shape its drivers and certification pairs: keep them at 1.
+lq_control fixes initial.x, continuation.case, terminal.xi, solver.max_iter
+and solver.damping itself and ignores those entries.  example2 and lq_control
+take only dims.* = 1 and example1 needs dims.d_w = dims.d_b: else ConfigError.
 """
 
 from __future__ import annotations
@@ -237,6 +237,11 @@ class ScenarioConfig:
         ):
             if not ok:
                 raise ConfigError(f"{KEYS[attr]} {rule}")
+        for attr in ("d", "d_w", "d_b"):
+            if self.scenario in ("example2", "lq_control") and getattr(self, attr) != 1:
+                raise ConfigError(f"{KEYS[attr]} must be 1: {self.scenario} fixes its dimensions")
+        if self.scenario == "example1" and self.d_w != self.d_b:
+            raise ConfigError(f"example1 needs {KEYS['d_w']} == {KEYS['d_b']}")
         if self.scenario == "example2" and not self.override_horizon:
             if abs(self.horizon - EXAMPLE2_HORIZON) > 1e-12:
                 raise ConfigError(

@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import EmpiricalLaw
 from .model import (
     CoefficientError,
     CoefficientSet,
@@ -95,25 +94,31 @@ class CostTerm:
     ``grad`` is the pointwise gradient, ``mean_grad`` the derivative in the
     mean argument averaged over the atoms; each falls back to central
     differences when not supplied (for ``mean_grad``, of the atoms' mean cost
-    under translated laws).
+    under translated moments).  The methods take the atoms x (n, d) alone and
+    hand each hook their ``NodeMoments``.
     """
 
-    value: Callable[[np.ndarray, EmpiricalLaw], np.ndarray]
-    grad: Callable[[np.ndarray, EmpiricalLaw], np.ndarray] | None = None
-    mean_grad: Callable[[EmpiricalLaw], np.ndarray] | None = None
+    value: Callable[[np.ndarray, NodeMoments], np.ndarray]
+    grad: Callable[[np.ndarray, NodeMoments], np.ndarray] | None = None
+    mean_grad: Callable[[NodeMoments], np.ndarray] | None = None
 
-    def grad_values(self, x: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.value(x, NodeMoments.of(x))
+
+    def grad_values(self, x: np.ndarray) -> np.ndarray:
+        law = NodeMoments.of(x)
         if self.grad is not None:
             return np.asarray(self.grad(x, law), dtype=float)
         h = FD_STEP * (1.0 + np.max(np.abs(x), axis=0, initial=0.0))
         return central_difference(lambda xs: self.value(xs, law), x, h)
 
-    def mean_grad_values(self, law: EmpiricalLaw) -> np.ndarray:
+    def mean_grad_values(self, x: np.ndarray) -> np.ndarray:
+        law = NodeMoments.of(x)
         if self.mean_grad is not None:
             return np.asarray(self.mean_grad(law), dtype=float)
         return central_difference(
-            lambda delta: float(np.mean(self.value(law.samples, law.translated(delta)))),
-            np.zeros(law.dim), FD_STEP * (1.0 + np.abs(law.mean)),
+            lambda delta: float(np.mean(self.value(x, law.translated(delta)))),
+            np.zeros_like(law.mean), FD_STEP * (1.0 + np.abs(law.mean)),
         )
 
     @classmethod
@@ -128,7 +133,7 @@ class RunningCost:
     with u of shape (M, d_u) or (M, K, d_u)).  A gradient without a hook is
     differenced."""
 
-    value: Callable[[float, Quad, np.ndarray, EmpiricalLaw], np.ndarray]
+    value: Callable[[float, Quad, np.ndarray, NodeMoments], np.ndarray]
     grads: dict[str, Callable] = field(default_factory=dict)  # keys: y,Y,z,Z,u
     mean_grads: dict[str, Callable] = field(default_factory=dict)  # my,mY,mz,mZ
 
@@ -310,7 +315,7 @@ def hamiltonian(
     v: Quad,
     u: np.ndarray,
     chi: Quad,
-    law: EmpiricalLaw,
+    law: NodeMoments,
 ) -> np.ndarray:
     """Per-particle Hamiltonian <p,F> - <P,f> + <q,G> - <Q,g> - cost: (M,)
     at one node, (M, K) on a stack of K entries under the maps' node-stack
@@ -481,14 +486,12 @@ def build_adjoint_coefficients(
     )
 
     big_y0 = state.Y[:, 0]
-    law_y0 = EmpiricalLaw.from_samples(big_y0)
-    p0 = -problem.initial_cost.grad_values(big_y0, law_y0) - problem.initial_cost.mean_grad_values(law_y0)[None, :]
+    p0 = -problem.initial_cost.grad_values(big_y0) - problem.initial_cost.mean_grad_values(big_y0)[None, :]
 
     y_t = state.y[:, n]
-    law_yt = EmpiricalLaw.from_samples(y_t)
     shift = (
-        problem.terminal_cost.grad_values(y_t, law_yt)
-        + problem.terminal_cost.mean_grad_values(law_yt)[None, :]
+        problem.terminal_cost.grad_values(y_t)
+        + problem.terminal_cost.mean_grad_values(y_t)[None, :]
     )
     return HomotopyProblem(
         base=coeffs,
@@ -613,10 +616,8 @@ def estimate_cost(
         raise ValueError(f"running cost returned shape {np.shape(running)}, wanted {(m, n)}")
     # node-major and contiguous, so the sum adds the nodes in order
     per = np.ascontiguousarray((running * problem.grid.dt).T).sum(axis=0)
-    y_t = state.y[:, n]
-    per += problem.terminal_cost.value(y_t, EmpiricalLaw.from_samples(y_t))
-    big_y0 = state.Y[:, 0]
-    per += problem.initial_cost.value(big_y0, EmpiricalLaw.from_samples(big_y0))
+    per += problem.terminal_cost.values(state.y[:, n])
+    per += problem.initial_cost.values(state.Y[:, 0])
     return CostEstimate(
         value=float(per.mean()),
         stderr=float(per.std(ddof=1) / np.sqrt(m)),
@@ -722,10 +723,9 @@ def _convexity_margin(term: CostTerm, dims_d: int, rng: np.random.Generator,
         scale = float(rng.choice([0.3, 1.0, 2.5]))
         x = scale * rng.standard_normal((atoms, dims_d))
         x2 = x + scale * rng.standard_normal((atoms, dims_d))
-        law, law2 = EmpiricalLaw.from_samples(x), EmpiricalLaw.from_samples(x2)
-        lhs = float(np.mean(term.value(x2, law2)) - np.mean(term.value(x, law)))
-        grad = term.grad_values(x, law)
-        mean_grad = term.mean_grad_values(law)
+        lhs = float(np.mean(term.values(x2)) - np.mean(term.values(x)))
+        grad = term.grad_values(x)
+        mean_grad = term.mean_grad_values(x)
         correction = float(np.mean(np.sum(grad * (x2 - x), axis=1)))
         correction += float(mean_grad @ (x2 - x).mean(axis=0))
         worst = min(worst, lhs - correction)
@@ -1027,7 +1027,7 @@ def lq_control_scenario(grid: TimeGrid | None = None) -> ControlProblem:
     initial = CostTerm(
         value=lambda x, law: 0.5 * k0 * np.sum(x**2, axis=1),
         grad=lambda x, law: k0 * x,
-        mean_grad=lambda law: np.zeros(law.dim),
+        mean_grad=lambda law: np.zeros_like(law.mean),
     )
 
     return ControlProblem(

@@ -20,7 +20,8 @@ MARGINAL_TOL = 1e-8  # check_mean_w2_bounds' tolerance on the coupling's means
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Weighted sample cloud with a cached mean."""
+    """Weighted sample cloud with a cached mean: the input of the W2 distance
+    and of the mean-bound check (coefficient maps read ``model.NodeMoments``)."""
 
     samples: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,), nonnegative, sums to 1
@@ -72,10 +73,6 @@ class EmpiricalLaw:
     def is_uniform(self) -> bool:
         """Whether every atom carries exactly the same weight."""
         return bool(np.all(self.weights == self.weights[0]))
-
-    def translated(self, delta: np.ndarray) -> "EmpiricalLaw":
-        delta = np.broadcast_to(np.asarray(delta, dtype=float), (self.dim,))
-        return EmpiricalLaw(self.samples + delta[None, :], self.weights)
 
 
 def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:

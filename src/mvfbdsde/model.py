@@ -12,9 +12,9 @@ throughout by empirical particle clouds.  Systems stated with dY = -F dt
 pairs RIGHT-node integrands with increments, the forward integral LEFT-node
 ones (see paths).
 
-Coefficient maps read the law only through its first moment, so the solver
-evaluates each map once over a stack of nodes against per-node means (a
-``NodeMoments`` view); see ``CoefficientSet`` for the shapes.
+Coefficient maps, h included, read the law only through its first moment:
+each receives a ``NodeMoments``, so the solver evaluates each map once over a
+stack of nodes against per-node means; see ``CoefficientSet`` for the shapes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measure import EmpiricalLaw
 from .paths import BrownianPair, TimeGrid
 
 
@@ -78,11 +77,6 @@ class Quad(NamedTuple):
         return cls(*(np.zeros((m, *shape)) for shape in dims.shapes))
 
 
-def quad_law(v: Quad) -> EmpiricalLaw:
-    """Uniform empirical law of the quadruple batch on the flat product space."""
-    return EmpiricalLaw.from_samples(v.flat())
-
-
 def split_flat_mean(mean: np.ndarray, dims: Dimensions) -> Quad:
     """Unpack flat quadruple-space means of shape (..., flat) into
     (my, mY, mz, mZ) blocks of shapes (..., d), (..., d), (..., d, d_b) and
@@ -104,6 +98,14 @@ class NodeMoments:
 
     mean: np.ndarray
 
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "NodeMoments":
+        """The moments of the uniform law on the sample rows (n, flat): the
+        weighted sum w @ samples, bit for bit the mean of ``measure``'s
+        uniform clouds, which ``samples.mean(axis=0)`` does not always match."""
+        w = np.full(samples.shape[0], 1.0 / samples.shape[0])
+        return cls((w / w.sum()) @ samples)
+
     def __getitem__(self, k: int | slice | np.ndarray) -> "NodeMoments":
         return NodeMoments(self.mean[k])
 
@@ -112,9 +114,8 @@ class NodeMoments:
         return NodeMoments(self.mean + delta)
 
 
-Law = EmpiricalLaw | NodeMoments
-CoefFn = Callable[[float | np.ndarray, Quad, Law], np.ndarray]
-TerminalFn = Callable[[np.ndarray, Law], np.ndarray]
+CoefFn = Callable[[float | np.ndarray, Quad, NodeMoments], np.ndarray]
+TerminalFn = Callable[[np.ndarray, NodeMoments], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,11 @@ class CoefficientSet:
     a stack ``t`` holds the K node times, the blocks are (M, K, ...) and
     ``law.mean`` is (K, flat).  ``f``/``F`` return the shape of ``v.y``, ``g``
     that of ``v.Z`` and ``G`` that of ``v.z``; every evaluator accepts any
-    finite output that broadcasts to it.  The law is read only through
-    ``law.mean``: the solver and the certification routines pass a
-    NodeMoments view.  ``h`` maps (y_T of shape (M, d), law of y_T with
-    ``mean`` (d,)) to (M, d), or a stack (M, K, d) with ``mean`` (K, d) to
-    (M, K, d).  The certification routines stack their sampled pairs as
+    finite output that broadcasts to it.  Every map, ``h`` included,
+    receives its law as ``NodeMoments`` and reads it only through
+    ``law.mean``.  ``h`` maps (y_T of shape (M, d), ``mean`` (d,)) to (M, d),
+    or a stack (M, K, d) with ``mean`` (K, d) to (M, K, d).  The
+    certification routines stack their sampled pairs as
     nodes (one pair per node, M atoms) and the moment oracle its shooting
     guesses (one Dirac ensemble per node, M = 1), so ``h`` also runs on
     stacks there.  Evaluation must be deterministic and reentrant.
@@ -169,18 +170,13 @@ def eval_system(
     coeffs: CoefficientSet,
     t: float | np.ndarray,
     states: Quad,
-    law: Law | None = None,
+    law: NodeMoments,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (f, g, F, G) at given quadruples, at one node or on a stack.
-
-    When ``law`` is omitted it is the empirical law of ``states`` (one node
-    only); passing a law explicitly decouples point and measure arguments
-    (the Picard freeze).  Each output must be finite and broadcast to its
-    block's shape, else CoefficientError names the map: ``_checked``, the
-    rule every map output in the program passes.
+    """Vectorized (f, g, F, G) at given quadruples and moments, at one node
+    or on a stack.  Each output must be finite and broadcast to its block's
+    shape, else CoefficientError names the map: ``_checked``, the rule every
+    map output in the program passes.
     """
-    if law is None:
-        law = quad_law(states)
     f = _checked(coeffs.f(t, states, law), states.y.shape, "f")
     g = _checked(coeffs.g(t, states, law), states.Z.shape, "g")
     big_f = _checked(coeffs.F(t, states, law), states.y.shape, "F")
@@ -188,7 +184,7 @@ def eval_system(
     return f, g, big_f, big_g
 
 
-def eval_terminal(coeffs: CoefficientSet, y_t: np.ndarray, law: Law) -> np.ndarray:
+def eval_terminal(coeffs: CoefficientSet, y_t: np.ndarray, law: NodeMoments) -> np.ndarray:
     """The terminal map at y_T (one node or a stack), checked like
     ``eval_system``."""
     return _checked(coeffs.h(y_t, law), y_t.shape, "h")
@@ -273,7 +269,7 @@ class HomotopyProblem:
         return x.copy()
 
     def evaluate(
-        self, k: int | slice, t, v: Quad, law: Law
+        self, k: int | slice, t, v: Quad, law: NodeMoments
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(f, g, F, G): each base map checked as in ``eval_system``, times
         alpha, plus (1 - alpha) times the case's damping, plus the forcing at
@@ -299,8 +295,9 @@ class HomotopyProblem:
             out.append(value)
         return tuple(out)
 
-    def terminal(self, y_t: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
-        out = self.alpha * eval_terminal(self.base, y_t, law)
+    def terminal(self, y_t: np.ndarray) -> np.ndarray:
+        """The terminal map at the samples y_T (M, d), under their moments."""
+        out = self.alpha * eval_terminal(self.base, y_t, NodeMoments.of(y_t))
         if self.case == "case1":
             out = out + (1.0 - self.alpha) * y_t
         if self.xi is not None:
@@ -358,7 +355,7 @@ def linear_coefficient_set(
     def combine(table: dict[str, float], like: str) -> CoefFn:
         """Sum of coef x source in table order, on the shape of block
         ``like``; an m* key reads that block of the law's mean."""
-        def fn(t, v: Quad, law: Law) -> np.ndarray:
+        def fn(t, v: Quad, law: NodeMoments) -> np.ndarray:
             out = np.zeros_like(getattr(v, like))
             for key, coef in table.items():
                 if key.startswith("m"):
@@ -370,7 +367,7 @@ def linear_coefficient_set(
         return fn
 
     def terminal(t_table: dict[str, float]) -> TerminalFn:
-        def fn(y_t: np.ndarray, law: EmpiricalLaw) -> np.ndarray:
+        def fn(y_t: np.ndarray, law: NodeMoments) -> np.ndarray:
             out = np.zeros_like(y_t)
             for key, coef in t_table.items():
                 if key == "y":
@@ -552,8 +549,7 @@ def residual(
         return float(np.max(np.sqrt(np.mean(np.sum(defect**2, axis=2), axis=0))))
 
     y_t = state.y[:, n]
-    term = problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
-    tdef = state.Y[:, n] - term
+    tdef = state.Y[:, n] - problem.terminal(y_t)
     return ResidualTriple(
         worst_rms(fdef), worst_rms(bdef), float(np.sqrt(np.mean(np.sum(tdef**2, axis=1))))
     )

@@ -16,7 +16,6 @@ from itertools import product
 
 import numpy as np
 
-from .measure import EmpiricalLaw
 from .model import (
     CoefficientError,
     CoefficientSet,
@@ -329,7 +328,7 @@ def solve_decoupled_step(
     x0 = problem.initial(m)
     y, z_nodes = _forward_phase(f_hat, g_hat, drivers, x0, reg, btail)
     y_t = y[:, n]
-    terminal = problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
+    terminal = problem.terminal(y_t)
     big_y, big_z = _backward_phase(terminal, fb_hat, gb_hat, drivers, y, reg, btail)
     return EnsembleState(y=y, Y=big_y, z=z_nodes, Z=big_z, grid=grid)
 
@@ -369,7 +368,7 @@ def linear_base_solve(
     if problem.case == "case1":
         y, z_nodes = _forward_phase(f_force, g_force, drivers, x0, reg, btail)
         y_t = y[:, n]
-        terminal = problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
+        terminal = problem.terminal(y_t)
         drifts = -problem.theta1 * y + fb_force
         noises_b = -problem.theta1 * z_nodes + gb_force
         big_y, big_z = _backward_phase(
@@ -379,7 +378,7 @@ def linear_base_solve(
 
     # case2: backward pair first (terminal = xi only), then the damped forward
     zeros_y = np.zeros((m, n + 1, dims.d))
-    terminal = problem.terminal(x0, EmpiricalLaw.from_samples(x0))  # alpha*h == 0
+    terminal = problem.terminal(x0)  # alpha*h == 0
     big_y, big_z = _backward_phase(
         terminal, fb_force, gb_force, drivers, zeros_y, reg, btail
     )

@@ -20,13 +20,13 @@ from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
     LinearTables,
+    NodeMoments,
     Quad,
     builtin_counterexample,
     builtin_example_meanfield,
     eval_system,
     linear_coefficient_set,
     pairing,
-    quad_law,
     split_flat_mean,
     zero_coefficient_set,
 )
@@ -293,7 +293,7 @@ class TestControlAssumptions:
 # ---------------------------------------------------------------------------
 #
 # The reference below evaluates every sampled pair on its own, under the
-# pair's EmpiricalLaw, one map call per pair and argument combination: the
+# pair's own moments, one map call per pair and argument combination: the
 # per-pair certification the stacked code must reproduce.
 
 
@@ -307,7 +307,7 @@ def _sq(dv):
 
 
 def _reference_margins(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
-    law1, law2 = quad_law(v1), quad_law(v2)
+    law1, law2 = NodeMoments.of(v1.flat()), NodeMoments.of(v2.flat())
     a1 = eval_system(coeffs, t, v1, law1)
     a2 = eval_system(coeffs, t, v2, law2)
     dv = Quad(v1.y - v2.y, v1.Y - v2.Y, v1.z - v2.z, v1.Z - v2.Z)
@@ -315,8 +315,8 @@ def _reference_margins(coeffs, t, v1, v2, theta1, theta2, alpha1, direction):
     functional = float(np.mean(pairing(da, dv)))
     ny, n_big_y, nz, n_big_z = (float(np.mean(s)) for s in _sq(dv))
     theta_quad = theta1 * (ny + nz) + theta2 * (n_big_y + n_big_z)
-    dh = (coeffs.h(v1.y, EmpiricalLaw.from_samples(v1.y))
-          - coeffs.h(v2.y, EmpiricalLaw.from_samples(v2.y)))
+    dh = (coeffs.h(v1.y, NodeMoments.of(v1.y))
+          - coeffs.h(v2.y, NodeMoments.of(v2.y)))
     h_pair = float(np.mean(np.sum(dh * dv.y, axis=1)))
     if direction == "A2":
         return functional + theta_quad, alpha1 * ny - h_pair
@@ -367,9 +367,9 @@ def reference_lipschitz(coeffs, sampler, n_pairs):
     for t, v1, v2, kind, scale in sampler.pairs(n_pairs):
         if np.allclose(v1.flat(), v2.flat()):
             continue
-        law1, law2 = quad_law(v1), quad_law(v2)
-        law_y1 = EmpiricalLaw.from_samples(v1.y)
-        law_y2 = EmpiricalLaw.from_samples(v2.y)
+        law1, law2 = NodeMoments.of(v1.flat()), NodeMoments.of(v2.flat())
+        law_y1 = NodeMoments.of(v1.y)
+        law_y2 = NodeMoments.of(v2.y)
         w2, w2y = _reference_w2(v1.flat(), v2.flat()), _reference_w2(v1.y, v2.y)
         combos = (
             ((v1, law1, law_y1), (v2, law2, law_y2), w2, w2y, kind),

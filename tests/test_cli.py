@@ -95,14 +95,14 @@ class TestConfigGrammar:
         )
         coeffs = cfg.coefficient_set()
         # replicates the built-in mean-field model
-        from mvfbdsde.model import builtin_example_meanfield, Quad, eval_system, quad_law
+        from mvfbdsde.model import builtin_example_meanfield, NodeMoments, Quad, eval_system
 
         rng = np.random.default_rng(0)
         v = Quad(
             rng.standard_normal((8, 1)), rng.standard_normal((8, 1)),
             rng.standard_normal((8, 1, 1)), rng.standard_normal((8, 1, 1)),
         )
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         ref = builtin_example_meanfield(cfg.dims)
         for got, want in zip(
             eval_system(coeffs, 0.0, v, law), eval_system(ref, 0.0, v, law)
@@ -239,6 +239,23 @@ class TestCliCommands:
         code, out = run_cli(["--config", str(cfg_path)], tmp_path, "typed")
         assert code == 1
         assert f"config error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [(s, k) for s in ("example2", "lq_control") for k in ("dims.d", "dims.d_w", "dims.d_b")]
+        + [("example1", "dims.d_w"), ("example1", "dims.d_b")],
+    )
+    def test_dims_the_model_cannot_take_exit_1(self, tmp_path, capsys, scenario, key):
+        # example2 and lq_control fix all three dimensions at 1; example1
+        # needs d_w == d_b
+        cfg_path = tmp_path / "dims.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\ncommand = solve\n{key} = 2\n")
+        code, out = run_cli(["--config", str(cfg_path), "--steps", "8", "--particles", "60"],
+                            tmp_path, "dims")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "check_assumptions"])

@@ -1,9 +1,12 @@
 """Hamiltonian, measure derivatives, adjoint construction/solve, cost
 estimation, and the sufficient-condition verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mvfbdsde.assumptions import PairSampler, check_monotonicity, estimate_lipschitz
 from mvfbdsde.control import (
     ControlledDynamics,
     ControlProblem,
@@ -32,10 +35,11 @@ from mvfbdsde.control import (
     _size,
     _trajectory,
 )
-from mvfbdsde.measure import EmpiricalLaw
-from mvfbdsde.model import Dimensions, EnsembleState, NodeMoments, Quad, quad_law, split_flat_mean
+from mvfbdsde.model import (
+    Dimensions, EnsembleState, NodeMoments, Quad, builtin_example_meanfield, split_flat_mean,
+)
 from mvfbdsde.paths import TimeGrid, sample_driver_pair
-from mvfbdsde.solver import RegressionConfig, d_metric, picard_solve
+from mvfbdsde.solver import RegressionConfig, continuation_solve, d_metric, picard_solve
 
 REG = RegressionConfig()
 
@@ -90,7 +94,7 @@ class TestHamiltonian:
         v = quad_batch(rng, m, problem.dims)
         u = rng.uniform(-1, 1, size=(m, 1))
         chi = Quad.zeros(m, problem.dims)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         h = hamiltonian(problem, 0.3, v, u, chi, law)
         ell = problem.running_cost.value(0.3, v, u, law)
         assert np.allclose(h, -ell, atol=1e-14)
@@ -111,7 +115,7 @@ class TestHamiltonian:
         v = quad_batch(rng, m, problem.dims)
         chi = quad_batch(rng, m, problem.dims)
         u = rng.uniform(-2, 2, size=(m, 1))
-        h = hamiltonian(problem, 0.0, v, u, chi, quad_law(v))
+        h = hamiltonian(problem, 0.0, v, u, chi, NodeMoments.of(v.flat()))
         assert np.allclose(h, -np.sum(u**2, axis=1), atol=1e-14)
 
     def test_lq_hand_expansion(self, lq):
@@ -123,7 +127,7 @@ class TestHamiltonian:
         v = quad_batch(rng, m, problem.dims)
         chi = quad_batch(rng, m, problem.dims)
         u = rng.uniform(-1, 1, size=(m, 1))
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         my, m_big, mz, m_big_z = (
             v.y.mean(), v.Y.mean(), v.z.mean(), v.Z.mean(),
         )
@@ -147,7 +151,7 @@ class TestHamiltonian:
         v = quad_batch(rng, m, problem.dims)
         chi = quad_batch(rng, m, problem.dims)
         u = rng.uniform(-1, 1, size=(m, 1))
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         h = hamiltonian(problem, 0.1, v, u, chi, law)
         ell = problem.running_cost.value(0.1, v, u, law)
         base_cost = problem.running_cost
@@ -251,8 +255,8 @@ class TestDifferencedMeanGradients:
         lambda x, law: x @ law.mean,  # its mean derivative E[x] averages the atoms
     ])
     def test_cost_term(self, value):
-        law = EmpiricalLaw.from_samples(np.array([[1.0], [3.0]]))
-        np.testing.assert_allclose(CostTerm(value=value).mean_grad_values(law), [2.0],
+        x = np.array([[1.0], [3.0]])
+        np.testing.assert_allclose(CostTerm(value=value).mean_grad_values(x), [2.0],
                                    rtol=0, atol=1e-8)
 
     def test_running_cost(self):
@@ -263,7 +267,7 @@ class TestDifferencedMeanGradients:
             * np.ones(v.y.shape[:-1])
         )
         v = quad_batch(np.random.default_rng(9), 5, dims)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         grad = _running_grad(problem, 0.0, v, np.zeros((5, 1)), law, "my")
         np.testing.assert_allclose(grad, np.broadcast_to(v.y.mean(axis=0), (5, 1)),
                                    rtol=0, atol=1e-8)
@@ -277,12 +281,12 @@ class TestDifferencedMeanGradients:
         cost = CostTerm(value=lambda x, law: lifted(law.mean) * np.ones(x.shape[0]))
         rng = np.random.default_rng(5)
         samples = rng.standard_normal((64, 1))
-        law = EmpiricalLaw.from_samples(samples)
+        law = NodeMoments.of(samples)
         h = rng.standard_normal((64, 1))
-        linear = float(cost.mean_grad_values(law) @ h.mean(axis=0))
+        linear = float(cost.mean_grad_values(samples) @ h.mean(axis=0))
         remainders = []
         for eps in (1e-3, 1e-4):
-            moved = EmpiricalLaw.from_samples(samples + eps * h).mean
+            moved = NodeMoments.of(samples + eps * h).mean
             remainders.append(abs(lifted(moved) - lifted(law.mean) - eps * linear))
         # shrinking the step 10x shrinks the remainder ~100x (quadratic)
         assert remainders[1] <= 0.05 * remainders[0] + 1e-14
@@ -303,7 +307,7 @@ class TestAdjointConstruction:
         controls = np.zeros((grid.steps + 1, 1))
         system = build_adjoint_coefficients(problem, state, controls)
         chi = quad_batch(state_rng, m, problem.dims)
-        law = quad_law(chi)
+        law = NodeMoments.of(chi.flat())
         t = float(grid.nodes[3])
         assert np.allclose(system.base.f(t, chi, law), 0.0, atol=1e-9)
         assert np.allclose(system.base.F(t, chi, law), chi.y, atol=1e-9)
@@ -918,3 +922,50 @@ class TestWarmStart:
         assert picard_problems == [problem.name + "_adjoint"] * 6
         assert warm.shape == cold.shape
         assert np.max(np.abs(warm - cold)) <= 1e-3
+
+
+def _moments_only(fn, position):
+    """``fn``, asserting that its law argument (at ``position``) is a
+    NodeMoments and nothing else."""
+    def checked(*args):
+        assert type(args[position]) is NodeMoments, type(args[position])
+        return fn(*args)
+    return checked
+
+
+class TestMapsReceiveNodeMoments:
+    """Every coefficient map, terminal map and cost receives its law as a
+    NodeMoments, whichever routine calls it."""
+
+    def test_example1_maps(self):
+        base = builtin_example_meanfield()
+        coeffs = dataclasses.replace(
+            base, h=_moments_only(base.h, 1),
+            **{name: _moments_only(getattr(base, name), 2) for name in "fgFG"},
+        )
+        drivers = sample_driver_pair(TimeGrid(1.0, 8), 1, 1, 60, seed=3)
+        continuation_solve(coeffs, "case1", 1.0, 0.0, 0.5, drivers, REG, tol=1e-6,
+                           x=np.ones(1))
+        estimate_lipschitz(coeffs, PairSampler(coeffs.dims, seed=4), 50)
+        check_monotonicity(coeffs, 0.25, 0.25, 0.5, "A2", PairSampler(coeffs.dims, seed=5), 50)
+
+    def test_lq_dynamics_and_costs(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 8))
+        dyn, rc = problem.dynamics, problem.running_cost
+        problem.dynamics = dataclasses.replace(
+            dyn, **{name: _moments_only(getattr(dyn, name), 3) for name in "fgFG"})
+        problem.running_cost = RunningCost(
+            value=_moments_only(rc.value, 3),
+            grads={k: _moments_only(fn, 3) for k, fn in rc.grads.items()},
+            mean_grads={k: _moments_only(fn, 3) for k, fn in rc.mean_grads.items()},
+        )
+        for name in ("terminal_cost", "initial_cost"):
+            term = getattr(problem, name)
+            setattr(problem, name, CostTerm(value=_moments_only(term.value, 1),
+                                            grad=_moments_only(term.grad, 1),
+                                            mean_grad=_moments_only(term.mean_grad, 0)))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 60, seed=6)
+        control = np.zeros((problem.grid.steps + 1, 1))
+        estimate_cost(problem, control, drivers, REG, tol=1e-6)
+        verify_smp(problem, control, n_perturbations=2, drivers=drivers, reg=REG,
+                   tol=1e-6, seed=7)

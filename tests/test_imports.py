@@ -1,6 +1,7 @@
 """Every name a module of the package imports is referenced by that module,
 every module-level private function and class is referenced somewhere in
-the package, and importing the package does not load scipy.optimize."""
+the package, importing the package does not load scipy.optimize, and no
+module but measure names EmpiricalLaw."""
 
 import ast
 import os
@@ -68,3 +69,12 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_measure_names_the_sample_cloud_law():
+    # coefficient maps and costs receive NodeMoments; EmpiricalLaw is only
+    # the input of measure's W2 and mean-bound checks (the package's
+    # __init__ re-exports it)
+    naming = sorted(p.name for p in MODULES
+                    if p.name != "measure.py" and "EmpiricalLaw" in p.read_text(encoding="utf-8"))
+    assert not naming, f"modules besides measure.py name EmpiricalLaw: {naming}"

@@ -19,6 +19,7 @@ from mvfbdsde.model import (
     Forcing,
     HomotopyProblem,
     LinearTables,
+    NodeMoments,
     Quad,
     as_problem,
     builtin_counterexample,
@@ -26,7 +27,6 @@ from mvfbdsde.model import (
     eval_system,
     linear_coefficient_set,
     pairing,
-    quad_law,
     residual,
     split_flat_mean,
 )
@@ -68,7 +68,7 @@ class TestEvalSystem:
     def test_zero_input_zero_output(self):
         model = builtin_example_meanfield(DIMS)
         v = const_quad(4)
-        f, g, big_f, big_g = eval_system(model, 0.0, v)
+        f, g, big_f, big_g = eval_system(model, 0.0, v, NodeMoments.of(v.flat()))
         for arr in (f, g, big_f, big_g):
             assert np.all(arr == 0.0)
 
@@ -76,14 +76,14 @@ class TestEvalSystem:
         # f = E[Y]/2 - Y at Y = 2 deterministic: 1 - 2 = -1
         model = builtin_example_meanfield(DIMS)
         v = const_quad(8, Y=2.0)
-        f, _, _, _ = eval_system(model, 0.0, v)
+        f, _, _, _ = eval_system(model, 0.0, v, NodeMoments.of(v.flat()))
         assert np.allclose(f, -1.0)
 
     def test_noise_at_constant_value(self):
         # g = E[Z]/4 - Z/2 at Z = 4 deterministic: 1 - 2 = -1
         model = builtin_example_meanfield(DIMS)
         v = const_quad(8, Z=4.0)
-        _, g, _, _ = eval_system(model, 0.0, v)
+        _, g, _, _ = eval_system(model, 0.0, v, NodeMoments.of(v.flat()))
         assert np.allclose(g, -1.0)
 
     def test_non_finite_named(self):
@@ -92,7 +92,7 @@ class TestEvalSystem:
         v = const_quad(2, Y=1.0)
         with pytest.raises(CoefficientError, match="f"):
             with np.errstate(divide="ignore", invalid="ignore"):
-                eval_system(bad, 0.0, v)
+                eval_system(bad, 0.0, v, NodeMoments.of(v.flat()))
 
     def test_law_decoupling(self):
         # frozen law: two laws with equal means give equal outputs
@@ -101,11 +101,20 @@ class TestEvalSystem:
         v = random_quad(rng, 16)
         other = random_quad(rng, 16)
         flat = other.flat()
-        law = EmpiricalLaw.from_samples(flat - flat.mean(axis=0) + quad_law(v).mean)
+        law = NodeMoments.of(flat - flat.mean(axis=0) + NodeMoments.of(v.flat()).mean)
         out1 = eval_system(model, 0.0, v, law)
-        out2 = eval_system(model, 0.0, v, quad_law(v))
+        out2 = eval_system(model, 0.0, v, NodeMoments.of(v.flat()))
         for a, b in zip(out1, out2):
             assert np.allclose(a, b, atol=1e-12)
+
+
+def test_moments_of_samples_match_the_empirical_mean():
+    # NodeMoments.of is bit for bit the mean of measure's uniform clouds
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n, dim = int(rng.integers(1, 4001)), int(rng.integers(1, 14))
+        x = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0)
+        assert np.array_equal(NodeMoments.of(x).mean, EmpiricalLaw.from_samples(x).mean)
 
 
 class TestHomotopy:
@@ -114,14 +123,14 @@ class TestHomotopy:
         prob = build_homotopy_case1(model, alpha=0.0, theta1=0.7)
         rng = np.random.default_rng(1)
         v = random_quad(rng, 8)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         assert np.allclose(prob.evaluate(0, 0.3, v, law)[2], -0.7 * v.y)
         assert np.allclose(prob.evaluate(0, 0.3, v, law)[3], -0.7 * v.z)
         assert np.allclose(prob.evaluate(0, 0.3, v, law)[0], 0.0)
         assert np.allclose(prob.evaluate(0, 0.3, v, law)[1], 0.0)
         # terminal collapses to the identity
         y_t = rng.standard_normal((8, 1))
-        assert np.allclose(prob.terminal(y_t, EmpiricalLaw.from_samples(y_t)), y_t)
+        assert np.allclose(prob.terminal(y_t), y_t)
 
     def test_case1_alpha1_matches_base(self):
         model = builtin_example_meanfield(DIMS)
@@ -129,7 +138,7 @@ class TestHomotopy:
         rng = np.random.default_rng(2)
         for _ in range(100):
             v = random_quad(rng, 6)
-            law = quad_law(v)
+            law = NodeMoments.of(v.flat())
             t = float(rng.uniform(0, 1))
             assert np.allclose(prob.evaluate(0, t, v, law)[0], model.f(t, v, law))
             assert np.allclose(prob.evaluate(0, t, v, law)[1], model.g(t, v, law))
@@ -141,7 +150,7 @@ class TestHomotopy:
         prob = build_homotopy_case1(model, alpha=0.5, theta1=0.7)
         rng = np.random.default_rng(3)
         v = random_quad(rng, 4)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], 0.5 * model.f(0.0, v, law))
 
     def test_case2_alpha0(self):
@@ -150,20 +159,20 @@ class TestHomotopy:
         prob = build_homotopy_case2(model, alpha=0.0, theta2=0.4, xi=xi)
         rng = np.random.default_rng(4)
         v = random_quad(rng, 8)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         assert np.allclose(prob.evaluate(0, 0.1, v, law)[0], -0.4 * v.Y)
         assert np.allclose(prob.evaluate(0, 0.1, v, law)[1], -0.4 * v.Z)
         assert np.allclose(prob.evaluate(0, 0.1, v, law)[2], 0.0)
         y_t = rng.standard_normal((8, 1))
         # terminal map vanishes at alpha 0, leaving only the shift
-        assert np.allclose(prob.terminal(y_t, EmpiricalLaw.from_samples(y_t)), 0.25)
+        assert np.allclose(prob.terminal(y_t), 0.25)
 
     def test_case2_alpha1_matches_base(self):
         model = builtin_example_meanfield(DIMS)
         prob = build_homotopy_case2(model, alpha=1.0, theta2=0.4)
         rng = np.random.default_rng(5)
         v = random_quad(rng, 8)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], model.f(0.0, v, law))
         assert np.allclose(prob.evaluate(0, 0.0, v, law)[3], model.G(0.0, v, law))
 
@@ -181,7 +190,7 @@ class TestHomotopy:
         model = builtin_example_meanfield(DIMS)
         rng = np.random.default_rng(6)
         v = random_quad(rng, 8)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         for alpha in (0.0, 0.3, 0.7, 1.0):
             prob = build_homotopy_case1(model, alpha=alpha, theta1=0.9)
             expected = alpha * model.F(0.2, v, law) + (1 - alpha) * 0.9 * (-v.y)
@@ -193,13 +202,13 @@ class TestBuiltins:
         # h = -E[y]/2 + y at deterministic y = 2: -1 + 2 = 1
         model = builtin_example_meanfield(DIMS)
         y = np.full((6, 1), 2.0)
-        assert np.allclose(model.h(y, EmpiricalLaw.from_samples(y)), 1.0)
+        assert np.allclose(model.h(y, NodeMoments.of(y)), 1.0)
 
     def test_backward_drift_value(self):
         # F = E[y]/2 - y at y = 1 deterministic: -1/2
         model = builtin_example_meanfield(DIMS)
         v = const_quad(6, y=1.0)
-        _, _, big_f, _ = eval_system(model, 0.0, v)
+        _, _, big_f, _ = eval_system(model, 0.0, v, NodeMoments.of(v.flat()))
         assert np.allclose(big_f, -0.5)
 
     def test_mismatched_driver_dims_rejected(self):
@@ -212,7 +221,7 @@ class TestBuiltins:
         assert horizon == pytest.approx(0.75 * np.pi)
         assert np.all(x0 == 0.0)
         y_t = np.full((4, 1), np.sin(horizon))
-        h = coeffs.h(y_t, EmpiricalLaw.from_samples(y_t))
+        h = coeffs.h(y_t, NodeMoments.of(y_t))
         assert np.allclose(h, np.cos(horizon), atol=1e-15)
 
     def test_first_moment_resampling_invariance(self):
@@ -221,8 +230,8 @@ class TestBuiltins:
         v = random_quad(rng, 10)
         flat = v.flat()
         # duplicating every atom preserves the mean, so outputs are unchanged
-        law = quad_law(v)
-        law_dup = EmpiricalLaw.from_samples(np.vstack([flat, flat]))
+        law = NodeMoments.of(v.flat())
+        law_dup = NodeMoments.of(np.vstack([flat, flat]))
         out1 = eval_system(model, 0.0, v, law)
         out2 = eval_system(model, 0.0, v, law_dup)
         for a, b in zip(out1, out2):
@@ -236,8 +245,8 @@ class TestBuiltins:
         base = random_quad(rng, 12)
         dy, d_big_y, dz, d_big_z = 0.8, -1.1, 0.6, 0.3
         shifted = Quad(base.y + dy, base.Y + d_big_y, base.z + dz, base.Z + d_big_z)
-        a1 = eval_system(model, 0.0, base, quad_law(base))
-        a2 = eval_system(model, 0.0, shifted, quad_law(shifted))
+        a1 = eval_system(model, 0.0, base, NodeMoments.of(base.flat()))
+        a2 = eval_system(model, 0.0, shifted, NodeMoments.of(shifted.flat()))
         da = (a1[2] - a2[2], a1[0] - a2[0], a1[3] - a2[3], a1[1] - a2[1])
         dv = Quad(base.y - shifted.y, base.Y - shifted.Y, base.z - shifted.z,
                   base.Z - shifted.Z)
@@ -321,7 +330,7 @@ class TestLinearTables:
         )
         rng = np.random.default_rng(10)
         v = random_quad(rng, 8)
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         for got, want in zip(
             eval_system(manual, 0.0, v, law), eval_system(coeffs, 0.0, v, law)
         ):
@@ -418,7 +427,7 @@ def assert_stack_matches_nodes(problem, state, atol=1e-14):
         stacked = problem.evaluate(every, nodes, state.at(every), laws)[i]
         for k, t in enumerate(nodes):
             vk = state.at(k)
-            single = problem.evaluate(k, float(t), vk, quad_law(vk))[i]
+            single = problem.evaluate(k, float(t), vk, NodeMoments.of(vk.flat()))[i]
             np.testing.assert_allclose(
                 stacked[:, k], np.broadcast_to(single, stacked[:, k].shape),
                 rtol=0, atol=atol, err_msg=f"map {name} at node {k}",
@@ -435,7 +444,7 @@ class TestNodeStacks:
         laws = state.node_laws()
         assert laws.mean.shape == (grid.steps + 1, dims.flat)
         for k in range(grid.steps + 1):
-            want = quad_law(state.at(k)).mean
+            want = NodeMoments.of(state.at(k).flat()).mean
             np.testing.assert_allclose(laws[k].mean, want, rtol=0, atol=1e-15)
             np.testing.assert_allclose(laws.mean[k], want, rtol=0, atol=1e-15)
 
@@ -515,7 +524,7 @@ def _reference_residual(problem, state, drivers):
     grid = state.grid
     dt, nodes, n = grid.dt, grid.nodes, grid.steps
     fwd = bwd = 0.0
-    laws = [quad_law(state.at(k)) for k in range(n + 1)]
+    laws = [NodeMoments.of(state.at(k).flat()) for k in range(n + 1)]
     for k in range(n):
         vk, vk1 = state.at(k), state.at(k + 1)
         f_k = problem.evaluate(k, nodes[k], vk, laws[k])[0]
@@ -532,7 +541,7 @@ def _reference_residual(problem, state, drivers):
         fwd = max(fwd, float(np.sqrt(np.mean(np.sum(fdef**2, axis=1)))))
         bwd = max(bwd, float(np.sqrt(np.mean(np.sum(bdef**2, axis=1)))))
     y_t = state.y[:, n]
-    tdef = state.Y[:, n] - problem.terminal(y_t, EmpiricalLaw.from_samples(y_t))
+    tdef = state.Y[:, n] - problem.terminal(y_t)
     return fwd, bwd, float(np.sqrt(np.mean(np.sum(tdef**2, axis=1))))
 
 

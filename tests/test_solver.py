@@ -6,17 +6,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mvfbdsde.measure import EmpiricalLaw
 from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
     EnsembleState,
     Forcing,
     HomotopyProblem,
+    NodeMoments,
     Quad,
     builtin_counterexample,
     builtin_example_meanfield,
-    quad_law,
     residual,
     zero_coefficient_set,
 )
@@ -754,7 +753,7 @@ def _reference_terminal_residual(model, grid, x0, y0_guess, component):
         v = Quad.zeros(1, dims)
         v.y[0, component] = state[0]
         v.Y[0, component] = state[1]
-        law = quad_law(v)
+        law = NodeMoments.of(v.flat())
         return np.array([model.f(tt, v, law)[0, component], model.F(tt, v, law)[0, component]])
 
     path = np.zeros((n + 1, 2))
@@ -770,7 +769,7 @@ def _reference_terminal_residual(model, grid, x0, y0_guess, component):
         t += dt
     vec = np.zeros((1, dims.d))
     vec[0, component] = path[n, 0]
-    h_val = model.h(vec, EmpiricalLaw.from_samples(vec))[0, component]
+    h_val = model.h(vec, NodeMoments.of(vec))[0, component]
     return float(path[n, 1] - h_val), path
 
 
