@@ -18,7 +18,7 @@ Recognized keys::
     grid.horizon             float > 0
     grid.steps               int >= 2
     ensemble.particles       int >= 2
-    dims.d / dims.d_w / dims.d_b
+    dims.d / dims.d_w / dims.d_b   int >= 1
     continuation.delta       ladder step in (0, 1]
     continuation.case        case1 | case2
     solver.tol / solver.basis / solver.ridge / solver.max_iter / solver.damping
@@ -229,6 +229,9 @@ class ScenarioConfig:
         for ok, attr, rule in (
             (self.steps >= 2, "steps", "must be >= 2"),
             (self.particles >= 2, "particles", "must be >= 2"),
+            (self.d >= 1, "d", "must be >= 1"),
+            (self.d_w >= 1, "d_w", "must be >= 1"),
+            (self.d_b >= 1, "d_b", "must be >= 1"),
             (self.horizon > 0, "horizon", "must be > 0"),
             (0 < self.delta <= 1, "delta", "must lie in (0, 1]"),
             (self.case in ("case1", "case2"), "case", "must be case1 or case2"),

@@ -111,14 +111,19 @@ def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
 _COST_BYTES = 2**19
 
 
-def wasserstein2_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def wasserstein2_stack(
+    a: np.ndarray, b: np.ndarray, in_order: np.ndarray | None = None
+) -> np.ndarray:
     """Exact W2 between the uniform clouds on the rows of a[k] and of b[k],
     for (K, n, dim) stacks of K pairs: one distance per pair, shape (K,).
 
     One dimension matches in sorted order, the whole stack at once.  Else
     each pair solves its own assignment on a cost |a|^2 + |b|^2 - 2ab^T
     (clipped at 0) built for a sub-stack at a time; the matched costs are
-    then taken from the differences themselves.
+    then taken from the differences themselves.  The pairs flagged in the
+    (K,) mask ``in_order`` are known to be optimally matched row for row
+    (b[k] an increasing affine image of a[k]): they skip the assignment, and
+    their distance is the RMS of the differences.
     """
     k, n, dim = a.shape
     if b.shape != a.shape:
@@ -131,17 +136,25 @@ def wasserstein2_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # imported on use: scipy.optimize is most of the package's import time
     from scipy.optimize import linear_sum_assignment
 
+    # matched shares b's layout, so the final reduction sums each pair in
+    # the same order whichever pairs were assigned
     matched = np.empty_like(b)
+    if in_order is None:
+        todo = np.arange(k)
+    else:
+        np.copyto(matched, b, where=in_order[:, None, None])
+        todo = np.flatnonzero(~in_order)
     step = max(1, _COST_BYTES // (8 * n * n))
-    for lo in range(0, k, step):
-        sa, sb = a[lo:lo + step], b[lo:lo + step]
+    for lo in range(0, todo.size, step):
+        rows = todo[lo:lo + step]
+        sa, sb = a[rows], b[rows]
         cost = sa @ sb.transpose(0, 2, 1)
         cost *= -2.0
         cost += np.einsum("kni,kni->kn", sa, sa)[:, :, None]
         cost += np.einsum("kni,kni->kn", sb, sb)[:, None, :]
         np.maximum(cost, 0.0, out=cost)
-        for j, c in enumerate(cost):
-            matched[lo + j] = sb[j, linear_sum_assignment(c)[1]]
+        for j, c in zip(rows, cost):
+            matched[j] = b[j, linear_sum_assignment(c)[1]]
     return np.sqrt(np.mean(np.sum((a - matched) ** 2, axis=2), axis=1))
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from mvfbdsde import assumptions
 from mvfbdsde.assumptions import (
+    COUPLED_KINDS,
     KINDS,
     PAIR_CHUNK,
     PairSampler,
@@ -355,6 +357,28 @@ def reference_monotonicity(coeffs, theta1, theta2, alpha1, direction, sampler,
     return sup, sup_h, tuple(worst[:4]), worst_h, used
 
 
+def sequential_local_search(coeffs, worst, seed, theta1, theta2, alpha1, direction):
+    """The local search one candidate at a time, the reference its batched
+    form must reproduce: 150 iterations, each drawing its noise block by
+    block and evaluating a stack of one pair.  (margin, detail, v2) of the
+    result."""
+    rng = np.random.default_rng(seed)
+    v1, v2 = worst.base, worst.displacement
+    t, base = np.array([worst.t]), Quad(*(b[:, None] for b in v1))
+    step, best, detail = worst.scale, worst.margin, worst.detail
+    for _ in range(150):
+        cand2 = Quad(*(b + step * rng.standard_normal(b.shape) for b in v2))
+        margin = float(_monotonicity_margins(
+            coeffs, t, base, Quad(*(b[:, None] for b in cand2)), theta1, theta2,
+            alpha1, direction,
+        )[0][0])
+        if margin > best:
+            best, detail, v2 = margin, detail + "+local", cand2
+        else:
+            step *= 0.8
+    return best, detail, v2
+
+
 def _reference_w2(a, b):
     la, lb = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
     return reference_assignment_w2(la, lb)
@@ -620,3 +644,71 @@ class TestStackedPairs:
                 la, lb = EmpiricalLaw.from_samples(a[:, k]), EmpiricalLaw.from_samples(b[:, k])
                 want = reference_assignment_w2(la, lb)
                 assert got[k] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestSpeculativeLocalSearch:
+    @pytest.mark.parametrize(
+        "case, seed, accepted",
+        [("example1_d1", 3, (1, 1)), ("counterexample", 4, (60, 85))],
+    )
+    def test_matches_sequential_search(self, case, seed, accepted):
+        coeffs, dims = _stacked_cases()[case]
+        args = (coeffs, 0.25, 0.25, 0.5, "A2", PairSampler(dims, seed=seed), 1000)
+        start = check_monotonicity(*args).witnesses[0]
+        margin, detail, v2 = sequential_local_search(
+            coeffs, start, seed + 1, 0.25, 0.25, 0.5, "A2"
+        )
+        report = check_monotonicity(*args, local_search=True)
+        got = report.witnesses[0]
+        assert accepted[0] <= detail.count("+local") <= accepted[1]
+        assert got.margin == margin and got.detail == detail
+        assert report.monotonicity_margin == margin
+        assert (got.kind, got.t, got.scale) == (start.kind, start.t, start.scale)
+        for a, b in zip((*got.base, *got.displacement), (*start.base, *v2)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case, cap", [("example1_d1", 20), ("counterexample", 154)])
+    def test_margin_calls(self, monkeypatch, case, cap):
+        # 4 sampler stacks, then batches that double while none is accepted:
+        # example1 accepts one candidate, the counterexample 60-85
+        coeffs, dims = _stacked_cases()[case]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return _monotonicity_margins(*args)
+
+        monkeypatch.setattr(assumptions, "_monotonicity_margins", counted)
+        check_monotonicity(coeffs, 0.25, 0.25, 0.5, "A2", PairSampler(dims, seed=3), 1000,
+                           local_search=True)
+        assert len(calls) <= cap
+
+
+class TestCoupledKindW2:
+    @staticmethod
+    def _w2_stack(dims):
+        stack = next(PairSampler(dims, seed=75).stacks(PAIR_CHUNK))
+        a, b = stack.v1.flat().swapaxes(0, 1), stack.v2.flat().swapaxes(0, 1)
+        # wasserstein2_stack's own final expression on the identity matching
+        identity = np.sqrt(np.mean(np.sum((a - b) ** 2, axis=2), axis=1))
+        return stack.kinds, a, b, identity
+
+    @pytest.mark.parametrize("dims", [DIMS, DIMS2])
+    def test_identity_matching_is_optimal_on_coupled_kinds(self, dims):
+        kinds, a, b, identity = self._w2_stack(dims)
+        assigned = wasserstein2_stack(a, b)
+        coupled = np.isin(kinds, COUPLED_KINDS)
+        assert set(kinds[coupled]) == set(COUPLED_KINDS)
+        for k in np.flatnonzero(coupled):
+            assert identity[k] == assigned[k]
+            want = reference_assignment_w2(EmpiricalLaw.from_samples(a[k]),
+                                           EmpiricalLaw.from_samples(b[k]))
+            assert identity[k] == pytest.approx(want, rel=1e-12, abs=0)
+        # flagging the coupled pairs skips their assignments, bit for bit
+        assert np.array_equal(wasserstein2_stack(a, b, in_order=coupled), assigned)
+
+    @pytest.mark.parametrize("dims", [DIMS, DIMS2])
+    def test_identity_matching_is_not_optimal_on_a_random_pair(self, dims):
+        kinds, a, b, identity = self._w2_stack(dims)
+        k = int(np.flatnonzero(kinds == "random")[0])
+        assert identity[k] > wasserstein2_stack(a[k:k + 1], b[k:k + 1])[0]

@@ -258,6 +258,16 @@ class TestCliCommands:
         assert err.startswith("config error: ") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["dims.d", "dims.d_w", "dims.d_b"])
+    def test_dims_below_one_exit_1(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "dims.cfg"
+        cfg_path.write_text(f"scenario = linear_base\ncommand = solve\n{key} = 0\n")
+        code, out = run_cli(["--config", str(cfg_path), "--steps", "8", "--particles", "60"],
+                            tmp_path, "dims")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "check_assumptions"])
     def test_non_finite_coefficient_exits_1(self, tmp_path, monkeypatch, capsys, command):
         # every command rejects a map with non-finite output the same way
