@@ -158,8 +158,8 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
         _write_lines(os.path.join(out_dir, "report.txt"), lines)
         print(f"solve failed: {err}")
         return EXIT_REFUTED
+    res = report.residuals  # evaluated here, before any file is written
     emit_report(report, out_dir)
-    res = report.residuals
     lines = [
         f"scenario = {cfg.scenario}",
         f"converged = {report.converged}",

@@ -296,6 +296,8 @@ def _node_index(t, grid: TimeGrid):
     """The grid node of each time, round(t / dt) clipped to [0, N]: an int
     for a scalar time, a slice (indexing by it takes views) for consecutive
     nodes as the solver stacks them, else an int array."""
+    if t is grid.nodes:
+        return slice(0, grid.steps + 1)
     k = np.clip(np.rint(np.asarray(t) / grid.dt).astype(int), 0, grid.steps)
     if k.ndim == 0:
         return int(k)

@@ -529,7 +529,9 @@ def residual(
     f, g, big_f, big_g = problem.evaluate(slice(None), grid.nodes, v, laws)
     left, right = slice(0, n), slice(1, n + 1)
     f, g, big_f, big_g = f[:, left], g[:, left], big_f[:, left], big_g[:, right]
-    dw, db = drivers.dW, drivers.dB
+    # particle-major, so the defects' reductions sum in one order whatever
+    # the drivers' storage
+    dw, db = np.ascontiguousarray(drivers.dW), np.ascontiguousarray(drivers.dB)
     fdef = (
         state.y[:, right]
         - state.y[:, left]

@@ -5,7 +5,8 @@ Conventions shared by the whole package:
   * forward stochastic integrals evaluate the integrand at the LEFT node,
   * backward stochastic integrals evaluate the integrand at the RIGHT node.
 Integrand arrays are node-indexed, shape (M, N+1, ...), so both rules read off
-the same array.
+the same array.  Sampled driver increments have shape (M, N, d) and are stored
+node-major, the order in which the solver's sweeps read them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianPair:
-    """Increment arrays of two independent drivers, (M, N, d_W) and (M, N, d_B)."""
+    """Increment arrays of two independent drivers, (M, N, d_W) and (M, N, d_B).
+
+    ``sample_driver_pair`` stores them node-major (``dW.transpose(1, 0, 2)``
+    is C-contiguous); particle-major arrays give the same results, slower.
+    """
 
     dW: np.ndarray
     dB: np.ndarray
@@ -77,8 +82,8 @@ def sample_driver_pair(
         raise ValueError("driver dimensions and particle count must be positive")
     n = grid.steps
     root_dt = np.sqrt(grid.dt)
-    dw = np.empty((particles, n, d_w))
-    db = np.empty((particles, n, d_b))
+    dw = np.empty((n, particles, d_w)).transpose(1, 0, 2)
+    db = np.empty((n, particles, d_b)).transpose(1, 0, 2)
     for p in range(particles):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))

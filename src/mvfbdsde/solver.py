@@ -144,15 +144,28 @@ class LadderRung:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one Picard run or one full continuation ladder."""
+    """Diagnostics of one Picard run or one full continuation ladder.
+
+    A finished solve sets ``problem`` and ``drivers``; ``residuals`` is then
+    evaluated on ``final_state`` at first read and kept.  A partial report
+    (from SolverError) has neither and reads None.
+    """
 
     final_state: EnsembleState
     picard_residuals: list[float] = field(default_factory=list)
     alpha_ladder: list[LadderRung] = field(default_factory=list)
-    residuals: ResidualTriple | None = None
     wallclock: float = 0.0
     converged: bool = False
     iterations: int = 0
+    problem: HomotopyProblem | None = field(default=None, repr=False)
+    drivers: BrownianPair | None = field(default=None, repr=False)
+    _residuals: ResidualTriple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def residuals(self) -> ResidualTriple | None:
+        if self._residuals is None and self.problem is not None:
+            self._residuals = residual(self.problem, self.final_state, self.drivers)
+        return self._residuals
 
 
 def d_metric(a: EnsembleState, b: EnsembleState) -> float:
@@ -188,7 +201,7 @@ def _forward_phase(
     (M, N+1, d, d_w).  z rides the backward increments at the right node and is
     recovered per sweep by regressing the one-step martingale residual on dB;
     the pair is iterated to a small fixed point (at most ``max_sweeps``).
-    y is the cumulative sum of its increments and every node's z regression
+    y is the running sum of its increments and every node's z regression
     is solved in one batch.  y and z are built node-major and returned as
     particle-major views.
     """
@@ -208,7 +221,9 @@ def _forward_phase(
         y[0] = x0
         np.multiply(drifts[:, :n].transpose(1, 0, 2), dt, out=y[1:])
         y[1:] += mart
-        np.cumsum(y, axis=0, out=y)
+        # the running sum node by node, in cumsum's order, on whole slabs
+        for k in range(n):
+            np.add(y[k], y[k + 1], out=y[k + 1])
         return mart
 
     z_nodes = None
@@ -393,17 +408,24 @@ def linear_base_solve(
 # ----------------------------------------------------------------------------
 
 
-def _iterate(
+def picard_solve(
     problem: HomotopyProblem,
     warm: EnsembleState,
     drivers: BrownianPair,
     reg: RegressionConfig,
-    tol: float,
-    max_iter: int,
-    damping: float,
+    tol: float = 1e-5,
+    max_iter: int = 60,
+    damping: float = 1.0,
 ) -> SolveReport:
-    """The Picard loop of ``picard_solve`` without the final residual, which
-    the ladder's intermediate rungs do not need."""
+    """Iterate the frozen step until the contraction metric between successive
+    iterates drops below ``tol``; the limit's residuals are evaluated when
+    the report's ``residuals`` is first read.  The metric is squared, so a
+    converged iterate can still move by about sqrt(tol) per step.
+
+    ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
+    Raises SolverError("Picard divergence") when the distance blows past 1e6
+    of its first value, with the partial report attached.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < damping <= 1.0:
@@ -436,6 +458,7 @@ def _iterate(
             report.wallclock = time.perf_counter() - start
             raise SolverError("Picard divergence", report)
     report.final_state = current
+    report.problem, report.drivers = problem, drivers
     dists = report.picard_residuals
     # contraction ratios where the previous distance is positive; the median
     # skips the first two (burn-in) unless nothing else is left
@@ -451,31 +474,6 @@ def _iterate(
             residual_history=list(dists),
         )
     ]
-    report.wallclock = time.perf_counter() - start
-    return report
-
-
-def picard_solve(
-    problem: HomotopyProblem,
-    warm: EnsembleState,
-    drivers: BrownianPair,
-    reg: RegressionConfig,
-    tol: float = 1e-5,
-    max_iter: int = 60,
-    damping: float = 1.0,
-) -> SolveReport:
-    """Iterate the frozen step until the contraction metric between successive
-    iterates drops below ``tol``, then evaluate the limit's residuals.
-    The metric is squared, so a converged iterate can still move by about
-    sqrt(tol) per step.
-
-    ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
-    Raises SolverError("Picard divergence") when the distance blows past 1e6
-    of its first value, with the partial report attached.
-    """
-    start = time.perf_counter()
-    report = _iterate(problem, warm, drivers, reg, tol, max_iter, damping)
-    report.residuals = residual(problem, report.final_state, drivers)
     report.wallclock = time.perf_counter() - start
     return report
 
@@ -503,8 +501,8 @@ def continuation_solve(
     warm-started at the previous rung, to ``tol`` on the squared contraction
     metric (a converged iterate can still move by about sqrt(tol) per step).
     A failed rung halves the step (up to ``MAX_HALVINGS`` times) before giving
-    up with the partial ladder attached.
-    Only the final state's residuals are evaluated; the rungs skip theirs.
+    up with the partial ladder attached.  No residual is evaluated until the
+    report's ``residuals`` is read, and then only the final state's.
 
     With ``warm`` (an earlier solved state, e.g. at a nearby control), Picard
     first runs on the alpha = 1 problem from it, with the same ``tol``,
@@ -546,7 +544,7 @@ def continuation_solve(
         target = min(1.0, alpha + step)
         rung_problem = problem.at_alpha(target)
         try:
-            rung = _iterate(
+            rung = picard_solve(
                 rung_problem, state, drivers, reg, tol, max_iter, damping
             )
         except SolverError as err:
@@ -570,7 +568,7 @@ def continuation_solve(
         report.iterations += rung.iterations
     report.final_state = state
     report.converged = all(r.converged for r in ladder)
-    report.residuals = residual(problem.at_alpha(1.0), state, drivers)
+    report.problem, report.drivers = problem.at_alpha(1.0), drivers
     report.wallclock = time.perf_counter() - start
     return report
 

@@ -10,7 +10,7 @@ from mvfbdsde import cli
 from mvfbdsde.cli import main
 from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
 from mvfbdsde.control import lq_control_scenario
-from mvfbdsde.model import builtin_example_meanfield
+from mvfbdsde.model import CoefficientError, builtin_example_meanfield
 from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
 
 FAST = ["--steps", "40", "--particles", "200"]
@@ -283,6 +283,22 @@ class TestCliCommands:
         )
         assert code == 1
         assert "coefficient F produced non-finite values" in capsys.readouterr().err
+
+    def test_residual_failure_writes_no_solve_files(self, tmp_path, monkeypatch, capsys):
+        # the residuals are read before trajectory.csv and ladder.csv are
+        # written, so a map that fails only there leaves no partial output
+        import mvfbdsde.solver as solver_module
+
+        def failing(*args):
+            raise CoefficientError("coefficient F produced non-finite values")
+
+        monkeypatch.setattr(solver_module, "residual", failing)
+        code, out = run_cli(
+            ["--scenario", "example1", "--command", "solve"] + FAST, tmp_path, "r"
+        )
+        assert code == 1
+        assert "coefficient F produced non-finite values" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo"]
 
     def test_missing_config_file_exits_1(self, tmp_path):
         code, _ = run_cli(["--config", str(tmp_path / "nope.cfg")], tmp_path, "e")

@@ -524,6 +524,14 @@ def _map_calls(n):
     return (slice(None), slice(0, n), slice(1, n + 1), 4)
 
 
+@pytest.mark.parametrize("steps", [1, 20, 57])
+def test_node_index_of_the_grid_nodes(steps):
+    # the solver's own node array takes the shortcut; a copy is computed
+    grid = TimeGrid(0.75 * np.pi, steps)
+    assert _node_index(grid.nodes, grid) == _node_index(grid.nodes.copy(), grid)
+    assert _node_index(grid.nodes, grid) == slice(0, steps + 1)
+
+
 class TestStackedAdjointMaps:
     """The adjoint maps built once per system against the per-block assembly."""
 
@@ -692,6 +700,18 @@ class TestCost:
 
 
 class TestVerifySmp:
+    def test_candidate_and_verification_evaluate_no_residual(self, monkeypatch):
+        import mvfbdsde.solver as solver_module
+
+        calls = []
+        monkeypatch.setattr(solver_module, "residual", lambda *a: calls.append(a))
+        problem = lq_control_scenario(TimeGrid(1.0, 10))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 100, seed=910)
+        cand = first_order_candidate(problem, drivers, REG, tol=1e-6)
+        verify_smp(problem, cand, n_perturbations=0, drivers=drivers, reg=REG,
+                   tol=1e-6, seed=19)
+        assert calls == []
+
     def test_lq_candidate_passes(self, lq):
         problem, drivers = lq
         cand = first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)

@@ -15,6 +15,21 @@ from mvfbdsde.paths import (
 )
 
 
+def _per_particle_reference(grid, d_w, d_b, particles, seed):
+    """The sampling loop into particle-major (M, N, d) arrays."""
+    n = grid.steps
+    root_dt = np.sqrt(grid.dt)
+    dw = np.empty((particles, n, d_w))
+    db = np.empty((particles, n, d_b))
+    for p in range(particles):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(p,)))
+        )
+        dw[p] = rng.standard_normal((n, d_w)) * root_dt
+        db[p] = rng.standard_normal((n, d_b)) * root_dt
+    return dw, db
+
+
 @pytest.fixture(scope="module")
 def big_drivers():
     grid = TimeGrid(1.0, 100)
@@ -61,6 +76,19 @@ class TestSampling:
             sample_driver_pair(grid, 0, 1, 4, seed=0)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("d_w, d_b", [(1, 1), (2, 3)])
+    def test_node_major_storage_keeps_per_particle_values(self, d_w, d_b):
+        # the values are those of the per-particle loop into particle-major
+        # arrays; only the storage is node-major
+        grid = TimeGrid(1.0, 9)
+        drv = sample_driver_pair(grid, d_w, d_b, 7, seed=31)
+        ref_w, ref_b = _per_particle_reference(grid, d_w, d_b, 7, 31)
+        assert drv.dW.shape == ref_w.shape and drv.dB.shape == ref_b.shape
+        assert np.ascontiguousarray(drv.dW).tobytes() == ref_w.tobytes()
+        assert np.ascontiguousarray(drv.dB).tobytes() == ref_b.tobytes()
+        assert drv.dW.transpose(1, 0, 2).flags.c_contiguous
+        assert drv.dB.transpose(1, 0, 2).flags.c_contiguous
 
     def test_b_tail(self):
         grid = TimeGrid(1.0, 8)

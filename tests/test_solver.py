@@ -19,7 +19,7 @@ from mvfbdsde.model import (
     residual,
     zero_coefficient_set,
 )
-from mvfbdsde.paths import TimeGrid, sample_driver_pair
+from mvfbdsde.paths import BrownianPair, TimeGrid, sample_driver_pair
 from mvfbdsde.solver import (
     RegressionConfig,
     SolveReport,
@@ -510,11 +510,13 @@ class TestPicard:
         drivers = sample_driver_pair(grid, 1, 1, 200, seed=18)
         prob = HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0,
                                x=np.zeros(1))
-        with pytest.raises(SolverError, match="divergence"):
+        with pytest.raises(SolverError, match="divergence") as err:
             picard_solve(
                 prob, sinusoid_state(grid, 200, dims, noise=0.01, seed=6),
                 drivers, REG, tol=1e-6, max_iter=200,
             )
+        # the partial report names no problem, so it has no residuals
+        assert err.value.report.residuals is None
 
     def test_bad_parameters(self):
         grid = TimeGrid(1.0, 10)
@@ -650,8 +652,9 @@ class TestContinuation:
         assert 1.5 <= errors[50] / errors[100] <= 3.0
 
     def test_one_residual_per_ladder(self, monkeypatch):
-        # the rungs skip their residuals: only the final state's is evaluated,
-        # and it equals a direct evaluation on the alpha = 1 problem
+        # the solve evaluates no residual; the first read of the report's
+        # residuals evaluates the final state's on the alpha = 1 problem, and
+        # later reads reuse it
         import mvfbdsde.solver as solver_module
 
         calls = []
@@ -669,13 +672,68 @@ class TestContinuation:
             x=np.array([1.0]),
         )
         assert len(report.alpha_ladder) == 6  # base rung plus 5 Picard rungs
+        assert calls == []
+        first = report.residuals
         assert calls == [1.0]
         prob = HomotopyProblem(base=model, alpha=1.0, case="case1", theta1=0.25,
                                theta2=0.25, x=np.array([1.0]))
-        assert report.residuals == residual(prob, report.final_state, drivers)
-        # picard_solve keeps its residuals for its own callers
+        assert first == residual(prob, report.final_state, drivers)
+        assert report.residuals is first and calls == [1.0]
+        # picard_solve defers its residual the same way
         rung = picard_solve(prob, report.final_state, drivers, REG, tol=1e-5)
-        assert len(calls) == 2 and rung.residuals is not None
+        assert calls == [1.0]
+        assert rung.residuals is not None and calls == [1.0, 1.0]
+
+
+def _particle_major(drivers: BrownianPair) -> BrownianPair:
+    """The same increments in C-contiguous (M, N, d) storage, as
+    ``load_increments`` or a hand-built pair gives them."""
+    return BrownianPair(np.ascontiguousarray(drivers.dW), np.ascontiguousarray(drivers.dB),
+                        drivers.grid, drivers.seed)
+
+
+def _same_bits(a: EnsembleState, b: EnsembleState) -> bool:
+    return all(np.ascontiguousarray(u).tobytes() == np.ascontiguousarray(v).tobytes()
+               for u, v in ((a.y, b.y), (a.Y, b.Y), (a.z, b.z), (a.Z, b.Z)))
+
+
+class TestDriverLayout:
+    """Results do not depend on how the driver increments are stored."""
+
+    def test_continuation_solve(self):
+        model = builtin_example_meanfield(DIMS)
+        drivers = sample_driver_pair(TimeGrid(1.0, 20), 1, 1, 200, seed=26)
+        copied = _particle_major(drivers)
+        assert copied.dW.flags.c_contiguous and not drivers.dW.flags.c_contiguous
+        a, b = (
+            continuation_solve(model, "case1", 0.25, 0.25, 0.2, drv, REG, tol=1e-5,
+                               x=np.array([1.0]))
+            for drv in (drivers, copied)
+        )
+        assert _same_bits(a.final_state, b.final_state)
+        assert a.picard_residuals == b.picard_residuals
+        assert ladder_rows(a) == ladder_rows(b)
+        assert a.residuals == b.residuals
+
+    def test_poly2_step_at_two_backward_drivers(self):
+        dims = Dimensions(1, 2, 2)
+        reg = RegressionConfig("poly2_y_plus_Btail")
+        drivers = sample_driver_pair(TimeGrid(1.0, 12), 2, 2, 300, seed=27)
+        copied = _particle_major(drivers)
+        prob = HomotopyProblem(base=builtin_example_meanfield(dims), alpha=0.0,
+                               case="case1", theta1=0.25, theta2=0.25, x=np.array([1.0]))
+        states = []
+        for drv in (drivers, copied):
+            base = linear_base_solve(prob, drv, reg)
+            states.append(
+                (base, solve_decoupled_step(prob.at_alpha(0.6), base, drv, reg))
+            )
+        (base_a, step_a), (base_b, step_b) = states
+        assert _same_bits(base_a, base_b) and _same_bits(step_a, step_b)
+        assert np.max(np.abs(step_a.z)) > 0.0
+        assert residual(prob.at_alpha(0.6), step_a, drivers) == residual(
+            prob.at_alpha(0.6), step_b, copied
+        )
 
 
 class TestMomentOracle:
