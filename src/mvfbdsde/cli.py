@@ -5,10 +5,10 @@ config or inputs, a non-finite config value, or a coefficient map with
 non-finite or misshapen output, under every command); 2 = the machinery ran
 and refuted the checked property (a failed assumption, detected
 nonuniqueness, a failed optimality check, or a non-convergent solve).
-detect_nonuniqueness also exits 2 when the solve from any warm start fails,
-and lists those starts in report.txt.  The refutation code is deliberate:
-for the built-in counterexample a failing monotonicity check is the correct
-outcome and must be distinguishable from broken tooling.
+detect_nonuniqueness also exits 2 when the solve from any warm start fails
+or does not converge, and lists those starts in report.txt.  The refutation
+code is deliberate: for the built-in counterexample a failing monotonicity
+check is the correct outcome and must be distinguishable from broken tooling.
 
 All file outputs are deterministic functions of (config, seed); timing is
 printed to stdout only.
@@ -17,7 +17,6 @@ printed to stdout only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -32,14 +31,8 @@ from .assumptions import (
 )
 from .config import COMMANDS, KEYS, SCENARIOS, ConfigError, ScenarioConfig
 from .config import parse_kv, serialize_kv
-from .control import (
-    first_order_candidate,
-    gradient_consistency,
-    lq_control_scenario,
-    solve_state,
-    verify_smp,
-)
-from .model import EnsembleState, HomotopyProblem
+from .control import first_order_candidate, gradient_consistency, verify_smp
+from .model import EnsembleState, as_problem
 from .paths import ProcessSpec, discrete_ito_product_check, sample_driver_pair
 from .solver import (
     SolverError,
@@ -118,38 +111,13 @@ def _drivers(cfg: ScenarioConfig):
     return sample_driver_pair(cfg.grid, cfg.d_w, cfg.d_b, cfg.particles, cfg.seed)
 
 
-def _lq_problem(cfg: ScenarioConfig):
-    """The LQ control problem with the config's ladder step and constants."""
-    return dataclasses.replace(lq_control_scenario(cfg.grid), delta=cfg.delta,
-                               theta1=cfg.theta1, theta2=cfg.theta2, alpha1=cfg.alpha1)
-
-
 def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
-    drivers = _drivers(cfg)
-    reg = cfg.regression
     try:
-        if cfg.scenario == "lq_control":
-            problem = _lq_problem(cfg)
-            u = np.broadcast_to(
-                problem.control_box_center(), (cfg.steps + 1, problem.d_u)
-            ).copy()
-            report = solve_state(problem, u, drivers, reg, cfg.tol)
-        else:
-            xi = None if cfg.xi == 0.0 else np.full(cfg.d, cfg.xi)
-            report = continuation_solve(
-                cfg.coefficient_set(),
-                case=cfg.case,
-                theta1=cfg.theta1,
-                theta2=cfg.theta2,
-                delta=cfg.delta,
-                drivers=drivers,
-                reg=reg,
-                tol=cfg.tol,
-                x=cfg.initial_vector(),
-                xi=xi,
-                max_iter=cfg.max_iter,
-                damping=cfg.damping,
-            )
+        report = continuation_solve(
+            cfg.coefficient_set(), cfg.case, cfg.theta1, cfg.theta2, cfg.delta,
+            _drivers(cfg), cfg.regression, cfg.tol, x=cfg.initial_vector(),
+            xi=cfg.terminal_shift(), max_iter=cfg.max_iter, damping=cfg.damping,
+        )
     except SolverError as err:
         lines = [f"solve failed: {err}"]
         if err.report is not None:
@@ -178,7 +146,7 @@ def _cmd_solve(cfg: ScenarioConfig, out_dir: str) -> int:
 def _cmd_check_assumptions(cfg: ScenarioConfig, out_dir: str) -> int:
     sampler = PairSampler(cfg.dims, seed=cfg.seed, t_max=cfg.horizon)
     if cfg.scenario == "lq_control":
-        report = check_control_assumptions(_lq_problem(cfg), sampler)
+        report = check_control_assumptions(cfg.control_problem(), sampler)
         _write_lines(os.path.join(out_dir, "report.txt"), report.text().splitlines())
         _write_lines(os.path.join(out_dir, "assumptions.kv"),
                      serialize_kv(report.kv()).splitlines())
@@ -222,17 +190,7 @@ def _sinusoid_state(cfg: ScenarioConfig, noise: float = 0.01) -> EnsembleState:
 
 
 def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
-    coeffs = cfg.coefficient_set()
-    drivers = _drivers(cfg)
-    reg = cfg.regression
-    problem = HomotopyProblem(
-        base=coeffs,
-        alpha=1.0,
-        case=cfg.case,
-        theta1=max(cfg.theta1, 1e-6),
-        theta2=cfg.theta2,
-        x=cfg.initial_vector(),
-    )
+    problem = as_problem(cfg.coefficient_set(), cfg.initial_vector())
     warm_starts = [EnsembleState.zeros(cfg.particles, cfg.dims, cfg.grid,
                                        x=cfg.initial_vector())]
     if cfg.scenario == "example2":
@@ -244,7 +202,7 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
         perturbed.Y += 0.5 * rng.standard_normal(perturbed.Y.shape)
         warm_starts.append(perturbed)
     report = detect_nonuniqueness(
-        problem, warm_starts, drivers, reg, cfg.tol, cfg.max_iter,
+        problem, warm_starts, _drivers(cfg), cfg.regression, cfg.tol, cfg.max_iter,
         damping=cfg.damping,
     )
     threshold = max(0.01, 100.0 * cfg.tol)
@@ -270,13 +228,12 @@ def _cmd_detect_nonuniqueness(cfg: ScenarioConfig, out_dir: str) -> int:
     lines.append(f"distinct_limits = {distinct}")
     _write_lines(os.path.join(out_dir, "report.txt"), lines)
     print("\n".join(lines))
-    return EXIT_REFUTED if distinct or report.failed_starts else EXIT_OK
+    unconverged = not all(lim.converged for lim in report.limits)
+    return EXIT_REFUTED if distinct or report.failed_starts or unconverged else EXIT_OK
 
 
 def _cmd_verify_smp(cfg: ScenarioConfig, out_dir: str) -> int:
-    if cfg.scenario != "lq_control":
-        raise ConfigError("verify_smp needs scenario = lq_control")
-    problem = _lq_problem(cfg)
+    problem = cfg.control_problem()
     drivers = _drivers(cfg)
     reg = cfg.regression
     candidate = first_order_candidate(problem, drivers, reg, tol=cfg.tol)
@@ -309,7 +266,8 @@ def _cmd_ito_check(cfg: ScenarioConfig, out_dir: str) -> int:
     dt = grid.dt
     nodes = grid.nodes
     drift = np.broadcast_to(np.cos(nodes)[None, :, None], (m, n + 1, 1)).copy()
-    ones = np.ones((m, n + 1, 1, 1))
+    # scalar processes driven by the sum of each driver's components
+    ones_w, ones_b = (np.ones((m, n + 1, 1, d)) for d in (cfg.d_w, cfg.d_b))
     zero_init = np.zeros(1)
     cases = {
         "deterministic_drift": (
@@ -317,12 +275,12 @@ def _cmd_ito_check(cfg: ScenarioConfig, out_dir: str) -> int:
             ProcessSpec(initial=-np.ones(1), drift=2.0 * drift),
         ),
         "backward_squared": (
-            ProcessSpec(initial=zero_init, backward=ones),
-            ProcessSpec(initial=zero_init, backward=ones),
+            ProcessSpec(initial=zero_init, backward=ones_b),
+            ProcessSpec(initial=zero_init, backward=ones_b),
         ),
         "mixed_drivers": (
-            ProcessSpec(initial=zero_init, forward=ones),
-            ProcessSpec(initial=zero_init, backward=ones),
+            ProcessSpec(initial=zero_init, forward=ones_w),
+            ProcessSpec(initial=zero_init, backward=ones_b),
         ),
     }
     bound = 5.0 * dt
@@ -363,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return run(cfg)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # config errors are all raised at load
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except SolverError as err:

@@ -31,20 +31,32 @@ Recognized keys::
     model.<coef>.<src>       linear tables for scenario = custom, e.g.
                              model.f.mY = 0.5 (coef in f,F,g,G,h; src per table)
 
-lq_control fixes initial.x, continuation.case, terminal.xi, solver.max_iter
-and solver.damping itself and ignores those entries.  example2 and lq_control
-take only dims.* = 1 and example1 needs dims.d_w = dims.d_b: else ConfigError.
+Every command reads scenario, seed and grid.*, and validation builds the
+scenario's model (custom: from model.*); each command also reads::
+
+    solve                  ensemble.particles, dims.*, continuation.*, solver.*,
+                           assume.theta1/theta2, initial.x, terminal.xi
+    check_assumptions      dims.*, assume.*  (lq_control: all but assume.pairs)
+    detect_nonuniqueness   ensemble.particles, dims.*, solver.*, initial.x
+    verify_smp             ensemble.particles, continuation.delta,
+                           solver.tol/basis/ridge, assume.theta1/theta2/alpha1,
+                           initial.x, terminal.xi
+    ito_check              ensemble.particles, dims.d_w, dims.d_b
+
+A config that cannot run is a ConfigError naming its key before any output:
+a dims.* value the scenario's model fixes, a bad model.* entry, verify_smp
+off lq_control, a solve with a zero theta of its case, certifier constants
+check_assumptions rejects, and out-of-range solver.* or assume.pairs values.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .control import lq_control_scenario
+from .control import ControlProblem, lq_control_scenario
 from .model import (
     CoefficientSet,
     Dimensions,
@@ -65,7 +77,7 @@ COMMANDS = (
     "ito_check",
 )
 
-EXAMPLE2_HORIZON = 0.75 * math.pi
+EXAMPLE2_HORIZON = float(builtin_counterexample()[1])
 
 
 class ConfigError(ValueError):
@@ -226,6 +238,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        # the ladder damps by its case's theta; verify_smp climbs it under case1
+        ladder = self.command in ("solve", "verify_smp")
+        theta = "theta2" if self.case == "case2" and self.command == "solve" else "theta1"
+        certify = self.command == "check_assumptions"
         for ok, attr, rule in (
             (self.steps >= 2, "steps", "must be >= 2"),
             (self.particles >= 2, "particles", "must be >= 2"),
@@ -236,21 +252,33 @@ class ScenarioConfig:
             (0 < self.delta <= 1, "delta", "must lie in (0, 1]"),
             (self.case in ("case1", "case2"), "case", "must be case1 or case2"),
             (self.basis in BASES, "basis", f"{self.basis!r} is unknown"),
+            (self.tol > 0, "tol", "must be > 0"),
+            (self.ridge >= 0, "ridge", "must be >= 0"),
+            (0 < self.damping <= 1, "damping", "must lie in (0, 1]"),
+            (self.max_iter >= 1, "max_iter", "must be >= 1"),
+            (self.n_pairs >= 1, "n_pairs", "must be >= 1"),
             (self.threads >= 0, "threads", "must be >= 0"),
+            (self.command != "verify_smp" or self.scenario == "lq_control",
+             "command", "verify_smp needs scenario = lq_control"),
+            (not ladder or getattr(self, theta) > 0, theta, f"must be > 0 to {self.command}"),
+            # the certifier's constants, as check_monotonicity takes them
+            (not certify or self.theta1 >= 0, "theta1", "must be >= 0 to certify"),
+            (not certify or self.theta2 >= 0, "theta2", "must be >= 0 to certify"),
+            (not certify or self.theta1 + self.theta2 > 0,
+             "theta1", "+ assume.theta2 must be > 0 to certify"),
+            (not certify or self.alpha1 + self.theta2 > 0,
+             "alpha1", "+ assume.theta2 must be > 0 to certify"),
+            (self.scenario != "example2" or self.override_horizon
+             or abs(self.horizon - EXAMPLE2_HORIZON) <= 1e-12, "horizon",
+             "must be 3*pi/4 under example2; pass an explicit horizon override to change it"),
         ):
             if not ok:
                 raise ConfigError(f"{KEYS[attr]} {rule}")
+        model = self.coefficient_set()
         for attr in ("d", "d_w", "d_b"):
-            if self.scenario in ("example2", "lq_control") and getattr(self, attr) != 1:
-                raise ConfigError(f"{KEYS[attr]} must be 1: {self.scenario} fixes its dimensions")
-        if self.scenario == "example1" and self.d_w != self.d_b:
-            raise ConfigError(f"example1 needs {KEYS['d_w']} == {KEYS['d_b']}")
-        if self.scenario == "example2" and not self.override_horizon:
-            if abs(self.horizon - EXAMPLE2_HORIZON) > 1e-12:
-                raise ConfigError(
-                    f"example2 fixes {KEYS['horizon']} = 3*pi/4; pass an explicit "
-                    "horizon override to change it"
-                )
+            fixed = getattr(model.dims, attr)
+            if getattr(self, attr) != fixed:
+                raise ConfigError(f"{KEYS[attr]} must be {fixed}: {self.scenario} fixes it")
 
     # -- builders -------------------------------------------------------------
 
@@ -269,25 +297,38 @@ class ScenarioConfig:
     def initial_vector(self) -> np.ndarray:
         return np.full(self.d, self.x)
 
+    def terminal_shift(self) -> np.ndarray | None:
+        return None if self.xi == 0.0 else np.full(self.d, self.xi)
+
+    def control_problem(self) -> ControlProblem:
+        """The LQ problem with the config's grid, ladder step, constants, x and xi."""
+        return replace(lq_control_scenario(self.grid), delta=self.delta,
+                       theta1=self.theta1, theta2=self.theta2, alpha1=self.alpha1,
+                       x=self.initial_vector(), xi=self.terminal_shift())
+
     def coefficient_set(self) -> CoefficientSet:
+        """The scenario's model; lq_control's is the state system at the box centre."""
         if self.scenario == "example1":
-            return builtin_example_meanfield(self.dims)
+            try:
+                return builtin_example_meanfield(self.dims)
+            except ValueError as err:
+                raise ConfigError(f"{KEYS['d_b']} must equal {KEYS['d_w']}: {err}") from None
         if self.scenario == "example2":
-            coeffs, _, _, _ = builtin_counterexample()
-            return coeffs
+            return builtin_counterexample()[0]
         if self.scenario == "linear_base":
             return linear_coefficient_set(self.dims, LinearTables(), name="linear_base")
-        if self.scenario == "custom":
-            return self.custom_coefficient_set()
-        raise ConfigError(f"scenario {self.scenario!r} has no coefficient map")
-
-    def custom_coefficient_set(self) -> CoefficientSet:
+        if self.scenario == "lq_control":
+            problem = self.control_problem()
+            return problem.coefficients_for(
+                np.broadcast_to(problem.control_box_center(), (self.steps + 1, problem.d_u)))
         tables: dict[str, dict[str, float]] = {k: {} for k in ("f", "F", "g", "G", "h")}
         for key, value in self.model_tables.items():
-            parts = key.split(".")
-            if len(parts) != 2 or parts[0] not in tables:
-                raise ConfigError(f"bad model key model.{key}")
-            tables[parts[0]][parts[1]] = value
+            coef, _, src = key.partition(".")
+            try:  # the tables own the rule on each entry's sources
+                LinearTables(**{coef: {src: value}})
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"model.{key} is no table entry: {err}") from None
+            tables[coef][src] = value
         return linear_coefficient_set(self.dims, LinearTables(**tables), name="custom")
 
 

@@ -486,13 +486,10 @@ class EnsembleState:
         ))
 
 
-def as_problem(
-    coeffs: CoefficientSet, x: np.ndarray | None = None, theta1: float = 1.0
-) -> HomotopyProblem:
-    """Wrap a bare coefficient set as its own continuation endpoint."""
-    return HomotopyProblem(
-        base=coeffs, alpha=1.0, case="case1", theta1=theta1, x=x
-    )
+def as_problem(coeffs: CoefficientSet, x: np.ndarray | None = None) -> HomotopyProblem:
+    """Wrap a bare coefficient set as its own continuation endpoint; case and
+    theta do not enter at alpha = 1."""
+    return HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0, x=x)
 
 
 class ResidualTriple(NamedTuple):

@@ -157,9 +157,17 @@ class ProcessSpec:
     backward: np.ndarray | None = None
 
 
+def _noise_steps(spec: ProcessSpec, drivers: BrownianPair) -> tuple:
+    """Per-step forward (left-node) and backward (right-node) noise increments
+    of ``spec``, (M, N, d) or None; ``_contract`` rejects a wrong driver axis."""
+    n = drivers.grid.steps
+    return (None if spec.forward is None else _contract(spec.forward[:, :n], drivers.dW),
+            None if spec.backward is None else _contract(spec.backward[:, 1:], drivers.dB))
+
+
 def _simulate(spec: ProcessSpec, drivers: BrownianPair) -> np.ndarray:
-    m, n, d_w = drivers.dW.shape
-    d_b = drivers.dB.shape[2]
+    m, n = drivers.dW.shape[:2]
+    fwd, bwd = _noise_steps(spec, drivers)
     initial = np.asarray(spec.initial, dtype=float)
     if initial.ndim == 1:
         initial = np.broadcast_to(initial, (m, initial.shape[0]))
@@ -171,12 +179,9 @@ def _simulate(spec: ProcessSpec, drivers: BrownianPair) -> np.ndarray:
         step = path[:, k].copy()
         if spec.drift is not None:
             step = step + spec.drift[:, k] * dt
-        if spec.forward is not None:
-            step = step + np.einsum("mij,mj->mi", spec.forward[:, k], drivers.dW[:, k])
-        if spec.backward is not None:
-            step = step + np.einsum(
-                "mij,mj->mi", spec.backward[:, k + 1], drivers.dB[:, k]
-            )
+        for noise in (fwd, bwd):
+            if noise is not None:
+                step = step + noise[:, k]
         path[:, k + 1] = step
     return path
 
@@ -208,18 +213,15 @@ def discrete_ito_product_check(
 
     def cross(x: np.ndarray, spec: ProcessSpec) -> float:
         """E int <x, d(other)> with the mixed endpoint convention."""
+        fwd, bwd = _noise_steps(spec, drivers)
         total = np.zeros(x.shape[0])
         for k in range(n):
             if spec.drift is not None:
                 total += np.sum(x[:, k] * spec.drift[:, k], axis=1) * dt
-            if spec.forward is not None:
-                inc = np.einsum("mij,mj->mi", spec.forward[:, k], drivers.dW[:, k])
-                total += np.sum(x[:, k] * inc, axis=1)
-            if spec.backward is not None:
-                inc = np.einsum(
-                    "mij,mj->mi", spec.backward[:, k + 1], drivers.dB[:, k]
-                )
-                total += np.sum(x[:, k + 1] * inc, axis=1)
+            if fwd is not None:
+                total += np.sum(x[:, k] * fwd[:, k], axis=1)
+            if bwd is not None:
+                total += np.sum(x[:, k + 1] * bwd[:, k], axis=1)
         return float(total.mean())
 
     def quad(u: np.ndarray | None, v: np.ndarray | None, right: bool) -> float:

@@ -617,7 +617,9 @@ class NonuniquenessReport:
 
     @property
     def max_distance(self) -> float:
-        return float(self.pairwise_distances.max()) if self.limits else 0.0
+        """Largest distance between two converged limits."""
+        ok = [i for i, lim in enumerate(self.limits) if lim.converged]
+        return float(self.pairwise_distances[np.ix_(ok, ok)].max()) if ok else 0.0
 
 
 # ----------------------------------------------------------------------------

@@ -1,14 +1,24 @@
 """Config grammar, CLI exit codes, file outputs, and determinism."""
 
 import dataclasses
+import itertools
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvfbdsde import cli
 from mvfbdsde.cli import main
-from mvfbdsde.config import ConfigError, ScenarioConfig, parse_kv, serialize_kv
+from mvfbdsde.config import (
+    COMMANDS,
+    KEYS,
+    SCENARIOS,
+    ConfigError,
+    ScenarioConfig,
+    parse_kv,
+    serialize_kv,
+)
 from mvfbdsde.control import lq_control_scenario
 from mvfbdsde.model import CoefficientError, builtin_example_meanfield
 from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
@@ -64,12 +74,41 @@ class TestConfigGrammar:
             ScenarioConfig.from_mapping({"grid.horizon": -1.0})
 
     def test_lq_control_preset_matches_the_problem(self):
-        # the CLI replaces the problem's constants with the config's, so a
-        # default run stays unchanged only if the preset takes them from it
+        # control_problem() replaces the problem's constants with the
+        # config's, so a default run stays unchanged only if the preset takes
+        # them from it
         cfg = ScenarioConfig.from_mapping({"scenario": "lq_control"})
         problem = lq_control_scenario()
         for attr in ("delta", "theta1", "theta2", "alpha1"):
             assert getattr(cfg, attr) == getattr(problem, attr), attr
+
+    def test_control_problem_takes_every_field_from_the_config(self):
+        cfg = ScenarioConfig.from_mapping(
+            {"scenario": "lq_control", "grid.steps": 12, "continuation.delta": 0.5,
+             "assume.theta1": 0.3, "assume.theta2": 0.2, "assume.alpha1": 0.4,
+             "initial.x": -0.5, "terminal.xi": 0.25}
+        )
+        problem = cfg.control_problem()
+        assert problem.grid == cfg.grid
+        assert (problem.delta, problem.theta1, problem.theta2, problem.alpha1) == (
+            0.5, 0.3, 0.2, 0.4)
+        assert problem.x.tolist() == [-0.5] and problem.xi.tolist() == [0.25]
+        assert ScenarioConfig.from_mapping({"scenario": "lq_control"}).control_problem().xi is None
+
+    def test_lq_control_model_is_the_state_system_at_the_box_centre(self):
+        cfg = ScenarioConfig.from_mapping({"scenario": "lq_control", "grid.steps": 6})
+        problem = cfg.control_problem()
+        centre = np.broadcast_to(problem.control_box_center(), (7, 1))
+        want = problem.coefficients_for(centre)
+        got = cfg.coefficient_set()
+        from mvfbdsde.model import NodeMoments, Quad, eval_system
+
+        rng = np.random.default_rng(1)
+        v = Quad(*(rng.standard_normal((5, *shape)) for shape in got.dims.shapes))
+        law = NodeMoments.of(v.flat())
+        assert got.dims == want.dims
+        for a, b in zip(eval_system(got, 0.5, v, law), eval_system(want, 0.5, v, law)):
+            assert np.array_equal(a, b)
 
     def test_every_flag_sets_a_config_key(self):
         defaults = ScenarioConfig().to_mapping()
@@ -336,6 +375,81 @@ class TestCliCommands:
         assert "failed_start[1]: regression matrix singular at node 1" in text
         assert "distinct_limits = False" in text
 
+    def test_distinct_limits_count_converged_limits_only(self, tmp_path, monkeypatch):
+        # a diverged start's partial state lies far from the converged limit;
+        # that distance is reported but decides nothing, and the listed
+        # failed start still makes the run exit 2
+        def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
+            limit = SolveReport(final_state=warm_starts[0], converged=True, iterations=9)
+            partial = SolveReport(final_state=warm_starts[1], iterations=4)
+            return NonuniquenessReport(
+                limits=[limit, partial],
+                pairwise_distances=np.array([[0.0, 2.4e6], [2.4e6, 0.0]]),
+                failed_starts=[(1, "Picard divergence")],
+            )
+
+        monkeypatch.setattr(cli, "detect_nonuniqueness", fake_detect)
+        code, out = run_cli(
+            ["--scenario", "example1", "--command", "detect_nonuniqueness"] + FAST,
+            tmp_path, "f3",
+        )
+        assert code == 2
+        text = (out / "report.txt").read_text()
+        assert "distance[0,1] = 2.400000e+06\n" in text
+        assert "failed_start[1]: Picard divergence\n" in text
+        assert text.endswith("distinct_limits = False\n")
+
+    def test_unconverged_start_exits_2(self, tmp_path, monkeypatch):
+        # a start that used up max_iter without diverging is no limit either
+        def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
+            limits = [SolveReport(final_state=warm_starts[0], converged=True),
+                      SolveReport(final_state=warm_starts[1], converged=False)]
+            return NonuniquenessReport(limits=limits, pairwise_distances=1.0 - np.eye(2))
+
+        monkeypatch.setattr(cli, "detect_nonuniqueness", fake_detect)
+        code, out = run_cli(
+            ["--scenario", "example1", "--command", "detect_nonuniqueness"] + FAST,
+            tmp_path, "f4",
+        )
+        assert code == 2
+        assert "distinct_limits = False" in (out / "report.txt").read_text()
+
+    def test_detect_nonuniqueness_lq_control_exits_0(self, tmp_path):
+        code, out = run_cli(
+            ["--scenario", "lq_control", "--command", "detect_nonuniqueness",
+             "--steps", "20", "--particles", "200"],
+            tmp_path, "lq_detect",
+        )
+        assert code == 0
+        text = (out / "report.txt").read_text()
+        assert text.count("converged=True") == 2
+        assert "distinct_limits = False" in text
+
+    def test_lq_control_solve_takes_the_solver_keys(self, tmp_path):
+        # one Picard step per rung cannot reach tol, as for example1
+        cfg_path = tmp_path / "lq_fail.cfg"
+        cfg_path.write_text(
+            "scenario = lq_control\ncommand = solve\ngrid.steps = 20\n"
+            "ensemble.particles = 200\nsolver.max_iter = 1\nsolver.tol = 1e-12\n"
+        )
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "lq_fail")
+        assert code == 2
+        assert (out / "report.txt").read_text().startswith("solve failed: continuation failed")
+
+    @pytest.mark.parametrize(
+        "scenario, dims",
+        [("example1", "dims.d_w = 2\ndims.d_b = 2\n"), ("linear_base", "dims.d_b = 3\n")],
+    )
+    def test_ito_check_at_several_driver_components(self, tmp_path, scenario, dims):
+        cfg_path = tmp_path / "ito.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\ncommand = ito_check\n{dims}")
+        code, out = run_cli(
+            ["--config", str(cfg_path), "--steps", "100", "--particles", "2000"],
+            tmp_path, "ito",
+        )
+        assert code == 0
+        assert "FAIL" not in (out / "report.txt").read_text()
+
     def test_ito_check(self, tmp_path):
         code, out = run_cli(
             ["--scenario", "example1", "--command", "ito_check",
@@ -376,6 +490,68 @@ class TestCliCommands:
         assert code == 0
         echoed = ScenarioConfig.from_text((out / "config.echo").read_text())
         assert echoed.horizon == 1.0
+
+
+SCENARIO_FILES = sorted((Path(cli.__file__).parent / "scenarios").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+def test_packaged_scenario_file_matches_its_presets(path):
+    entries = parse_kv(path.read_text())
+    cfg = ScenarioConfig.from_mapping(entries)
+    presets = ScenarioConfig.from_mapping(
+        {"scenario": cfg.scenario, "command": cfg.command}
+    ).to_mapping()
+    assert {key: presets[key] for key in entries} == entries
+
+
+def test_every_scenario_has_a_packaged_file():
+    assert [p.stem for p in SCENARIO_FILES] == sorted(set(SCENARIOS) - {"custom"})
+
+
+# every scenario x command, crossed with settings that the old CLI only
+# rejected after writing config.echo, or not at all
+GRID_SETTINGS = [
+    {},
+    {"dims.d": 2},
+    {"dims.d_w": 2, "dims.d_b": 2},
+    {"dims.d_b": 2},
+    {"continuation.case": "case2"},
+    {"assume.theta1": 0},
+    {"assume.theta2": 0, "assume.alpha1": 0},
+    {"solver.basis": "poly2_y_plus_Btail"},
+    {"model.x.y": 1},
+    {"solver.tol": 0},
+    {"solver.ridge": -1e-8},
+    {"solver.damping": 1.5},
+    {"solver.max_iter": 0},
+    {"assume.pairs": 0},
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, command, setting",
+    list(itertools.product(SCENARIOS, COMMANDS, GRID_SETTINGS)),
+    ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "-")
+    if isinstance(v, dict) else v,
+)
+def test_config_grid_runs_or_is_rejected_before_output(tmp_path, capsys, scenario,
+                                                       command, setting):
+    entries = {"scenario": scenario, "command": command, "assume.pairs": 100, **setting}
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    code, out = run_cli(["--config", str(cfg_path), "--steps", "8", "--particles", "60"],
+                        tmp_path, "grid")
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("config error: "), err
+        key = err[len("config error: "):].split()[0]
+        assert key in KEYS.values() or key.startswith("model."), err
+        assert not out.exists()
+    else:
+        assert code in (0, 2), err
+    if "solver.max_iter" in setting:
+        assert code == 1
 
 
 class TestFullScaleSolve:

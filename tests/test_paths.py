@@ -225,6 +225,28 @@ class TestProductIdentity:
         ratio = averaged(100) / averaged(200)
         assert 1.5 <= ratio <= 3.0
 
+    @pytest.mark.parametrize("block", ["forward", "backward"])
+    def test_integrand_off_its_driver_axis_is_rejected(self, block):
+        # a (M, N+1, 1, 1) integrand against a two-component driver used to
+        # broadcast over both components while the covariation counted one
+        grid = TimeGrid(1.0, 10)
+        drv = sample_driver_pair(grid, 2, 2, 50, seed=3)
+        spec = ProcessSpec(initial=np.zeros(1), **{block: np.ones((50, 11, 1, 1))})
+        with pytest.raises(ValueError, match="integrand/driver shape mismatch"):
+            discrete_ito_product_check(spec, spec, grid, drv)
+
+    @pytest.mark.parametrize("d_w, d_b", [(2, 2), (1, 3)])
+    def test_driver_shaped_integrands_keep_the_identity(self, d_w, d_b):
+        # the process sums every driver component; E[a_T^2] = d_b T then
+        # meets a covariation over d_b components
+        grid = TimeGrid(1.0, 100)
+        drv = sample_driver_pair(grid, d_w, d_b, 2000, seed=5)
+        ones_w, ones_b = (np.ones((2000, 101, 1, d)) for d in (d_w, d_b))
+        spec = ProcessSpec(initial=np.zeros(1), backward=ones_b)
+        assert discrete_ito_product_check(spec, spec, grid, drv) <= 5.0 * grid.dt
+        fwd = ProcessSpec(initial=np.zeros(1), forward=ones_w)
+        assert discrete_ito_product_check(fwd, spec, grid, drv) <= 5.0 * grid.dt
+
 
 def test_dump_round_trip(tmp_path):
     grid = TimeGrid(1.0, 6)
