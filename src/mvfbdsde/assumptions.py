@@ -565,14 +565,15 @@ def check_integrability(
     return IntegrabilityReport(ok=ok, offending_nodes=sorted(set(offending)), message=message)
 
 
-def check_control_assumptions(problem, sampler: PairSampler | None = None) -> AssumptionReport:
+def check_control_assumptions(problem, sampler: PairSampler | None = None,
+                              n_pairs: int = 2000) -> AssumptionReport:
     """Control-side certification: noise-derivative caps, first-moment
     derivative caps, and the sign-dispatched coupling condition.
 
     ``problem`` is a control problem exposing paper-form dynamics, the declared
     gamma/theta/alpha constants, and the terminal coefficient c.  The coupling
     condition is checked on the canonicalized coefficient map at frozen probe
-    controls; c = 0 is rejected.
+    controls, on ``n_pairs`` sampled pairs; c = 0 is rejected.
     """
     if problem.c == 0:
         raise ValueError("A6 requires c != 0")
@@ -616,7 +617,7 @@ def check_control_assumptions(problem, sampler: PairSampler | None = None) -> As
         problem.alpha1,
         direction=direction,
         sampler=sampler,
-        n_pairs=2000,
+        n_pairs=n_pairs,
     )
     report.passes.update({f"A6.{k}": v for k, v in mono.passes.items()})
     report.monotonicity_margin = mono.monotonicity_margin

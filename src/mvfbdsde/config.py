@@ -36,17 +36,19 @@ scenario's model (custom: from model.*); each command also reads::
 
     solve                  ensemble.particles, dims.*, continuation.*, solver.*,
                            assume.theta1/theta2, initial.x, terminal.xi
-    check_assumptions      dims.*, assume.*  (lq_control: all but assume.pairs)
-    detect_nonuniqueness   ensemble.particles, dims.*, solver.*, initial.x
+    check_assumptions      dims.*, assume.*
+    detect_nonuniqueness   ensemble.particles, dims.*, solver.*, initial.x,
+                           terminal.xi
     verify_smp             ensemble.particles, continuation.delta,
                            solver.tol/basis/ridge, assume.theta1/theta2/alpha1,
                            initial.x, terminal.xi
     ito_check              ensemble.particles, dims.d_w, dims.d_b
 
 A config that cannot run is a ConfigError naming its key before any output:
-a dims.* value the scenario's model fixes, a bad model.* entry, verify_smp
-off lq_control, a solve with a zero theta of its case, certifier constants
-check_assumptions rejects, and out-of-range solver.* or assume.pairs values.
+a dims.* value the scenario's model fixes, a bad model.* entry or one off
+scenario = custom, verify_smp off lq_control, a solve with a zero theta of
+its case, certifier constants check_assumptions rejects, and out-of-range
+solver.* or assume.pairs values.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ class ScenarioConfig:
                              alpha1=0.5, tol=1e-4, damping=0.35),
             "linear_base": dict(horizon=1.0, steps=100, particles=1000, x=1.0,
                                 theta1=1.0, theta2=0.0, xi=0.5),
-            "lq_control": dict(horizon=1.0, steps=50, particles=1000, x=1.0, tol=1e-6),
+            "lq_control": dict(horizon=1.0, steps=50, particles=1000, x=1.0, tol=1e-6,
+                               n_pairs=2000),
         }
         for key, value in presets.get(scenario, {}).items():
             setattr(self, key, value)
@@ -274,6 +277,9 @@ class ScenarioConfig:
         ):
             if not ok:
                 raise ConfigError(f"{KEYS[attr]} {rule}")
+        if self.model_tables and self.scenario != "custom":
+            raise ConfigError(f"model.{min(self.model_tables)} needs scenario = custom, "
+                              f"not {self.scenario}")
         model = self.coefficient_set()
         for attr in ("d", "d_w", "d_b"):
             fixed = getattr(model.dims, attr)

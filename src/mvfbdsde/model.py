@@ -486,10 +486,11 @@ class EnsembleState:
         ))
 
 
-def as_problem(coeffs: CoefficientSet, x: np.ndarray | None = None) -> HomotopyProblem:
+def as_problem(coeffs: CoefficientSet, x: np.ndarray | None = None,
+               xi: np.ndarray | None = None) -> HomotopyProblem:
     """Wrap a bare coefficient set as its own continuation endpoint; case and
     theta do not enter at alpha = 1."""
-    return HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0, x=x)
+    return HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0, xi=xi, x=x)
 
 
 class ResidualTriple(NamedTuple):

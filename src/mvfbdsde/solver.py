@@ -9,7 +9,6 @@ discrete stand-in for the mixed information structure of the problem.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
@@ -134,6 +133,9 @@ def _ridge_fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray, ridge: fl
 
 @dataclass
 class LadderRung:
+    """One Picard run: ``residual_history`` holds its contraction distances,
+    one per iteration, and ``final_distance`` the last (0.0 with none)."""
+
     alpha: float
     iterations: int
     converged: bool
@@ -144,7 +146,8 @@ class LadderRung:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one Picard run or one full continuation ladder.
+    """Diagnostics of one Picard run or one full continuation ladder: its
+    rungs, one per Picard run, and the state they end in.
 
     A finished solve sets ``problem`` and ``drivers``; ``residuals`` is then
     evaluated on ``final_state`` at first read and kept.  A partial report
@@ -152,14 +155,18 @@ class SolveReport:
     """
 
     final_state: EnsembleState
-    picard_residuals: list[float] = field(default_factory=list)
     alpha_ladder: list[LadderRung] = field(default_factory=list)
-    wallclock: float = 0.0
-    converged: bool = False
-    iterations: int = 0
     problem: HomotopyProblem | None = field(default=None, repr=False)
     drivers: BrownianPair | None = field(default=None, repr=False)
     _residuals: ResidualTriple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return sum(r.iterations for r in self.alpha_ladder)
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.alpha_ladder) and all(r.converged for r in self.alpha_ladder)
 
     @property
     def residuals(self) -> ResidualTriple | None:
@@ -423,18 +430,19 @@ def picard_solve(
     converged iterate can still move by about sqrt(tol) per step.
 
     ``damping`` in (0, 1] relaxes the update; 1 is the plain iteration.
-    Raises SolverError("Picard divergence") when the distance blows past 1e6
-    of its first value, with the partial report attached.
+    The report holds one rung on every exit: converged, out of iterations
+    or diverged.  Raises SolverError("Picard divergence") when the distance
+    blows past 1e6 of its first value, with the partial report attached.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    start = time.perf_counter()
-    report = SolveReport(final_state=warm)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     current = warm
-    d_first = None
-    for it in range(1, max_iter + 1):
+    dists: list[float] = []
+    for _ in range(max_iter):
         proposal = solve_decoupled_step(problem, current, drivers, reg)
         if damping < 1.0:
             proposal = EnsembleState(
@@ -444,38 +452,27 @@ def picard_solve(
                 Z=(1 - damping) * current.Z + damping * proposal.Z,
                 grid=current.grid,
             )
-        dist = d_metric(proposal, current)
-        report.picard_residuals.append(dist)
+        dists.append(d_metric(proposal, current))
         current = proposal
-        report.iterations = it
-        if d_first is None:
-            d_first = dist
-        if dist <= tol:
-            report.converged = True
+        converged = dists[-1] <= tol
+        diverged = not converged and dists[0] > 0 and dists[-1] > 1e6 * dists[0]
+        if converged or diverged:
             break
-        if d_first > 0 and dist > 1e6 * d_first:
-            report.final_state = current
-            report.wallclock = time.perf_counter() - start
-            raise SolverError("Picard divergence", report)
-    report.final_state = current
-    report.problem, report.drivers = problem, drivers
-    dists = report.picard_residuals
     # contraction ratios where the previous distance is positive; the median
     # skips the first two (burn-in) unless nothing else is left
     ratios = [b / a for a, b in zip(dists, dists[1:]) if a > 0]
     tail = ratios[2:] or ratios
-    report.alpha_ladder = [
-        LadderRung(
-            alpha=problem.alpha,
-            iterations=report.iterations,
-            converged=report.converged,
-            final_distance=dists[-1] if dists else 0.0,
-            median_ratio=float(np.median(tail)) if tail else float("nan"),
-            residual_history=list(dists),
-        )
-    ]
-    report.wallclock = time.perf_counter() - start
-    return report
+    rung = LadderRung(
+        alpha=problem.alpha,
+        iterations=len(dists),
+        converged=converged,
+        final_distance=dists[-1],
+        median_ratio=float(np.median(tail)) if tail else float("nan"),
+        residual_history=dists,
+    )
+    if diverged:
+        raise SolverError("Picard divergence", SolveReport(current, [rung]))
+    return SolveReport(current, [rung], problem, drivers)
 
 
 def continuation_solve(
@@ -514,7 +511,6 @@ def continuation_solve(
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    start = time.perf_counter()
     problem = HomotopyProblem(
         base=base,
         alpha=0.0,
@@ -534,9 +530,10 @@ def continuation_solve(
                 return report
         except (SolverError, CoefficientError):
             pass
-    state = linear_base_solve(problem, drivers, reg)
-    ladder = [LadderRung(0.0, 0, True, 0.0, 0.0)]
-    report = SolveReport(final_state=state, alpha_ladder=ladder)
+    report = SolveReport(
+        final_state=linear_base_solve(problem, drivers, reg),
+        alpha_ladder=[LadderRung(0.0, 0, True, 0.0, 0.0)],
+    )
     alpha = 0.0
     step = delta
     halvings = 0
@@ -545,7 +542,7 @@ def continuation_solve(
         rung_problem = problem.at_alpha(target)
         try:
             rung = picard_solve(
-                rung_problem, state, drivers, reg, tol, max_iter, damping
+                rung_problem, report.final_state, drivers, reg, tol, max_iter, damping
             )
         except SolverError as err:
             rung = err.report
@@ -553,23 +550,17 @@ def continuation_solve(
             halvings += 1
             if halvings > MAX_HALVINGS:
                 if rung is not None:
-                    ladder.extend(rung.alpha_ladder)
+                    report.alpha_ladder.extend(rung.alpha_ladder)
                     report.final_state = rung.final_state
-                report.wallclock = time.perf_counter() - start
                 raise SolverError(
                     f"continuation failed at alpha={target:.4f}", report
                 )
             step /= 2.0
             continue
-        ladder.extend(rung.alpha_ladder)
-        state = rung.final_state
+        report.alpha_ladder.extend(rung.alpha_ladder)
+        report.final_state = rung.final_state
         alpha = target
-        report.picard_residuals = rung.picard_residuals
-        report.iterations += rung.iterations
-    report.final_state = state
-    report.converged = all(r.converged for r in ladder)
     report.problem, report.drivers = problem.at_alpha(1.0), drivers
-    report.wallclock = time.perf_counter() - start
     return report
 
 

@@ -21,7 +21,9 @@ from mvfbdsde.config import (
 )
 from mvfbdsde.control import lq_control_scenario
 from mvfbdsde.model import CoefficientError, builtin_example_meanfield
-from mvfbdsde.solver import NonuniquenessReport, SolveReport, SolverError
+from mvfbdsde.solver import (
+    LadderRung, NonuniquenessReport, SolveReport, SolverError, detect_nonuniqueness,
+)
 
 FAST = ["--steps", "40", "--particles", "200"]
 
@@ -202,6 +204,26 @@ class TestCliCommands:
         assert ladder[1].split(",")[3] == "0"
         assert ladder[2].split(",")[3] == "nan"
 
+    def test_failed_ladder_lists_its_diverged_rung(self, tmp_path):
+        # undamped, the counterexample's ladder gives up at alpha = 0.375,
+        # where Picard diverges; the partial ladder ends with that rung
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text(
+            "scenario = example2\ncommand = solve\ngrid.steps = 50\n"
+            "ensemble.particles = 100\nsolver.damping = 1.0\ninitial.x = 0.5\n"
+            "solver.max_iter = 1000\ncontinuation.delta = 1.0\n"
+        )
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "diverge")
+        assert code == 2
+        assert (out / "report.txt").read_text() == (
+            "solve failed: continuation failed at alpha=0.3750\n"
+            "see ladder.csv for the partial ladder\n"
+        )
+        rows = [r.split(",") for r in (out / "ladder.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.0, 0.25, 0.375]
+        # stopped by divergence, not by max_iter
+        assert int(rows[-1][1]) < 1000 and float(rows[-1][2]) > 1e6
+
     def test_failed_solve_without_report_exits_2(self, tmp_path, monkeypatch):
         def singular(*args, **kwargs):
             raise SolverError("regression matrix singular at node 3")
@@ -297,6 +319,16 @@ class TestCliCommands:
         assert err.startswith("config error: ") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["example1", "example2", "linear_base", "lq_control"])
+    def test_model_entry_off_custom_exits_1(self, tmp_path, capsys, scenario):
+        # a built-in scenario's model takes no table entries
+        cfg_path = tmp_path / "model.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\ncommand = solve\nmodel.f.y = 5.0\n")
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "model")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: model.f.y ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["dims.d", "dims.d_w", "dims.d_b"])
     def test_dims_below_one_exit_1(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "dims.cfg"
@@ -356,7 +388,7 @@ class TestCliCommands:
         # one start diverged (partial report, no residuals), the other raised
         # without a report: both are listed and the run exits 2
         def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
-            partial = SolveReport(final_state=warm_starts[0], iterations=3)
+            partial = SolveReport(warm_starts[0], [LadderRung(1.0, 3, False, 0.0, 0.0)])
             return NonuniquenessReport(
                 limits=[partial], pairwise_distances=np.zeros((1, 1)),
                 failed_starts=[(0, "Picard divergence"),
@@ -380,8 +412,8 @@ class TestCliCommands:
         # that distance is reported but decides nothing, and the listed
         # failed start still makes the run exit 2
         def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
-            limit = SolveReport(final_state=warm_starts[0], converged=True, iterations=9)
-            partial = SolveReport(final_state=warm_starts[1], iterations=4)
+            limit = SolveReport(warm_starts[0], [LadderRung(1.0, 9, True, 0.0, 0.0)])
+            partial = SolveReport(warm_starts[1], [LadderRung(1.0, 4, False, 0.0, 0.0)])
             return NonuniquenessReport(
                 limits=[limit, partial],
                 pairwise_distances=np.array([[0.0, 2.4e6], [2.4e6, 0.0]]),
@@ -402,8 +434,8 @@ class TestCliCommands:
     def test_unconverged_start_exits_2(self, tmp_path, monkeypatch):
         # a start that used up max_iter without diverging is no limit either
         def fake_detect(problem, warm_starts, drivers, *args, **kwargs):
-            limits = [SolveReport(final_state=warm_starts[0], converged=True),
-                      SolveReport(final_state=warm_starts[1], converged=False)]
+            limits = [SolveReport(warm_starts[0], [LadderRung(1.0, 1, True, 0.0, 0.0)]),
+                      SolveReport(warm_starts[1], [LadderRung(1.0, 1, False, 0.0, 0.0)])]
             return NonuniquenessReport(limits=limits, pairwise_distances=1.0 - np.eye(2))
 
         monkeypatch.setattr(cli, "detect_nonuniqueness", fake_detect)
@@ -424,6 +456,36 @@ class TestCliCommands:
         text = (out / "report.txt").read_text()
         assert text.count("converged=True") == 2
         assert "distinct_limits = False" in text
+
+    def test_detect_nonuniqueness_solves_the_system_solve_does(self, tmp_path, monkeypatch):
+        # linear_base's terminal.xi = 0.5 enters the alpha = 1 member, whose
+        # zero maps give Y = xi
+        limits = []
+
+        def recording(*args, **kwargs):
+            report = detect_nonuniqueness(*args, **kwargs)
+            limits.extend(report.limits)
+            return report
+
+        monkeypatch.setattr(cli, "detect_nonuniqueness", recording)
+        code, _ = run_cli(
+            ["--scenario", "linear_base", "--command", "detect_nonuniqueness",
+             "--steps", "20", "--particles", "100"],
+            tmp_path, "lb_detect",
+        )
+        assert code == 0 and len(limits) == 2
+        for limit in limits:
+            assert limit.final_state.Y[:, 0, 0].mean() == pytest.approx(0.5, abs=1e-6)
+
+    def test_lq_control_check_assumptions_takes_the_pair_count(self, tmp_path):
+        cfg_path = tmp_path / "pairs.cfg"
+        cfg_path.write_text(
+            "scenario = lq_control\ncommand = check_assumptions\nassume.pairs = 100\n"
+        )
+        code, out = run_cli(["--config", str(cfg_path)], tmp_path, "lq_pairs")
+        assert code == 0
+        assert "samples_used = 100\n" in (out / "report.txt").read_text()
+        assert "samples_used = 100\n" in (out / "assumptions.kv").read_text()
 
     def test_lq_control_solve_takes_the_solver_keys(self, tmp_path):
         # one Picard step per rung cannot reach tol, as for example1

@@ -529,6 +529,8 @@ class TestPicard:
             picard_solve(prob, warm, drivers, REG, tol=0.0)
         with pytest.raises(ValueError):
             picard_solve(prob, warm, drivers, REG, tol=1e-6, damping=1.5)
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(prob, warm, drivers, REG, tol=1e-6, max_iter=0)
 
     def test_fixed_point_property(self):
         model = builtin_example_meanfield(DIMS)
@@ -685,6 +687,80 @@ class TestContinuation:
         assert rung.residuals is not None and calls == [1.0, 1.0]
 
 
+def assert_rungs_consistent(report: SolveReport) -> None:
+    """Each rung's counts agree with its own history, and the report's
+    iterations and converged with its rungs."""
+    assert report.alpha_ladder
+    for rung in report.alpha_ladder:
+        history = rung.residual_history
+        assert rung.iterations == len(history)
+        assert rung.final_distance == (history[-1] if history else 0.0)
+    assert report.iterations == sum(r.iterations for r in report.alpha_ladder)
+    assert report.converged == all(r.converged for r in report.alpha_ladder)
+
+
+class TestRungInvariants:
+    """Every rung a solve returns, on every exit, satisfies the invariants."""
+
+    @pytest.fixture(scope="class")
+    def example1(self):
+        model = builtin_example_meanfield(DIMS)
+        grid = TimeGrid(1.0, 20)
+        drivers = sample_driver_pair(grid, 1, 1, 200, seed=27)
+        prob = HomotopyProblem(base=model, alpha=1.0, case="case1", theta1=0.25,
+                               theta2=0.25, x=np.array([1.0]))
+        warm = EnsembleState.zeros(200, DIMS, grid, x=np.array([1.0]))
+        return model, drivers, prob, warm
+
+    def test_picard_converged_and_capped(self, example1):
+        _, drivers, prob, warm = example1
+        done = picard_solve(prob, warm, drivers, REG, tol=1e-5)
+        capped = picard_solve(prob, warm, drivers, REG, tol=1e-5, max_iter=2)
+        assert done.converged and not capped.converged
+        assert capped.iterations == 2
+        for report in (done, capped):
+            assert [r.alpha for r in report.alpha_ladder] == [1.0]
+            assert_rungs_consistent(report)
+
+    def test_picard_divergence_keeps_its_rung(self):
+        coeffs, horizon, _, dims = builtin_counterexample()
+        grid = TimeGrid(horizon, 40)
+        drivers = sample_driver_pair(grid, 1, 1, 100, seed=18)
+        prob = HomotopyProblem(base=coeffs, alpha=1.0, case="case1", theta1=1.0,
+                               x=np.zeros(1))
+        with pytest.raises(SolverError, match="divergence") as err:
+            picard_solve(prob, sinusoid_state(grid, 100, dims), drivers, REG,
+                         tol=1e-6, max_iter=200)
+        partial = err.value.report
+        assert_rungs_consistent(partial)
+        (rung,) = partial.alpha_ladder
+        assert not partial.converged and rung.iterations < 200
+        assert rung.final_distance > 1e6 * rung.residual_history[0]
+
+    def test_continuation_cold_and_warm(self, example1):
+        model, drivers, _, _ = example1
+        args = (model, "case1", 0.25, 0.25, 0.2, drivers, REG, 1e-5)
+        cold = continuation_solve(*args, x=np.array([1.0]))
+        warm = continuation_solve(*args, x=np.array([1.0]), warm=cold.final_state)
+        assert len(cold.alpha_ladder) == 6 and [r.alpha for r in warm.alpha_ladder] == [1.0]
+        for report in (cold, warm):
+            assert report.converged
+            assert_rungs_consistent(report)
+
+    def test_adjoint_cold_and_warm(self):
+        from mvfbdsde.control import lq_control_scenario, solve_adjoint, solve_state
+
+        problem = lq_control_scenario(TimeGrid(1.0, 10))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 200, seed=41)
+        u = np.full((problem.grid.steps + 1, 1), 0.2)
+        state = solve_state(problem, u, drivers, REG).final_state
+        cold = solve_adjoint(problem, state, u, drivers, REG)
+        warm = solve_adjoint(problem, state, u, drivers, REG, warm=cold.final_state)
+        for report in (cold, warm):
+            assert report.converged
+            assert_rungs_consistent(report)
+
+
 def _particle_major(drivers: BrownianPair) -> BrownianPair:
     """The same increments in C-contiguous (M, N, d) storage, as
     ``load_increments`` or a hand-built pair gives them."""
@@ -711,7 +787,7 @@ class TestDriverLayout:
             for drv in (drivers, copied)
         )
         assert _same_bits(a.final_state, b.final_state)
-        assert a.picard_residuals == b.picard_residuals
+        assert a.alpha_ladder == b.alpha_ladder
         assert ladder_rows(a) == ladder_rows(b)
         assert a.residuals == b.residuals
 
