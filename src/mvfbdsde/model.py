@@ -19,6 +19,7 @@ stack of nodes against per-node means; see ``CoefficientSet`` for the shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -51,7 +52,7 @@ class Dimensions:
     @property
     def flat(self) -> int:
         """Length of a flattened quadruple vector."""
-        return sum(int(np.prod(shape)) for shape in self.shapes)
+        return sum(math.prod(shape) for shape in self.shapes)
 
 
 class Quad(NamedTuple):

@@ -63,10 +63,16 @@ class BrownianPair:
         return self.dW.shape[0]
 
     def b_tail(self) -> np.ndarray:
-        """B_T - B_{t_k} on every node, shape (M, N+1, d_B); zero at the last node."""
+        """B_T - B_{t_k} on every node, shape (M, N+1, d_B); zero at the last
+        node.  Computed on the first call and kept, read-only."""
+        return self._b_tail
+
+    @cached_property
+    def _b_tail(self) -> np.ndarray:
         m, n, db = self.dB.shape
         tail = np.zeros((m, n + 1, db))
         tail[:, :-1] = np.cumsum(self.dB[:, ::-1], axis=1)[:, ::-1]
+        tail.flags.writeable = False
         return tail
 
 

@@ -83,13 +83,70 @@ def _btail(reg: RegressionConfig, drivers: BrownianPair) -> np.ndarray | None:
 
 
 def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Node-major features (N, M, p) of nodes 0..N-1 and their Grams
-    (N, p, p), from y and btail (or None) of shape (M, N+1, .)."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node-major features of nodes 0..N-1, from y and btail (or None) of
+    shape (M, N+1, .): phi = [1, X] (N, M, p), its non-constant columns X
+    (N, M, p-1), their column sums (N, p-1) and the Grams (N, p, p).
+
+    For ``affine_y`` X is the y slab itself, C-ordered (a node-major y is
+    not copied): numpy takes a single column through its dot path only at
+    unit stride.  Otherwise X is phi's own columns, which BLAS reads in place.
+    """
     n = y.shape[1] - 1
     tail = None if btail is None else btail[:, :n].transpose(1, 0, 2)
-    phi = reg.features(y[:, :n].transpose(1, 0, 2), tail)
-    return phi, np.matmul(phi.transpose(0, 2, 1), phi)
+    slab = y[:, :n].transpose(1, 0, 2)
+    phi = reg.features(slab, tail)
+    x = np.ascontiguousarray(slab) if reg.basis == "affine_y" else phi[..., 1:]
+    gram = _self_gram(phi, x)
+    return phi, x, gram[:, 0, 1:], gram
+
+
+def _self_gram(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Grams phi'phi (K, p, p) of features phi = [1, X] with X (K, M, q):
+    M in the corner, the column sums of X and X'X, the first column by
+    symmetry.  numpy sends phi'phi or X'X to BLAS syrk, about twice as slow
+    as gemm on these small Grams, so the sums and X'X come as the one gemm
+    phi'X; a single column takes numpy's faster dot path instead."""
+    k, m, q = x.shape
+    gram = np.empty((k, q + 1, q + 1))
+    if q == 1:
+        _column_sums(x, out=gram[:, 0, 1:])
+        np.matmul(x.transpose(0, 2, 1), x, out=gram[:, 1:, 1:])
+    else:
+        np.matmul(phi.transpose(0, 2, 1), x, out=gram[:, :, 1:])
+    gram[:, 0, 0] = m
+    gram[:, 1:, 0] = gram[:, 0, 1:]
+    return gram
+
+
+def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column sums (K, t) of a stack (K, M, t), as one product with the ones
+    vector: np.sum over the middle axis is many times slower."""
+    return np.matmul(np.ones(a.shape[1]), a, out=out)
+
+
+def _cross_gram(x: np.ndarray, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cross-Grams phi_k' phi_{k+1} (K-1, p, p) of features phi = [1, X],
+    X (K, M, q) with column sums ``sums`` (K, q), from the closed form of
+    the ones column: [[M, sum x_{k+1}'], [sum x_k, X_k' X_{k+1}]]."""
+    m = x.shape[1]
+    out[:, 0, 0] = m
+    out[:, 0, 1:] = sums[1:]
+    out[:, 1:, 0] = sums[:-1]
+    np.matmul(x[:-1].transpose(0, 2, 1), x[1:], out=out[:, 1:, 1:])
+    return out
+
+
+def _moments(x: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+    """Right-hand sides phi' T (K, p, t) of features phi = [1, X] against the
+    regressands T (K, M, t): the column sums of T over X' T."""
+    k, _, q = x.shape
+    if out is None:
+        out = np.empty((k, q + 1, targets.shape[2]))
+    _column_sums(targets, out=out[:, 0])
+    np.matmul(x.transpose(0, 2, 1), targets, out=out[:, 1:])
+    return out
 
 
 def _ridge_coefficients(gram: np.ndarray, rhs: np.ndarray, ridge: float,
@@ -123,11 +180,13 @@ def _ridge_coefficients(gram: np.ndarray, rhs: np.ndarray, ridge: float,
     return beta
 
 
-def _ridge_fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray, ridge: float,
-               nodes: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+def _ridge_fit(phi: np.ndarray, x: np.ndarray, gram: np.ndarray, targets: np.ndarray,
+               ridge: float, nodes: Sequence[int], out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Fitted values ``phi`` (K, M, p) times the ``_ridge_coefficients`` of
-    the regressands ``targets`` (K, M, t); ``out`` may be ``targets``."""
-    rhs = np.matmul(phi.transpose(0, 2, 1), targets)
+    the regressands ``targets`` (K, M, t), with ``x`` phi's non-constant
+    columns; ``out`` may be ``targets``."""
+    rhs = _moments(x, targets)
     return np.matmul(phi, _ridge_coefficients(gram, rhs, ridge, nodes), out=out)
 
 
@@ -241,12 +300,12 @@ def _forward_phase(
         mart = propagate(z_nodes)
         target = np.einsum("kmi,mkj->kmij", mart, drivers.dB, order="C")
         del mart
-        phi, gram = _node_features(reg, y.transpose(1, 0, 2), btail)
+        phi, x, _, gram = _node_features(reg, y.transpose(1, 0, 2), btail)
         _ridge_fit(
-            phi, gram, target.reshape(n, m, d * d_b), reg.ridge, range(n),
+            phi, x, gram, target.reshape(n, m, d * d_b), reg.ridge, range(n),
             out=z_new[1:].reshape(n, m, d * d_b),
         )
-        del phi, target
+        del phi, x, target
         z_new[1:] /= -dt
         z_new[0] = z_new[1]
         scale = float(np.sqrt(np.mean(z_new**2)))
@@ -293,17 +352,17 @@ def _backward_phase(
     # outputs first, as in _forward_phase
     big_y = np.empty((n + 1, m, d))
     big_z = np.empty((n + 1, m, d, d_w))
-    phi, gram = _node_features(reg, y_path, btail)
+    phi, x, sums, gram = _node_features(reg, y_path, btail)
     p = phi.shape[2]
-    phi_t = phi.transpose(0, 2, 1)
     # big_y[k] holds Ghat_k until delta is known
     np.einsum("mkij,mkj->kmi", noises_b[:, 1:], drivers.dB, out=big_y[:n])
     big_y[n] = terminal
     rhs = np.zeros((n, p, p + 2 * d))
-    np.matmul(phi_t[:-1], phi[1:], out=rhs[:-1, :, :p])
-    np.matmul(phi_t, big_y[1:], out=rhs[:, :, p:p + d])
+    _cross_gram(x, sums, out=rhs[:-1, :, :p])
+    _moments(x, big_y[1:], out=rhs[:, :, p:p + d])
     rhs[:-1, :, p:p + d] *= -1.0
-    np.matmul(phi_t, dt * drifts[:, :n].transpose(1, 0, 2), out=rhs[:, :, p + d:])
+    _moments(x, drifts[:, :n].transpose(1, 0, 2), out=rhs[:, :, p + d:])
+    rhs[:, :, p + d:] *= dt
     down, desc = slice(None, None, -1), range(n - 1, -1, -1)
     coef = _ridge_coefficients(gram[down], rhs[down], reg.ridge, desc)[down]
     step, fit_drift = coef[:, :, :p], coef[:, :, p + d:]
@@ -318,7 +377,7 @@ def _backward_phase(
     np.einsum("kmi,mkj->kmij", centered, drivers.dW, out=big_z[:n])
     del centered
     z_fit = big_z[:n].reshape(n, m, d * d_w)[down]
-    _ridge_fit(phi[down], gram[down], z_fit, reg.ridge, desc, out=z_fit)
+    _ridge_fit(phi[down], x[down], gram[down], z_fit, reg.ridge, desc, out=z_fit)
     big_z[:n] /= dt
     big_z[n] = big_z[n - 1]
     return big_y.transpose(1, 0, 2), big_z.transpose(1, 0, 2, 3)

@@ -108,6 +108,14 @@ class TestEvalSystem:
             assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [Dimensions(1, 1, 1), Dimensions(2, 3, 2)])
+def test_flat_is_the_sum_of_the_block_sizes(dims):
+    # y, Y (d each), z (d x d_b) and Z (d x d_w)
+    assert dims.flat == 2 * dims.d + dims.d * dims.d_b + dims.d * dims.d_w
+    assert dims.flat == sum(np.zeros(shape).size for shape in dims.shapes)
+    assert type(dims.flat) is int
+
+
 def test_moments_of_samples_match_the_empirical_mean():
     # NodeMoments.of is bit for bit the mean of measure's uniform clouds
     rng = np.random.default_rng(12)

@@ -97,6 +97,16 @@ class TestSampling:
         assert np.allclose(tail[:, -1], 0.0)
         assert np.allclose(tail[:, 0, 0], drv.dB[:, :, 0].sum(axis=1))
 
+    def test_b_tail_is_kept_and_read_only(self):
+        drv = sample_driver_pair(TimeGrid(1.0, 8), 1, 2, 5, seed=2)
+        tail = drv.b_tail()
+        assert drv.b_tail() is tail
+        with pytest.raises(ValueError):
+            tail[0, 0, 0] = 1.0
+        want = np.zeros((5, 9, 2))
+        want[:, :-1] = np.cumsum(drv.dB[:, ::-1], axis=1)[:, ::-1]
+        assert tail.tobytes() == want.tobytes()
+
 
 class TestIntegrals:
     def test_zero_integrand(self, big_drivers):

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mvfbdsde import control, solver
 from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
@@ -25,7 +26,10 @@ from mvfbdsde.solver import (
     SolveReport,
     SolverError,
     _backward_phase,
+    _cross_gram,
     _forward_phase,
+    _moments,
+    _node_features,
     _terminal_residual,
     continuation_solve,
     d_metric,
@@ -271,6 +275,147 @@ class TestBackwardRecursion:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(SolverError, match="singular at node 8$"):
                 backward(y_ref[:, -1], fb, noises_b, drivers, bad_path, reg, btail)
+
+
+# ----------------------------------------------------------------------------
+# Normal equations: the sweeps form every Gram, cross-Gram and right-hand side
+# from the closed form of the ones column and products of the other columns.
+# ----------------------------------------------------------------------------
+
+
+def _assert_products(got, a, b):
+    """``got`` is a_k' b_k per node, to 1e-12 of |a_k|' |b_k| (the scale of
+    a dot product's rounding, so that a sum near zero is not held to a
+    relative bound it cannot meet)."""
+    want = np.stack([ak.T @ bk for ak, bk in zip(a, b)])
+    scale = np.stack([np.abs(ak).T @ np.abs(bk) for ak, bk in zip(a, b)])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("basis, d, d_b", [
+        ("constant", 1, 1), ("affine_y", 1, 1), ("affine_y", 2, 1),
+        ("poly2_y_plus_Btail", 2, 2),
+    ])
+    def test_against_explicit_products(self, basis, d, d_b):
+        m, n = 300, 9
+        reg = RegressionConfig(basis)
+        btail = sample_driver_pair(TimeGrid(1.0, n), 1, d_b, m, seed=5).b_tail()
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((n + 1, m, d)).transpose(1, 0, 2)
+        y[:, 0] = np.linspace(1.0, -0.5, d)  # collinear node: y_0 = x on every particle
+        phi, x, sums, gram = _node_features(reg, y, btail)
+        feats = np.stack([reg.features(y[:, k], btail[:, k]) for k in range(n)])
+        p = feats.shape[2]
+        assert np.array_equal(phi, feats) and np.array_equal(x, feats[..., 1:])
+        assert np.all(sums == gram[:, 0, 1:])
+        _assert_products(gram, feats, feats)
+        cross = _cross_gram(x, sums, np.empty((n - 1, p, p)))
+        _assert_products(cross, feats[:-1], feats[1:])
+        targets = rng.standard_normal((n, m, 3))
+        _assert_products(_moments(x, targets), feats, targets)
+        # node-major y: affine_y's X is the y slab itself, not a copy
+        if basis == "affine_y":
+            assert np.shares_memory(x, y)
+        # particle-major y: X is a C-ordered copy, with the same results
+        again = _node_features(reg, np.ascontiguousarray(y), btail)
+        assert not np.ascontiguousarray(y)[:, :n].transpose(1, 0, 2).flags.c_contiguous
+        if basis == "affine_y":
+            assert again[1].flags.c_contiguous and not np.shares_memory(again[1], y)
+        for got, want in zip(again, (phi, x, sums, gram)):
+            assert np.array_equal(got, want)
+
+
+def _explicit_node_features(reg, y, btail):
+    """The sweeps' features and Grams with phi' phi formed explicitly."""
+    n = y.shape[1] - 1
+    tail = None if btail is None else btail[:, :n].transpose(1, 0, 2)
+    phi = reg.features(y[:, :n].transpose(1, 0, 2), tail)
+    gram = np.matmul(phi.transpose(0, 2, 1), phi)
+    return phi, phi[..., 1:], gram[:, 0, 1:], gram
+
+
+def _with_ones(x):
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+
+
+def _explicit_cross_gram(x, sums, out):
+    phi = _with_ones(x)
+    np.matmul(phi[:-1].transpose(0, 2, 1), phi[1:], out=out)
+    return out
+
+
+def _explicit_moments(x, targets, out=None):
+    return np.matmul(_with_ones(x).transpose(0, 2, 1), targets, out=out)
+
+
+def _max_state_gap(a: EnsembleState, b: EnsembleState) -> float:
+    return max(float(np.max(np.abs(u - v)))
+               for u, v in ((a.y, b.y), (a.Y, b.Y), (a.z, b.z), (a.Z, b.Z)))
+
+
+class TestExplicitGramAgreement:
+    """Whole solves agree with the same solves on explicitly formed normal
+    equations: the same rungs, and states within 1e-10."""
+
+    @staticmethod
+    def _explicit(monkeypatch) -> list[str]:
+        """Patch in the explicit forms; returns the names of their calls."""
+        calls = []
+        for name, explicit in (("_node_features", _explicit_node_features),
+                               ("_cross_gram", _explicit_cross_gram),
+                               ("_moments", _explicit_moments)):
+            def patched(*args, _name=name, _explicit=explicit, **kwargs):
+                calls.append(_name)
+                return _explicit(*args, **kwargs)
+            monkeypatch.setattr(solver, name, patched)
+        return calls
+
+    def test_example1_continuation(self, monkeypatch):
+        model = builtin_example_meanfield(DIMS)
+        drivers = sample_driver_pair(TimeGrid(1.0, 20), 1, 1, 500, seed=3)
+
+        def solve():
+            return continuation_solve(model, "case1", 0.25, 0.25, 0.2, drivers, REG,
+                                      tol=1e-5, x=np.array([1.0]))
+
+        new = solve()
+        calls = self._explicit(monkeypatch)
+        old = solve()
+        assert set(calls) == {"_node_features", "_cross_gram", "_moments"}
+        assert new.converged and len(new.alpha_ladder) == 6
+        assert ([r.iterations for r in new.alpha_ladder]
+                == [r.iterations for r in old.alpha_ladder])
+        assert _max_state_gap(new.final_state, old.final_state) <= 1e-10
+
+    def test_lq_first_order_candidate(self, monkeypatch):
+        problem = control.lq_control_scenario(TimeGrid(1.0, 10))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 200, seed=4)
+
+        def candidate():
+            solves = []
+            for name in ("solve_state", "solve_adjoint"):
+                def record(*args, _solve=getattr(control, name), **kwargs):
+                    report = _solve(*args, **kwargs)
+                    solves.append(report)
+                    return report
+                monkeypatch.setattr(control, name, record)
+            u = control.first_order_candidate(problem, drivers, REG, iters=6, tol=1e-6)
+            monkeypatch.undo()
+            return u, solves
+
+        u_new, new = candidate()
+        calls = self._explicit(monkeypatch)
+        u_old, old = candidate()
+        assert set(calls) == {"_node_features", "_cross_gram", "_moments"}
+        assert len(new) == len(old) == 12
+        for a, b in zip(new, old):
+            assert a.converged
+            assert ([r.iterations for r in a.alpha_ladder]
+                    == [r.iterations for r in b.alpha_ladder])
+            assert _max_state_gap(a.final_state, b.final_state) <= 1e-10
+        assert np.max(np.abs(u_new - u_old)) <= 1e-10
 
 
 def _reference_d_metric(a, b):
@@ -810,6 +955,27 @@ class TestDriverLayout:
         assert residual(prob.at_alpha(0.6), step_a, drivers) == residual(
             prob.at_alpha(0.6), step_b, copied
         )
+
+
+def test_poly2_steps_share_one_read_only_b_tail(monkeypatch):
+    dims = Dimensions(1, 2, 2)
+    reg = RegressionConfig("poly2_y_plus_Btail")
+    drivers = sample_driver_pair(TimeGrid(1.0, 10), 2, 2, 100, seed=28)
+    prob = HomotopyProblem(base=builtin_example_meanfield(dims), alpha=0.5,
+                           case="case1", theta1=0.25, theta2=0.25, x=np.array([1.0]))
+    tails = []
+
+    def record(reg, drivers, _btail=solver._btail):
+        tails.append(_btail(reg, drivers))
+        return tails[-1]
+
+    monkeypatch.setattr(solver, "_btail", record)
+    state = EnsembleState.zeros(100, dims, drivers.grid, x=np.array([1.0]))
+    for _ in range(2):
+        state = solve_decoupled_step(prob, state, drivers, reg)
+    first, second = tails
+    assert second is first and not first.flags.writeable
+    assert np.max(np.abs(state.z)) > 0.0
 
 
 class TestMomentOracle:
