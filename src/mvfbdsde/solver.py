@@ -97,23 +97,18 @@ def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray | Non
     slab = y[:, :n].transpose(1, 0, 2)
     phi = reg.features(slab, tail)
     x = np.ascontiguousarray(slab) if reg.basis == "affine_y" else phi[..., 1:]
-    gram = _self_gram(phi, x)
+    gram = _self_gram(x)
     return phi, x, gram[:, 0, 1:], gram
 
 
-def _self_gram(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _self_gram(x: np.ndarray) -> np.ndarray:
     """Grams phi'phi (K, p, p) of features phi = [1, X] with X (K, M, q):
     M in the corner, the column sums of X and X'X, the first column by
-    symmetry.  numpy sends phi'phi or X'X to BLAS syrk, about twice as slow
-    as gemm on these small Grams, so the sums and X'X come as the one gemm
-    phi'X; a single column takes numpy's faster dot path instead."""
+    symmetry."""
     k, m, q = x.shape
     gram = np.empty((k, q + 1, q + 1))
-    if q == 1:
-        _column_sums(x, out=gram[:, 0, 1:])
-        np.matmul(x.transpose(0, 2, 1), x, out=gram[:, 1:, 1:])
-    else:
-        np.matmul(phi.transpose(0, 2, 1), x, out=gram[:, :, 1:])
+    _column_sums(x, out=gram[:, 0, 1:])
+    np.matmul(x.transpose(0, 2, 1), x, out=gram[:, 1:, 1:])
     gram[:, 0, 0] = m
     gram[:, 1:, 0] = gram[:, 0, 1:]
     return gram
