@@ -11,7 +11,6 @@ from .model import (
     CoefficientSet,
     Dimensions,
     EnsembleState,
-    Forcing,
     HomotopyProblem,
     LinearTables,
     NodeMoments,
@@ -54,7 +53,6 @@ from .assumptions import (
 )
 from .control import (
     ControlProblem,
-    FeedbackControl,
     build_adjoint_coefficients,
     estimate_cost,
     first_order_candidate,

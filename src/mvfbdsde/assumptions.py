@@ -406,7 +406,7 @@ def _local_search(
     rows = np.split(rng.standard_normal((LOCAL_STEPS, int(ends[-1]))), ends[:-1], axis=1)
     noise = [np.ascontiguousarray(n.reshape(LOCAL_STEPS, *b.shape).swapaxes(0, 1))
              for n, b in zip(rows, v2)]
-    step, done, width = worst.scale, 0, 1
+    step, done, width, accepted, detail = worst.scale, 0, 1, 0, worst.detail
     while done < LOCAL_STEPS:
         w = min(width, LOCAL_STEPS - done)
         # the steps after 0, 1, ..., w rejections, multiplied one at a time
@@ -424,9 +424,10 @@ def _local_search(
             continue
         j = int(better[0])
         v2 = Quad(*(b[:, j].copy() for b in cand))
+        accepted += 1
         worst = Witness(
             kind=worst.kind, margin=float(margin[j]), t=worst.t, scale=worst.scale,
-            detail=worst.detail + "+local", base=v1, displacement=v2,
+            detail=f"{detail}+local({accepted})", base=v1, displacement=v2,
         )
         step, done, width = steps[j], done + j + 1, 1
     return worst
@@ -455,8 +456,8 @@ def check_monotonicity(
     random perturbations of its v2, seeded by ``sampler.seed + 1``, each kept
     if it raises the margin, with a step that starts at the witness's scale
     and shrinks by 0.8 after each rejection (``_local_search``, which runs
-    them as speculative stacks).  A climbed witness's detail gains "+local"
-    per accepted step.
+    them as speculative stacks).  A climbed witness's detail is the start
+    witness's plus "+local(n)", n the number of accepted steps.
     """
     if direction not in ("A2", "A2_prime"):
         raise ValueError(f"bad direction {direction!r}")

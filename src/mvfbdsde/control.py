@@ -150,18 +150,6 @@ def _mean_shift(dims: Dimensions, block: str, w: np.ndarray) -> np.ndarray:
     return delta
 
 
-class FeedbackControl:
-    """Admissible feedback on the forward regression feature: a map
-    (node, time, y_k batch) -> (M, d_u) control values, re-evaluated on the
-    current ensemble at every coefficient call, one node at a time."""
-
-    def __init__(self, fn: Callable[[int, float, np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def __call__(self, k: int, t: float, y: np.ndarray) -> np.ndarray:
-        return self._fn(k, t, y)
-
-
 @dataclass
 class ControlledDynamics:
     """Display-form coefficient maps with a control argument.
@@ -227,19 +215,12 @@ class ControlProblem:
     # -- controls -------------------------------------------------------------
 
     def resolve_control(self, control) -> np.ndarray:
-        """Deterministic node-indexed control values, shape (N+1, d_u)."""
-        if isinstance(control, FeedbackControl):
-            raise ValueError("feedback controls have no deterministic path")
+        """Deterministic node-indexed control values, shape (N+1, d_u), from
+        an (N+1, d_u) or (N+1,) array."""
         n = self.grid.steps
-        if callable(control):
-            nodes = self.grid.nodes
-            vals = np.stack(
-                [np.asarray(control(k, float(nodes[k])), dtype=float) for k in range(n + 1)]
-            )
-        else:
-            vals = np.asarray(control, dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, None]
+        vals = np.asarray(control, dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
         if vals.shape != (n + 1, self.d_u):
             raise ValueError(f"control shape {vals.shape}, wanted {(n + 1, self.d_u)}")
         return vals
@@ -252,31 +233,15 @@ class ControlProblem:
     def coefficients_for(self, control) -> CoefficientSet:
         """Canonical coefficient set with the control baked in by node.
 
-        ``control`` is a deterministic (N+1, d_u) array or a FeedbackControl;
-        each time in ``t`` reads the control at node round(t / dt).  Feedback
-        values are recomputed from the current forward feature y_k at every
-        coefficient evaluation (the adapted proxy), node by node on a stack.
+        ``control`` is a deterministic (N+1, d_u) array; each time in ``t``
+        reads the control at node round(t / dt).
         """
         dyn = self.dynamics
-        feedback = isinstance(control, FeedbackControl)
-
-        def feedback_at(k: int, t: float, y: np.ndarray) -> np.ndarray:
-            u = np.asarray(control(k, t, y), dtype=float)
-            if u.shape != (y.shape[0], self.d_u):
-                raise ValueError("feedback control returned a bad shape")
-            return u
 
         def baked(fn, sign=1.0):
             def wrapped(t, v, law):
                 k = _node_index(t, self.grid)
-                if not feedback:
-                    u = np.broadcast_to(control[k], v.y.shape[:-1] + (self.d_u,))
-                elif isinstance(k, int):
-                    u = feedback_at(k, t, v.y)
-                else:
-                    ks = np.arange(self.grid.steps + 1)[k]
-                    u = np.stack([feedback_at(int(kk), float(tt), v.y[:, i])
-                                  for i, (kk, tt) in enumerate(zip(ks, t))], axis=1)
+                u = np.broadcast_to(control[k], v.y.shape[:-1] + (self.d_u,))
                 return sign * fn(t, v, u, law)
 
             return wrapped
@@ -590,27 +555,17 @@ def estimate_cost(
     """Monte Carlo cost of an admissible control: solve the state system, then
     average terminal + initial + left-quadrature running costs.
 
-    Deterministic controls are box-checked upfront; feedback controls are
-    checked on the solved trajectory (first offending node reported).
+    The control is box-checked upfront (first offending node reported).
     """
-    feedback = isinstance(control, FeedbackControl)
-    if not feedback:
-        control = problem.resolve_control(control)
-        problem.check_admissible(control)
+    control = problem.resolve_control(control)
+    problem.check_admissible(control)
     report = solve_state(problem, control, drivers, reg, tol)
     state = report.final_state
     n = problem.grid.steps
     m = state.particles
     left = slice(0, n)
     nodes = problem.grid.nodes
-    if feedback:
-        u = np.empty((m, n, problem.d_u))
-        for k in range(n):
-            u[:, k] = control(k, float(nodes[k]), state.y[:, k])
-            if not problem.in_box(u[:, k]):
-                raise ValueError(f"control outside the box at node {k}")
-    else:
-        u = np.broadcast_to(control[left], (m, n, problem.d_u))
+    u = np.broadcast_to(control[left], (m, n, problem.d_u))
     running = problem.running_cost.value(
         nodes[left], state.at(left), u, state.node_laws()[left]
     )

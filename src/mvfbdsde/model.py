@@ -204,23 +204,8 @@ def pairing(a: tuple[np.ndarray, ...], v: Quad) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Forcing terms and the continuation family
+# The continuation family
 # ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Forcing:
-    """Additive node-indexed forcing processes; None means zero.
-
-    ``f_term``/``F_term`` are (M, N+1, d) drift additions, ``g_term`` is
-    (M, N+1, d, d_w) on the forward noise, ``G_term`` (M, N+1, d, d_b) on the
-    backward noise.
-    """
-
-    f_term: np.ndarray | None = None
-    F_term: np.ndarray | None = None
-    G_term: np.ndarray | None = None
-    g_term: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -233,9 +218,8 @@ class HomotopyProblem:
     f_a = a*f + (1-a)*theta2*(-Y), g_a = a*g + (1-a)*theta2*(-Z), F_a = a*F,
     G_a = a*G, terminal a*base.  The terminal base is the coefficient set's
     map h; ``xi`` is added to it and may be a per-particle array.
-    ``evaluate`` takes the node index ``k`` that selects the forcing, then
-    ``(t, v, law)`` as the coefficient maps do; the base maps and h are
-    checked as ``eval_system`` and ``eval_terminal`` check them.
+    ``evaluate`` takes ``(t, v, law)`` as the coefficient maps do; the base
+    maps and h are checked as ``eval_system`` and ``eval_terminal`` check them.
     """
 
     base: CoefficientSet
@@ -243,7 +227,6 @@ class HomotopyProblem:
     case: str
     theta1: float = 0.0
     theta2: float = 0.0
-    forcing: Forcing = field(default_factory=Forcing)
     xi: np.ndarray | None = None
     x: np.ndarray | None = None
 
@@ -270,11 +253,10 @@ class HomotopyProblem:
         return x.copy()
 
     def evaluate(
-        self, k: int | slice, t, v: Quad, law: NodeMoments
+        self, t, v: Quad, law: NodeMoments
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(f, g, F, G): each base map checked as in ``eval_system``, times
-        alpha, plus (1 - alpha) times the case's damping, plus the forcing at
-        node ``k`` (an int, or a slice for a node stack)."""
+        alpha, plus (1 - alpha) times the case's damping."""
         if self.case == "case1":
             theta, damped = self.theta1, {"F": v.y, "G": v.z}
         else:
@@ -289,9 +271,6 @@ class HomotopyProblem:
             value = self.alpha * base
             if damp is not None:
                 value = value + (1.0 - self.alpha) * damp
-            forcing = getattr(self.forcing, name + "_term")
-            if forcing is not None:
-                value = value + forcing[:, k]
             del base, damp
             out.append(value)
         return tuple(out)
@@ -525,7 +504,7 @@ def residual(
     dt = grid.dt
     n = grid.steps
     v, laws = state.at(slice(None)), state.node_laws()
-    f, g, big_f, big_g = problem.evaluate(slice(None), grid.nodes, v, laws)
+    f, g, big_f, big_g = problem.evaluate(grid.nodes, v, laws)
     left, right = slice(0, n), slice(1, n + 1)
     f, g, big_f, big_g = f[:, left], g[:, left], big_f[:, left], big_g[:, right]
     # particle-major, so the defects' reductions sum in one order whatever

@@ -11,13 +11,10 @@ node-major, the order in which the solver's sweeps read them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-MAGIC = b"MVFB"
 
 
 @dataclass(frozen=True)
@@ -247,24 +244,3 @@ def discrete_ito_product_check(
     )
     return abs(lhs - rhs)
 
-
-def dump_increments(increments: np.ndarray, path: str) -> None:
-    """Debug dump: magic 'MVFB', dims M,N,d as little-endian u64, then the flat
-    float64 little-endian payload."""
-    arr = np.ascontiguousarray(increments, dtype="<f8")
-    if arr.ndim != 3:
-        raise ValueError("expected an (M, N, d) increment array")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def load_increments(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError("bad magic")
-        m, n, d = struct.unpack("<QQQ", fh.read(24))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    return flat.reshape(m, n, d).astype(float)

@@ -19,7 +19,6 @@ from .model import (
     CoefficientError,
     CoefficientSet,
     EnsembleState,
-    Forcing,
     HomotopyProblem,
     NodeMoments,
     Quad,
@@ -398,7 +397,7 @@ def solve_decoupled_step(
     n = grid.steps
     m = frozen.particles
     v, laws = frozen.at(slice(None)), frozen.node_laws()
-    f_hat, g_hat, fb_hat, gb_hat = problem.evaluate(slice(None), grid.nodes, v, laws)
+    f_hat, g_hat, fb_hat, gb_hat = problem.evaluate(grid.nodes, v, laws)
 
     btail = _btail(reg, drivers)
     x0 = problem.initial(m)
@@ -416,7 +415,7 @@ def linear_base_solve(
 ) -> EnsembleState:
     """Exact-sweep solution of the alpha = 0 member.
 
-    In case1 the forward pair decouples (forcing only) and the backward pair is
+    In case1 the forward pair decouples (zero coefficients) and the backward pair is
     linear in the already-known (y, z); in case2 the backward pair decouples
     and the forward drift/noise are linear in the known (Y, Z).  Either way a
     single pass of explicit sweeps suffices; only the small (y, z) fixed point
@@ -430,23 +429,20 @@ def linear_base_solve(
     dims = problem.dims
     btail = _btail(reg, drivers)
     x0 = problem.initial(m)
-    forcing = problem.forcing
-
-    def forcing_array(which: str, shape: tuple) -> np.ndarray:
-        arr = getattr(forcing, which)
-        return np.zeros(shape) if arr is None else arr
-
-    f_force = forcing_array("f_term", (m, n + 1, dims.d))
-    g_force = forcing_array("g_term", (m, n + 1, dims.d, dims.d_w))
-    fb_force = forcing_array("F_term", (m, n + 1, dims.d))
-    gb_force = forcing_array("G_term", (m, n + 1, dims.d, dims.d_b))
+    # the member's own drifts and noises, all zero, kept particle-major, in
+    # this allocation order and in the sums below: a node-major layout
+    # changed the bits, and allocation order alone moves the peak RSS
+    f_zero = np.zeros((m, n + 1, dims.d))
+    g_zero = np.zeros((m, n + 1, dims.d, dims.d_w))
+    fb_zero = np.zeros((m, n + 1, dims.d))
+    gb_zero = np.zeros((m, n + 1, dims.d, dims.d_b))
 
     if problem.case == "case1":
-        y, z_nodes = _forward_phase(f_force, g_force, drivers, x0, reg, btail)
+        y, z_nodes = _forward_phase(f_zero, g_zero, drivers, x0, reg, btail)
         y_t = y[:, n]
         terminal = problem.terminal(y_t)
-        drifts = -problem.theta1 * y + fb_force
-        noises_b = -problem.theta1 * z_nodes + gb_force
+        drifts = -problem.theta1 * y + fb_zero
+        noises_b = -problem.theta1 * z_nodes + gb_zero
         big_y, big_z = _backward_phase(
             terminal, drifts, noises_b, drivers, y, reg, btail
         )
@@ -456,10 +452,10 @@ def linear_base_solve(
     zeros_y = np.zeros((m, n + 1, dims.d))
     terminal = problem.terminal(x0)  # alpha*h == 0
     big_y, big_z = _backward_phase(
-        terminal, fb_force, gb_force, drivers, zeros_y, reg, btail
+        terminal, fb_zero, gb_zero, drivers, zeros_y, reg, btail
     )
-    drifts = -problem.theta2 * big_y + f_force
-    noises = -problem.theta2 * big_z + g_force
+    drifts = -problem.theta2 * big_y + f_zero
+    noises = -problem.theta2 * big_z + g_zero
     y, z_nodes = _forward_phase(drifts, noises, drivers, x0, reg, btail)
     return EnsembleState(y=y, Y=big_y, z=z_nodes, Z=big_z, grid=grid)
 
@@ -541,7 +537,6 @@ def continuation_solve(
     *,
     x: np.ndarray | None = None,
     xi: np.ndarray | None = None,
-    forcing: Forcing | None = None,
     max_iter: int = 60,
     damping: float = 1.0,
     warm: EnsembleState | None = None,
@@ -571,7 +566,6 @@ def continuation_solve(
         case=case,
         theta1=theta1,
         theta2=theta2,
-        forcing=forcing or Forcing(),
         xi=xi,
         x=x,
     )

@@ -1,5 +1,7 @@
 """Sampling-based certification of the coefficient conditions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -341,15 +343,16 @@ def reference_monotonicity(coeffs, theta1, theta2, alpha1, direction, sampler,
             sup_h, worst_h = margin_h, (margin_h, t, scale, kind)
     if local_search:
         rng = np.random.default_rng(sampler.seed + 1)
-        _, t, scale, _, v1, v2 = worst
-        step = scale
+        _, t, scale, detail, v1, v2 = worst
+        step, accepted = scale, 0
         for _ in range(150):
             cand2 = Quad(*(b + step * rng.standard_normal(b.shape) for b in v2))
             margin, _ = _reference_margins(
                 coeffs, t, v1, cand2, theta1, theta2, alpha1, direction
             )
             if margin > worst[0]:
-                worst = [margin, t, scale, worst[3] + "+local", v1, cand2]
+                accepted += 1
+                worst = [margin, t, scale, f"{detail}+local({accepted})", v1, cand2]
                 v2 = cand2
             else:
                 step *= 0.8
@@ -365,7 +368,7 @@ def sequential_local_search(coeffs, worst, seed, theta1, theta2, alpha1, directi
     rng = np.random.default_rng(seed)
     v1, v2 = worst.base, worst.displacement
     t, base = np.array([worst.t]), Quad(*(b[:, None] for b in v1))
-    step, best, detail = worst.scale, worst.margin, worst.detail
+    step, best, detail, accepted = worst.scale, worst.margin, worst.detail, 0
     for _ in range(150):
         cand2 = Quad(*(b + step * rng.standard_normal(b.shape) for b in v2))
         margin = float(_monotonicity_margins(
@@ -373,9 +376,11 @@ def sequential_local_search(coeffs, worst, seed, theta1, theta2, alpha1, directi
             alpha1, direction,
         )[0][0])
         if margin > best:
-            best, detail, v2 = margin, detail + "+local", cand2
+            best, v2, accepted = margin, cand2, accepted + 1
         else:
             step *= 0.8
+    if accepted:
+        detail = f"{detail}+local({accepted})"
     return best, detail, v2
 
 
@@ -660,7 +665,9 @@ class TestSpeculativeLocalSearch:
         )
         report = check_monotonicity(*args, local_search=True)
         got = report.witnesses[0]
-        assert accepted[0] <= detail.count("+local") <= accepted[1]
+        prefix, n = re.fullmatch(r"(.*)\+local\((\d+)\)", detail).groups()
+        assert prefix == start.detail and "+local" not in prefix
+        assert accepted[0] <= int(n) <= accepted[1]
         assert got.margin == margin and got.detail == detail
         assert report.monotonicity_margin == margin
         assert (got.kind, got.t, got.scale) == (start.kind, start.t, start.scale)

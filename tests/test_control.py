@@ -680,24 +680,6 @@ class TestCost:
         with pytest.raises(ValueError, match="node 7"):
             estimate_cost(problem, u, drivers, REG)
 
-    def test_time_callable_control(self, lq):
-        problem, drivers = lq
-        est = estimate_cost(problem, lambda k, t: np.array([0.1 * np.cos(t)]),
-                            drivers, REG)
-        assert np.isfinite(est.value)
-
-    def test_feedback_on_forward_feature(self, lq):
-        from mvfbdsde.control import FeedbackControl
-
-        problem, drivers = lq
-        fb = FeedbackControl(lambda k, t, y: problem.project(-0.5 * y))
-        est = estimate_cost(problem, fb, drivers, REG)
-        assert np.isfinite(est.value)
-        # an unprojected feedback that leaves the box is rejected with a node
-        runaway = FeedbackControl(lambda k, t, y: y + 10.0)
-        with pytest.raises(ValueError, match="node"):
-            estimate_cost(problem, runaway, drivers, REG)
-
 
 class TestVerifySmp:
     def test_candidate_and_verification_evaluate_no_residual(self, monkeypatch):

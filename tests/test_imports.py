@@ -1,7 +1,8 @@
 """Every name a module of the package imports is referenced by that module,
 every module-level private function and class is referenced somewhere in
-the package, importing the package does not load scipy.optimize, and no
-module but measure names EmpiricalLaw."""
+the package, every public one somewhere in the package or the benchmark,
+importing the package does not load scipy.optimize, and no module but
+measure names EmpiricalLaw."""
 
 import ast
 import os
@@ -17,6 +18,14 @@ ALLOWED = {("assumptions", "wasserstein2")}
 # the package's __init__ re-exports everything it imports (__all__ is built
 # from dir()), so it is not scanned
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = SRC.parents[1] / "bench"
+# public names that only tests call, each as a reference or a fixture
+TEST_ONLY = {
+    "forward_ito_integral": "the left-node quadrature criterion 6 and the path tests check",
+    "backward_ito_integral": "the right-node quadrature criterion 6 and the path tests check",
+    "zero_coefficient_set": "the all-zero model with closed-form solves and constants",
+    "check_mean_w2_bounds": "criterion 4's mean and coupling bounds on W2",
+}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -58,6 +67,38 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     )
     assert not dead, f"private helpers referenced nowhere in the package: {dead}"
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and strings spelled out in a module
+    (the benchmark's tracer looks functions up by their string names)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_reached():
+    # a public function or class that no module of the package or the
+    # benchmark names is a feature nothing runs; the __init__ re-export and
+    # tests do not count as callers
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in BENCH.glob("*.py")]
+    named = set().union(*map(_named, [*trees.values(), *bench]))
+    public = {
+        node.name: stem for stem, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    unreached = sorted(f"{public[name]}.{name}"
+                       for name in public.keys() - named - TEST_ONLY.keys())
+    assert not unreached, f"public names no module of src/ or bench/ reaches: {unreached}"
+    stale = sorted(name for name in TEST_ONLY if name not in public or name in named)
+    assert not stale, f"TEST_ONLY entries that are gone or now reached: {stale}"
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():

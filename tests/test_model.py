@@ -5,7 +5,6 @@ import pytest
 
 from mvfbdsde.control import (
     ControlledDynamics,
-    FeedbackControl,
     build_adjoint_coefficients,
     lq_control_scenario,
     solve_state,
@@ -16,7 +15,6 @@ from mvfbdsde.model import (
     CoefficientSet,
     Dimensions,
     EnsembleState,
-    Forcing,
     HomotopyProblem,
     LinearTables,
     NodeMoments,
@@ -132,10 +130,10 @@ class TestHomotopy:
         rng = np.random.default_rng(1)
         v = random_quad(rng, 8)
         law = NodeMoments.of(v.flat())
-        assert np.allclose(prob.evaluate(0, 0.3, v, law)[2], -0.7 * v.y)
-        assert np.allclose(prob.evaluate(0, 0.3, v, law)[3], -0.7 * v.z)
-        assert np.allclose(prob.evaluate(0, 0.3, v, law)[0], 0.0)
-        assert np.allclose(prob.evaluate(0, 0.3, v, law)[1], 0.0)
+        assert np.allclose(prob.evaluate(0.3, v, law)[2], -0.7 * v.y)
+        assert np.allclose(prob.evaluate(0.3, v, law)[3], -0.7 * v.z)
+        assert np.allclose(prob.evaluate(0.3, v, law)[0], 0.0)
+        assert np.allclose(prob.evaluate(0.3, v, law)[1], 0.0)
         # terminal collapses to the identity
         y_t = rng.standard_normal((8, 1))
         assert np.allclose(prob.terminal(y_t), y_t)
@@ -148,10 +146,10 @@ class TestHomotopy:
             v = random_quad(rng, 6)
             law = NodeMoments.of(v.flat())
             t = float(rng.uniform(0, 1))
-            assert np.allclose(prob.evaluate(0, t, v, law)[0], model.f(t, v, law))
-            assert np.allclose(prob.evaluate(0, t, v, law)[1], model.g(t, v, law))
-            assert np.allclose(prob.evaluate(0, t, v, law)[2], model.F(t, v, law))
-            assert np.allclose(prob.evaluate(0, t, v, law)[3], model.G(t, v, law))
+            assert np.allclose(prob.evaluate(t, v, law)[0], model.f(t, v, law))
+            assert np.allclose(prob.evaluate(t, v, law)[1], model.g(t, v, law))
+            assert np.allclose(prob.evaluate(t, v, law)[2], model.F(t, v, law))
+            assert np.allclose(prob.evaluate(t, v, law)[3], model.G(t, v, law))
 
     def test_case1_half_alpha_scales_drift(self):
         model = builtin_example_meanfield(DIMS)
@@ -159,7 +157,7 @@ class TestHomotopy:
         rng = np.random.default_rng(3)
         v = random_quad(rng, 4)
         law = NodeMoments.of(v.flat())
-        assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], 0.5 * model.f(0.0, v, law))
+        assert np.allclose(prob.evaluate(0.0, v, law)[0], 0.5 * model.f(0.0, v, law))
 
     def test_case2_alpha0(self):
         model = builtin_example_meanfield(DIMS)
@@ -168,9 +166,9 @@ class TestHomotopy:
         rng = np.random.default_rng(4)
         v = random_quad(rng, 8)
         law = NodeMoments.of(v.flat())
-        assert np.allclose(prob.evaluate(0, 0.1, v, law)[0], -0.4 * v.Y)
-        assert np.allclose(prob.evaluate(0, 0.1, v, law)[1], -0.4 * v.Z)
-        assert np.allclose(prob.evaluate(0, 0.1, v, law)[2], 0.0)
+        assert np.allclose(prob.evaluate(0.1, v, law)[0], -0.4 * v.Y)
+        assert np.allclose(prob.evaluate(0.1, v, law)[1], -0.4 * v.Z)
+        assert np.allclose(prob.evaluate(0.1, v, law)[2], 0.0)
         y_t = rng.standard_normal((8, 1))
         # terminal map vanishes at alpha 0, leaving only the shift
         assert np.allclose(prob.terminal(y_t), 0.25)
@@ -181,8 +179,8 @@ class TestHomotopy:
         rng = np.random.default_rng(5)
         v = random_quad(rng, 8)
         law = NodeMoments.of(v.flat())
-        assert np.allclose(prob.evaluate(0, 0.0, v, law)[0], model.f(0.0, v, law))
-        assert np.allclose(prob.evaluate(0, 0.0, v, law)[3], model.G(0.0, v, law))
+        assert np.allclose(prob.evaluate(0.0, v, law)[0], model.f(0.0, v, law))
+        assert np.allclose(prob.evaluate(0.0, v, law)[3], model.G(0.0, v, law))
 
     def test_alpha_bounds_and_theta_preconditions(self):
         model = builtin_example_meanfield(DIMS)
@@ -202,7 +200,7 @@ class TestHomotopy:
         for alpha in (0.0, 0.3, 0.7, 1.0):
             prob = build_homotopy_case1(model, alpha=alpha, theta1=0.9)
             expected = alpha * model.F(0.2, v, law) + (1 - alpha) * 0.9 * (-v.y)
-            assert np.allclose(prob.evaluate(0, 0.2, v, law)[2], expected, atol=1e-14)
+            assert np.allclose(prob.evaluate(0.2, v, law)[2], expected, atol=1e-14)
 
 
 class TestBuiltins:
@@ -432,10 +430,10 @@ def assert_stack_matches_nodes(problem, state, atol=1e-14):
     nodes = state.grid.nodes
     laws = state.node_laws()
     for i, name in enumerate("fgFG"):
-        stacked = problem.evaluate(every, nodes, state.at(every), laws)[i]
+        stacked = problem.evaluate(nodes, state.at(every), laws)[i]
         for k, t in enumerate(nodes):
             vk = state.at(k)
-            single = problem.evaluate(k, float(t), vk, NodeMoments.of(vk.flat()))[i]
+            single = problem.evaluate(float(t), vk, NodeMoments.of(vk.flat()))[i]
             np.testing.assert_allclose(
                 stacked[:, k], np.broadcast_to(single, stacked[:, k].shape),
                 rtol=0, atol=atol, err_msg=f"map {name} at node {k}",
@@ -476,34 +474,21 @@ class TestNodeStacks:
         assert_stack_matches_nodes(as_problem(coeffs), state)
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
-    def test_homotopy_with_forcing(self, case):
+    def test_homotopy_damping(self, case):
+        # alpha strictly inside (0, 1), so both the base maps and the case's
+        # damping terms are on the stack
         dims = Dimensions(1, 1, 1)
         grid = TimeGrid(1.0, 7)
-        m = 19
-        rng = np.random.default_rng(22)
-        n1 = grid.steps + 1
-        forcing = Forcing(
-            f_term=rng.standard_normal((m, n1, 1)),
-            F_term=rng.standard_normal((m, n1, 1)),
-            G_term=rng.standard_normal((m, n1, 1, 1)),
-            g_term=rng.standard_normal((m, n1, 1, 1)),
-        )
         problem = HomotopyProblem(
             base=builtin_example_meanfield(dims), alpha=0.6, case=case,
-            theta1=0.3, theta2=0.4, forcing=forcing,
+            theta1=0.3, theta2=0.4,
         )
-        assert_stack_matches_nodes(problem, random_state(rng, m, dims, grid))
+        state = random_state(np.random.default_rng(22), 19, dims, grid)
+        assert_stack_matches_nodes(problem, state)
 
-    @pytest.mark.parametrize("kind", ["array", "time_callable", "feedback"])
-    def test_lq_controls(self, kind):
+    def test_lq_controls(self):
         problem = lq_control_scenario(TimeGrid(1.0, 9))
-        n1 = problem.grid.steps + 1
-        if kind == "array":
-            control = np.linspace(-1.0, 1.5, n1)[:, None]
-        elif kind == "time_callable":
-            control = problem.resolve_control(lambda k, t: np.array([0.3 * np.cos(3 * t)]))
-        else:
-            control = FeedbackControl(lambda k, t, y: problem.project(0.1 * k - 0.5 * y))
+        control = np.linspace(-1.0, 1.5, problem.grid.steps + 1)[:, None]
         state = random_state(np.random.default_rng(23), 17, problem.dims, problem.grid)
         assert_stack_matches_nodes(as_problem(problem.coefficients_for(control)), state)
 
@@ -535,10 +520,10 @@ def _reference_residual(problem, state, drivers):
     laws = [NodeMoments.of(state.at(k).flat()) for k in range(n + 1)]
     for k in range(n):
         vk, vk1 = state.at(k), state.at(k + 1)
-        f_k = problem.evaluate(k, nodes[k], vk, laws[k])[0]
-        g_k = problem.evaluate(k, nodes[k], vk, laws[k])[1]
-        big_f = problem.evaluate(k, nodes[k], vk, laws[k])[2]
-        big_g = problem.evaluate(k + 1, nodes[k + 1], vk1, laws[k + 1])[3]
+        f_k = problem.evaluate(nodes[k], vk, laws[k])[0]
+        g_k = problem.evaluate(nodes[k], vk, laws[k])[1]
+        big_f = problem.evaluate(nodes[k], vk, laws[k])[2]
+        big_g = problem.evaluate(nodes[k + 1], vk1, laws[k + 1])[3]
         dw, db = drivers.dW[:, k], drivers.dB[:, k]
         fdef = (state.y[:, k + 1] - state.y[:, k] - f_k * dt
                 - np.einsum("mij,mj->mi", g_k, dw)

@@ -8,9 +8,7 @@ from mvfbdsde.paths import (
     TimeGrid,
     backward_ito_integral,
     discrete_ito_product_check,
-    dump_increments,
     forward_ito_integral,
-    load_increments,
     sample_driver_pair,
 )
 
@@ -256,19 +254,6 @@ class TestProductIdentity:
         assert discrete_ito_product_check(spec, spec, grid, drv) <= 5.0 * grid.dt
         fwd = ProcessSpec(initial=np.zeros(1), forward=ones_w)
         assert discrete_ito_product_check(fwd, spec, grid, drv) <= 5.0 * grid.dt
-
-
-def test_dump_round_trip(tmp_path):
-    grid = TimeGrid(1.0, 6)
-    drv = sample_driver_pair(grid, 2, 1, 4, seed=11)
-    path = tmp_path / "inc.mvfb"
-    dump_increments(drv.dW, str(path))
-    raw = path.read_bytes()
-    assert raw[:4] == b"MVFB"
-    m, n, d = np.frombuffer(raw[4:28], dtype="<u8")
-    assert (m, n, d) == (4, 6, 2)
-    loaded = load_increments(str(path))
-    assert np.array_equal(loaded, drv.dW)
 
 
 def test_grid_nodes_computed_once_and_read_only():

@@ -11,7 +11,6 @@ from mvfbdsde.model import (
     CoefficientError,
     Dimensions,
     EnsembleState,
-    Forcing,
     HomotopyProblem,
     NodeMoments,
     Quad,
@@ -479,7 +478,7 @@ class TestDMetric:
 
 class TestLinearBase:
     def test_deterministic_reduction(self):
-        # no forcing, constant terminal shift: y = x, z = 0,
+        # zero coefficients, constant terminal shift: y = x, z = 0,
         # Y_t = x + xi + theta1 x (T - t), Z = 0
         grid = TimeGrid(1.0, 100)
         drivers = sample_driver_pair(grid, 1, 1, 500, seed=7)
@@ -506,18 +505,17 @@ class TestLinearBase:
             assert np.max(np.abs(arr)) <= 1e-14
 
     def test_forward_noise_variance(self):
-        # constant forward-noise forcing: y_T - x is Gaussian with variance c^2 T
+        # zero drift, constant forward noise c: y_T - x is Gaussian with
+        # variance c^2 T
         grid = TimeGrid(1.0, 50)
         m = 4000
         drivers = sample_driver_pair(grid, 1, 1, m, seed=9)
         c = 0.8
-        forcing = Forcing(g_term=np.full((m, grid.steps + 1, 1, 1), c))
-        prob = HomotopyProblem(
-            base=zero_coefficient_set(DIMS), alpha=0.0, case="case1", theta1=1.0,
-            forcing=forcing, x=np.array([0.0]),
-        )
-        state = linear_base_solve(prob, drivers, REG)
-        var = state.y[:, -1, 0].var()
+        drifts = np.zeros((m, grid.steps + 1, 1))
+        noises = np.full((m, grid.steps + 1, 1, 1), c)
+        y, _ = _forward_phase(drifts, noises, drivers, np.zeros((m, 1)), REG,
+                              solver._btail(REG, drivers))
+        var = y[:, -1, 0].var()
         target = c**2 * grid.horizon
         assert abs(var - target) <= 4.0 * target * np.sqrt(2.0 / (m - 1))
 
@@ -748,21 +746,16 @@ class TestContinuation:
         assert np.max(np.abs(report.final_state.y)) <= 1e-10
 
     def test_counterexample_ladder_fails_on_generic_data(self):
-        # any inhomogeneity excites the expansive mode: some rung fails even
-        # after step halvings, and the partial ladder is attached
+        # any inhomogeneity (here a nonzero initial value) excites the
+        # expansive mode: some rung fails even after step halvings, and the
+        # partial ladder is attached
         coeffs, horizon, _, dims = builtin_counterexample()
         grid = TimeGrid(horizon, 100)
-        m = 300
-        drivers = sample_driver_pair(grid, 1, 1, m, seed=23)
-        forcing = Forcing(
-            f_term=np.broadcast_to(
-                0.05 * np.sin(grid.nodes)[None, :, None], (m, grid.steps + 1, 1)
-            ).copy()
-        )
+        drivers = sample_driver_pair(grid, 1, 1, 300, seed=23)
         with pytest.raises(SolverError) as err:
             continuation_solve(
                 coeffs, "case1", 1.0, 0.0, 0.2, drivers, REG, tol=1e-6,
-                x=np.zeros(1), forcing=forcing, max_iter=40,
+                x=np.array([0.05]), max_iter=40,
             )
         assert err.value.report is not None
         assert "alpha" in str(err.value)
@@ -907,8 +900,8 @@ class TestRungInvariants:
 
 
 def _particle_major(drivers: BrownianPair) -> BrownianPair:
-    """The same increments in C-contiguous (M, N, d) storage, as
-    ``load_increments`` or a hand-built pair gives them."""
+    """The same increments in C-contiguous (M, N, d) storage, as a
+    hand-built pair gives them."""
     return BrownianPair(np.ascontiguousarray(drivers.dW), np.ascontiguousarray(drivers.dB),
                         drivers.grid, drivers.seed)
 
