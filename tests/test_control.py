@@ -680,6 +680,38 @@ class TestCost:
         with pytest.raises(ValueError, match="node 7"):
             estimate_cost(problem, u, drivers, REG)
 
+    def test_box_is_checked_before_the_state_solve(self, lq, monkeypatch):
+        import mvfbdsde.control as control_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("state solved for an inadmissible control")
+
+        monkeypatch.setattr(control_module, "solve_state", no_solve)
+        problem, drivers = lq
+        u = np.zeros(problem.grid.steps + 1)
+        u[-1] = -5.0
+        with pytest.raises(ValueError, match=f"node {problem.grid.steps}"):
+            estimate_cost(problem, u, drivers, REG)
+
+    def test_vector_control_costs_as_its_column(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 12))
+        drivers = sample_driver_pair(problem.grid, 1, 1, 60, seed=33)
+        u = np.linspace(-0.5, 0.5, problem.grid.steps + 1)
+        vector = estimate_cost(problem, u, drivers, REG)
+        column = estimate_cost(problem, u[:, None], drivers, REG)
+        assert np.array_equal(vector.per_particle, column.per_particle)
+        assert (vector.value, vector.stderr) == (column.value, column.stderr)
+
+    def test_only_node_arrays_are_controls(self):
+        problem = lq_control_scenario(TimeGrid(1.0, 12))
+        n = problem.grid.steps
+        for bad in (np.zeros(n), np.zeros((n + 1, 2)), np.zeros((n + 1, 1, 1))):
+            with pytest.raises(ValueError, match="control shape"):
+                problem.resolve_control(bad)
+        # a time-callable is not a control: it is read as no array at all
+        with pytest.raises(TypeError):
+            problem.resolve_control(lambda k, t: np.array([0.1 * np.cos(t)]))
+
 
 class TestVerifySmp:
     def test_candidate_and_verification_evaluate_no_residual(self, monkeypatch):

@@ -486,9 +486,16 @@ class TestNodeStacks:
         state = random_state(np.random.default_rng(22), 19, dims, grid)
         assert_stack_matches_nodes(problem, state)
 
-    def test_lq_controls(self):
+    @pytest.mark.parametrize("kind", ["array", "vector"])
+    def test_lq_controls(self, kind):
         problem = lq_control_scenario(TimeGrid(1.0, 9))
-        control = np.linspace(-1.0, 1.5, problem.grid.steps + 1)[:, None]
+        values = np.linspace(-1.0, 1.5, problem.grid.steps + 1)
+        if kind == "array":
+            control = values[:, None]
+        else:
+            # the one-input (N+1,) form resolves to the same column
+            control = problem.resolve_control(values)
+            assert np.array_equal(control, values[:, None])
         state = random_state(np.random.default_rng(23), 17, problem.dims, problem.grid)
         assert_stack_matches_nodes(as_problem(problem.coefficients_for(control)), state)
 
