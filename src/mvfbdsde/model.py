@@ -256,22 +256,32 @@ class HomotopyProblem:
         self, t, v: Quad, law: NodeMoments
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(f, g, F, G): each base map checked as in ``eval_system``, times
-        alpha, plus (1 - alpha) times the case's damping."""
+        alpha, plus (1 - alpha) times the case's damping.
+
+        At alpha = 1 each output is the checked map output itself, which may
+        be a read-only broadcast or an array the map shares with ``v``: the
+        caller only reads it.  Below alpha = 1 the damping is added to
+        alpha times the map output as one scaled block, -(1 - alpha) theta
+        times y, z, Y or Z."""
         if self.case == "case1":
             theta, damped = self.theta1, {"F": v.y, "G": v.z}
         else:
             theta, damped = self.theta2, {"f": v.Y, "g": v.Z}
+        damping = self.alpha != 1.0
         out = []
         for name, block in (("f", v.y), ("g", v.Z), ("F", v.y), ("G", v.z)):
-            # damping, map output, sum, then both freed: other orders change
-            # how much heap glibc returns between Picard steps, costing the
-            # sweeps up to ~1,600 fresh-page faults a step at M=4000, N=200
-            damp = -theta * damped[name] if name in damped else None
-            base = _checked(getattr(self.base, name)(t, v, law), block.shape, name)
-            value = self.alpha * base
-            if damp is not None:
-                value = value + (1.0 - self.alpha) * damp
-            del base, damp
+            # damping before the map output, which alpha times it replaces:
+            # with the output first, glibc returns the heap top that is free
+            # between Picard steps and the sweeps fault it back in
+            damp = None
+            if damping and name in damped:
+                damp = (-(1.0 - self.alpha) * theta) * damped[name]
+            value = _checked(getattr(self.base, name)(t, v, law), block.shape, name)
+            if damping:
+                value = self.alpha * value
+                if damp is not None:
+                    value += damp
+            del damp
             out.append(value)
         return tuple(out)
 
@@ -327,6 +337,20 @@ class LinearTables:
                     raise ValueError(f"{label} cannot depend on {key!r}")
 
 
+def _table_sum(terms: list[tuple[float, np.ndarray]], like: np.ndarray) -> np.ndarray:
+    """Sum of the (coef, source) ``terms`` in order, on the shape and memory
+    layout of ``like``; sources broadcast to it.  The sum starts from the
+    first product, which is what zeros plus that product gives (zeros with
+    no terms)."""
+    out = None
+    for coef, source in terms:
+        if out is None:
+            out = np.multiply(coef, source, out=np.empty_like(like))
+        else:
+            out += coef * source
+    return np.zeros_like(like) if out is None else out
+
+
 def linear_coefficient_set(
     dims: Dimensions, tables: LinearTables, name: str = "linear"
 ) -> CoefficientSet:
@@ -336,25 +360,22 @@ def linear_coefficient_set(
         """Sum of coef x source in table order, on the shape of block
         ``like``; an m* key reads that block of the law's mean."""
         def fn(t, v: Quad, law: NodeMoments) -> np.ndarray:
-            out = np.zeros_like(getattr(v, like))
-            for key, coef in table.items():
-                if key.startswith("m"):
-                    out += coef * getattr(split_flat_mean(law.mean, dims), key[1:])
-                else:
-                    out += coef * getattr(v, key)
-            return out
+            means = split_flat_mean(law.mean, dims)
+            return _table_sum(
+                [(coef, getattr(means, key[1:]) if key.startswith("m") else getattr(v, key))
+                 for key, coef in table.items()],
+                getattr(v, like),
+            )
 
         return fn
 
     def terminal(t_table: dict[str, float]) -> TerminalFn:
         def fn(y_t: np.ndarray, law: NodeMoments) -> np.ndarray:
-            out = np.zeros_like(y_t)
-            for key, coef in t_table.items():
-                if key == "y":
-                    out += coef * y_t
-                elif key == "my":
-                    out += coef * law.mean[None, :]
-            return out
+            return _table_sum(
+                [(coef, y_t if key == "y" else law.mean[None, :])
+                 for key, coef in t_table.items()],
+                y_t,
+            )
 
         return fn
 

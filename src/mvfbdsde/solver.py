@@ -175,13 +175,16 @@ def _ridge_coefficients(gram: np.ndarray, rhs: np.ndarray, ridge: float,
 
 
 def _ridge_fit(phi: np.ndarray, x: np.ndarray, gram: np.ndarray, targets: np.ndarray,
-               ridge: float, nodes: Sequence[int], out: np.ndarray | None = None
-               ) -> np.ndarray:
+               ridge: float, nodes: Sequence[int], divisor: float,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Fitted values ``phi`` (K, M, p) times the ``_ridge_coefficients`` of
-    the regressands ``targets`` (K, M, t), with ``x`` phi's non-constant
-    columns; ``out`` may be ``targets``."""
-    rhs = _moments(x, targets)
-    return np.matmul(phi, _ridge_coefficients(gram, rhs, ridge, nodes), out=out)
+    the regressands ``targets`` (K, M, t), divided by ``divisor``, with ``x``
+    phi's non-constant columns; ``out`` may be ``targets``.  The division
+    acts on the (K, p, t) coefficients before the product, not on the
+    (K, M, t) fitted values."""
+    beta = _ridge_coefficients(gram, _moments(x, targets), ridge, nodes)
+    beta /= divisor
+    return np.matmul(phi, beta, out=out)
 
 
 @dataclass
@@ -258,59 +261,77 @@ def _forward_phase(
     """Euler propagation of the forward pair (y, z).
 
     ``drifts``/``noises`` are precomputed per-node arrays (M, N+1, d) and
-    (M, N+1, d, d_w).  z rides the backward increments at the right node and is
-    recovered per sweep by regressing the one-step martingale residual on dB;
-    the pair is iterated to a small fixed point (at most ``max_sweeps``).
-    y is the running sum of its increments and every node's z regression
-    is solved in one batch.  y and z are built node-major and returned as
-    particle-major views.
+    (M, N+1, d, d_w), only read.  z rides the backward increments at the
+    right node and is recovered per sweep by regressing the one-step
+    martingale residual g dW - z dB on dB; the pair is iterated to a small
+    fixed point (at most ``max_sweeps``).  Every node's z regression is
+    solved in one batch, its -1/dt applied to the coefficients.
+
+    y_k is the drive x0 + sum_{j<k} (f_j dt + g_j dW_j), which does not
+    depend on z and is built once, less the running sum of z_{j+1} dB_j.
+    The first sweep (z = 0) reads the drive as y; a later sweep subtracts
+    its z's sum into a y of its own; the final propagation subtracts the
+    settled z's sum from the drive in place.  Running sums go node by node
+    on whole slabs, in cumsum's order.  y and z are built node-major and
+    returned as particle-major views.
     """
     m, n, _ = drivers.dW.shape
     d = x0.shape[1]
     d_b = drivers.dB.shape[2]
     dt = drivers.grid.dt
-    y = np.empty((n + 1, m, d))
+    drive = np.empty((n + 1, m, d))
 
-    def propagate(z_nodes: np.ndarray | None) -> np.ndarray:
-        """Fill y from its increments; return the martingale residuals
-        noise dW - z dB.  ``None`` stands for z = 0, so that the first sweep
-        holds no array of zeros."""
-        mart = np.einsum("mkij,mkj->kmi", noises[:, :n], drivers.dW)
-        if z_nodes is not None:
-            mart -= np.einsum("kmij,mkj->kmi", z_nodes[1:], drivers.dB)
-        y[0] = x0
-        np.multiply(drifts[:, :n].transpose(1, 0, 2), dt, out=y[1:])
-        y[1:] += mart
-        # the running sum node by node, in cumsum's order, on whole slabs
-        for k in range(n):
-            np.add(y[k], y[k + 1], out=y[k + 1])
-        return mart
+    def z_db(z_nodes: np.ndarray) -> np.ndarray:
+        """z_{k+1} dB_k on nodes 0..N-1, (N, M, d)."""
+        return np.einsum("kmij,mkj->kmi", z_nodes[1:], drivers.dB)
 
-    z_nodes = None
+    def less_z_sum(zdb: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = the drive less the running sum of ``zdb``, which is
+        summed in place."""
+        for k in range(1, n):
+            np.add(zdb[k - 1], zdb[k], out=zdb[k])
+        out[0] = drive[0]
+        np.subtract(drive[1:], zdb, out=out[1:])
+        return out
+
+    y, z_nodes = drive, None
     for _ in range(max_sweeps):
         # outputs are allocated before the sweep's temporaries, which keeps
         # the heap from fragmenting around them (peak RSS)
         z_new = np.empty((n + 1, m, d, d_b))
-        mart = propagate(z_nodes)
-        target = np.einsum("kmi,mkj->kmij", mart, drivers.dB, order="C")
+        mart = np.einsum("mkij,mkj->kmi", noises[:, :n], drivers.dW)
+        if z_nodes is None:
+            drive[0] = x0
+            np.multiply(drifts[:, :n].transpose(1, 0, 2), dt, out=drive[1:])
+            drive[1:] += mart
+            for k in range(n):
+                np.add(drive[k], drive[k + 1], out=drive[k + 1])
+        else:
+            zdb = z_db(z_nodes)
+            mart -= zdb
+            y = less_z_sum(zdb, np.empty_like(drive))
+            del zdb
+        # the regression targets are built in z_new, which their fit then
+        # overwrites
+        np.einsum("kmi,mkj->kmij", mart, drivers.dB, out=z_new[1:])
         del mart
         phi, x, _, gram = _node_features(reg, y.transpose(1, 0, 2), btail)
-        _ridge_fit(
-            phi, x, gram, target.reshape(n, m, d * d_b), reg.ridge, range(n),
-            out=z_new[1:].reshape(n, m, d * d_b),
-        )
-        del phi, x, target
-        z_new[1:] /= -dt
+        z_fit = z_new[1:].reshape(n, m, d * d_b)
+        _ridge_fit(phi, x, gram, z_fit, reg.ridge, range(n), -dt, out=z_fit)
+        del phi, x
         z_new[0] = z_new[1]
-        scale = float(np.sqrt(np.mean(z_new**2)))
+        flat = z_new.ravel()
+        scale = float(np.sqrt(flat @ flat / flat.size))
         change = scale
         if z_nodes is not None:
-            change = float(np.sqrt(np.mean((z_new - z_nodes) ** 2)))
+            step = np.subtract(z_new, z_nodes).ravel()
+            change = float(np.sqrt(step @ step / step.size))
         z_nodes = z_new
         if change <= 1e-10 + 1e-3 * scale:
             break
-    # final propagation consistent with the settled z
-    propagate(z_nodes)
+    # final propagation consistent with the settled z, into the drive
+    del y
+    y = less_z_sum(z_db(z_nodes), drive)
     return y.transpose(1, 0, 2), z_nodes.transpose(1, 0, 2, 3)
 
 
@@ -336,9 +357,10 @@ def _backward_phase(
     with C_k = Phi_k' Phi_{k+1}.  One batched solve against
     [C_k | -Phi_k' Ghat_{k+1} (Phi' terminal at N-1) | Phi_k' drift_k dt]
     leaves delta_k = P_k delta_{k+1} + q_k on (p, d) blocks; Z is one batched
-    fit.  Both solves take the nodes in descending order, so that a failure
-    names the node the sweep reaches first.  Y and Z are built node-major and
-    returned as particle-major views.
+    fit, its 1/dt applied to the coefficients.  Both solves take the nodes in
+    descending order, so that a failure names the node the sweep reaches
+    first.  ``drifts`` and ``noises_b`` are only read.  Y and Z are built
+    node-major and returned as particle-major views.
     """
     m, n, d_w = drivers.dW.shape
     d = terminal.shape[1]
@@ -371,8 +393,7 @@ def _backward_phase(
     np.einsum("kmi,mkj->kmij", centered, drivers.dW, out=big_z[:n])
     del centered
     z_fit = big_z[:n].reshape(n, m, d * d_w)[down]
-    _ridge_fit(phi[down], x[down], gram[down], z_fit, reg.ridge, desc, out=z_fit)
-    big_z[:n] /= dt
+    _ridge_fit(phi[down], x[down], gram[down], z_fit, reg.ridge, desc, dt, out=z_fit)
     big_z[n] = big_z[n - 1]
     return big_y.transpose(1, 0, 2), big_z.transpose(1, 0, 2, 3)
 

@@ -203,6 +203,42 @@ class TestHomotopy:
             assert np.allclose(prob.evaluate(0.2, v, law)[2], expected, atol=1e-14)
 
 
+class TestEvaluateForms:
+    """``evaluate`` over a node stack: the checked map outputs themselves at
+    alpha = 1, alpha times them plus the case's damping below it."""
+
+    DAMPED = {"case1": "FG", "case2": "fg"}
+
+    def setup_method(self):
+        self.model = builtin_example_meanfield(DIMS)
+        state = random_state(np.random.default_rng(13), 9, DIMS, TimeGrid(1.0, 4))
+        self.args = (state.grid.nodes, state.at(slice(None)), state.node_laws())
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_alpha1_is_the_checked_base(self, case):
+        prob = HomotopyProblem(base=self.model, alpha=1.0, case=case, theta1=0.7, theta2=0.4)
+        for got, want in zip(prob.evaluate(*self.args), eval_system(self.model, *self.args)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_damping_lands_on_the_case_pair(self, case):
+        alpha, theta = 0.6, 0.7
+        prob = HomotopyProblem(base=self.model, alpha=alpha, case=case, theta1=theta,
+                               theta2=theta)
+        v = self.args[1]
+        blocks = {"f": v.Y, "g": v.Z, "F": v.y, "G": v.z}
+        base = eval_system(self.model, *self.args)
+        for name, got, want in zip("fgFG", prob.evaluate(*self.args), base):
+            if name not in self.DAMPED[case]:
+                assert np.array_equal(got, alpha * want), name
+                continue
+            block = blocks[name]
+            expected = alpha * want + (1 - alpha) * (-theta * block)
+            scale = np.max(np.abs(want)) + np.max(np.abs(block))
+            assert np.max(np.abs(got - expected)) <= 1e-15 * scale, name
+            assert np.max(np.abs(got - alpha * want)) > 0.1 * scale, name
+
+
 class TestBuiltins:
     def test_terminal_map_values(self):
         # h = -E[y]/2 + y at deterministic y = 2: -1 + 2 = 1

@@ -276,6 +276,81 @@ class TestBackwardRecursion:
                 backward(y_ref[:, -1], fb, noises_b, drivers, bad_path, reg, btail)
 
 
+class TestForwardSweeps:
+    """The z sweeps after the first, which no benchmark workload reaches: on
+    random coefficients z never settles, so every sweep runs."""
+
+    def test_every_sweep_keeps_the_euler_step(self, monkeypatch):
+        drivers, drifts, noises, _, _, x0 = _sweep_inputs(2, 2, 1)
+        fits = []
+        fit = solver._ridge_fit
+        monkeypatch.setattr(
+            solver, "_ridge_fit", lambda *a, **k: fits.append(1) or fit(*a, **k)
+        )
+        y, z = _forward_phase(drifts, noises, drivers, x0, REG, None)
+        assert len(fits) == 5  # one z regression per sweep, max_sweeps of them
+        # y_{k+1} - y_k = f_k dt + g_k dW_k - z_{k+1} dB_k at every node
+        drift = drifts[:, :-1] * drivers.grid.dt
+        gdw = np.einsum("mkij,mkj->mki", noises[:, :-1], drivers.dW)
+        zdb = np.einsum("mkij,mkj->mki", z[:, 1:], drivers.dB)
+        scale = np.max(np.abs(drift) + np.abs(gdw) + np.abs(zdb))
+        assert np.max(np.abs(np.diff(y, axis=1) - (drift + gdw - zdb))) <= 1e-12 * scale
+        assert np.max(np.abs(zdb)) > 0.0
+        assert np.array_equal(y[:, 0], x0)
+
+
+class TestSweepsLeaveInputsAlone:
+    """At alpha = 1 ``evaluate`` hands the maps' own outputs to the sweeps,
+    which may be arrays of the frozen state or read-only broadcasts."""
+
+    def test_frozen_state_is_unchanged(self):
+        grid = TimeGrid(1.0, 12)
+        drivers = sample_driver_pair(grid, 1, 1, 60, seed=21)
+        rng = np.random.default_rng(21)
+        frozen = EnsembleState.zeros(60, DIMS, grid)
+        for arr in (frozen.y, frozen.Y, frozen.z, frozen.Z):
+            arr += rng.standard_normal(arr.shape)
+        before = frozen.copy()
+        base = dataclasses.replace(
+            zero_coefficient_set(DIMS),
+            f=lambda t, v, law: v.y,
+            G=lambda t, v, law: np.broadcast_to(0.25, v.z.shape),
+        )
+        v, laws = frozen.at(slice(None)), frozen.node_laws()
+        for alpha in (1.0, 0.6):
+            prob = HomotopyProblem(base=base, alpha=alpha, case="case1", theta1=1.0,
+                                   x=np.array([0.5]))
+            f, _, _, big_g = prob.evaluate(grid.nodes, v, laws)
+            # alpha = 1 passes the frozen y and the broadcast through
+            assert np.shares_memory(f, frozen.y) == (alpha == 1.0)
+            assert big_g.flags.writeable == (alpha != 1.0)
+            out = solve_decoupled_step(prob, frozen, drivers, REG)
+            assert np.max(np.abs(out.y)) > 0.5
+            for got, want in zip((frozen.y, frozen.Y, frozen.z, frozen.Z),
+                                 (before.y, before.Y, before.z, before.Z)):
+                assert np.array_equal(got, want)
+
+    def test_phases_run_on_read_only_inputs(self):
+        drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 2, 1)
+        reg = RegressionConfig("poly2_y_plus_Btail")
+        btail = drivers.b_tail()
+        y, z = _forward_phase(drifts, noises, drivers, x0, reg, btail)
+        terminal = np.sin(y[:, -1])
+        big_y, big_z = _backward_phase(terminal, fb, noises_b, drivers, y, reg, btail)
+        y_path = y.copy()
+        for arr in (drifts, noises, fb, noises_b, x0, terminal, y_path):
+            arr.flags.writeable = False
+        read_only = BrownianPair(drivers.dW[...], drivers.dB[...], drivers.grid,
+                                 drivers.seed)
+        read_only.dW.flags.writeable = read_only.dB.flags.writeable = False
+        got_y, got_z = _forward_phase(drifts, noises, read_only, x0, reg, btail)
+        got_big_y, got_big_z = _backward_phase(
+            terminal, fb, noises_b, read_only, y_path, reg, btail
+        )
+        for got, want in ((got_y, y), (got_z, z), (got_big_y, big_y), (got_big_z, big_z)):
+            assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------------------
 # Normal equations: the sweeps form every Gram, cross-Gram and right-hand side
 # from the closed form of the ones column and products of the other columns.
