@@ -180,15 +180,15 @@ def _cmd_check_assumptions(cfg: ScenarioConfig, out_dir: str) -> int:
     return EXIT_OK if mono.ok else EXIT_REFUTED
 
 
-def _sinusoid_state(cfg: ScenarioConfig, noise: float = 0.01) -> EnsembleState:
+def _sinusoid_state(cfg: ScenarioConfig) -> EnsembleState:
     grid = cfg.grid
     state = EnsembleState.zeros(cfg.particles, cfg.dims, grid)
     nodes = grid.nodes
     state.y[:, :, 0] = np.sin(nodes)[None, :]
     state.Y[:, :, 0] = np.cos(nodes)[None, :]
     rng = np.random.default_rng(cfg.seed + 1)
-    state.y += noise * rng.standard_normal(state.y.shape)
-    state.Y += noise * rng.standard_normal(state.Y.shape)
+    state.y += 0.01 * rng.standard_normal(state.y.shape)
+    state.Y += 0.01 * rng.standard_normal(state.Y.shape)
     return state
 
 

@@ -35,6 +35,7 @@ from .model import (
     HomotopyProblem,
     NodeMoments,
     Quad,
+    as_problem,
     pairing,
     split_flat_mean,
 )
@@ -207,11 +208,6 @@ class ControlProblem:
     def project(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.u_lo, self.u_hi)
 
-    def in_box(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(
-            np.all(u >= self.u_lo - tol) and np.all(u <= self.u_hi + tol)
-        )
-
     # -- controls -------------------------------------------------------------
 
     def resolve_control(self, control) -> np.ndarray:
@@ -225,10 +221,13 @@ class ControlProblem:
             raise ValueError(f"control shape {vals.shape}, wanted {(n + 1, self.d_u)}")
         return vals
 
-    def check_admissible(self, values: np.ndarray, tol: float = 1e-9) -> None:
-        for k in range(values.shape[0]):
-            if not self.in_box(values[k], tol):
-                raise ValueError(f"control outside the box at node {k}")
+    def check_admissible(self, values: np.ndarray) -> None:
+        """Reject (N+1, d_u) control values outside the box by more than
+        1e-9, or NaN, naming the first such node."""
+        inside = (values >= self.u_lo - 1e-9) & (values <= self.u_hi + 1e-9)
+        outside = np.flatnonzero(~inside.all(axis=1))
+        if outside.size:
+            raise ValueError(f"control outside the box at node {outside[0]}")
 
     def coefficients_for(self, control) -> CoefficientSet:
         """Canonical coefficient set with the control baked in by node.
@@ -460,14 +459,7 @@ def build_adjoint_coefficients(
         problem.terminal_cost.grad_values(y_t)
         + problem.terminal_cost.mean_grad_values(y_t)[None, :]
     )
-    return HomotopyProblem(
-        base=coeffs,
-        alpha=1.0,
-        case="case1",
-        theta1=1.0,
-        xi=shift,
-        x=p0,
-    )
+    return as_problem(coeffs, x=p0, xi=shift)
 
 
 def solve_adjoint(
@@ -596,13 +588,18 @@ def mean_control_gradient(
     return (grad - _running_grad(problem, *trajectory, "u")).mean(axis=0)
 
 
+# first_order_candidate's damping: each iterate takes a relaxed projected
+# ascent step, since u + grad maximises H exactly only when H_uu = -I, as for
+# a running cost quadratic in u with unit weight
+CANDIDATE_RELAX = 0.6
+
+
 def first_order_candidate(
     problem: ControlProblem,
     drivers: BrownianPair,
     reg: RegressionConfig,
     iters: int = 6,
     tol: float = 1e-6,
-    relax: float = 0.6,
 ) -> np.ndarray:
     """Fixed-point iteration of the stationarity map: ascend grad_u H to the
     box-projected first-order candidate.
@@ -617,11 +614,8 @@ def first_order_candidate(
         state = solve_state(problem, u, drivers, reg, tol, warm=state).final_state
         adjoint = solve_adjoint(problem, state, u, drivers, reg, tol, warm=adjoint).final_state
         grad = mean_control_gradient(problem, state, adjoint, u)
-        # every iterate takes a relaxed projected ascent step: u + grad
-        # maximises H exactly only when H_uu = -I, as for a running cost
-        # quadratic in u with unit weight, so the step is damped by relax
         u_new = problem.project(u + grad)
-        u = (1.0 - relax) * u + relax * u_new
+        u = (1.0 - CANDIDATE_RELAX) * u + CANDIDATE_RELAX * u_new
     return problem.project(u)
 
 
@@ -672,14 +666,14 @@ class SMPReport:
         return out
 
 
-def _convexity_margin(term: CostTerm, dims_d: int, rng: np.random.Generator,
-                      n_pairs: int = 40, atoms: int = 64) -> float:
-    """Smallest observed slack of the lifted convexity inequality."""
+def _convexity_margin(term: CostTerm, dims_d: int, rng: np.random.Generator) -> float:
+    """Smallest observed slack of the lifted convexity inequality over 40
+    random pairs of 64-atom clouds."""
     worst = np.inf
-    for _ in range(n_pairs):
+    for _ in range(40):
         scale = float(rng.choice([0.3, 1.0, 2.5]))
-        x = scale * rng.standard_normal((atoms, dims_d))
-        x2 = x + scale * rng.standard_normal((atoms, dims_d))
+        x = scale * rng.standard_normal((64, dims_d))
+        x2 = x + scale * rng.standard_normal((64, dims_d))
         lhs = float(np.mean(term.values(x2)) - np.mean(term.values(x)))
         grad = term.grad_values(x)
         mean_grad = term.mean_grad_values(x)

@@ -1,9 +1,10 @@
 """Empirical probability measures and the 2-Wasserstein distance.
 
-Laws are weighted sample clouds on a flat Euclidean product space.  Exact
-transport is available in one dimension (quantile matching, weighted) and for
-uniform clouds with equal atom counts (optimal assignment); larger clouds fall
-back to a sliced Monte Carlo approximation.
+A law is the uniform cloud on its sample rows, in a flat Euclidean product
+space, and two laws are compared only when they hold equally many atoms:
+then an optimal transport plan is a matching of the rows, found exactly by
+sorting in one dimension and by optimal assignment (up to ``ASSIGNMENT_CAP``
+atoms) in more.
 """
 
 from __future__ import annotations
@@ -13,50 +14,36 @@ from typing import NamedTuple
 
 import numpy as np
 
-WEIGHT_TOL = 1e-12
+from .model import NodeMoments
+
 ASSIGNMENT_CAP = 512
 MARGINAL_TOL = 1e-8  # check_mean_w2_bounds' tolerance on the coupling's means
 
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Weighted sample cloud with a cached mean: the input of the W2 distance
-    and of the mean-bound check (coefficient maps read ``model.NodeMoments``)."""
+    """Uniform sample cloud with a cached mean: the input of the W2 distance
+    and of the mean-bound check (coefficient maps read ``model.NodeMoments``,
+    whose mean rule this shares)."""
 
     samples: np.ndarray  # (n, dim)
-    weights: np.ndarray  # (n,), nonnegative, sums to 1
     cached_mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if samples.size == 0:
             raise ValueError("empty measure")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if weights.shape[0] != samples.shape[0]:
-            raise ValueError("weights and samples disagree in length")
-        if np.any(weights < -WEIGHT_TOL):
-            raise ValueError("negative weight")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, not 1")
-        weights = np.clip(weights, 0.0, None) / total
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cached_mean", weights @ samples)
+        object.__setattr__(self, "cached_mean", NodeMoments.of(samples).mean)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalLaw":
-        """Uniform-weight law over the given sample rows."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.size == 0:
-            raise ValueError("empty measure")
-        n = samples.shape[0]
-        return cls(samples, np.full(n, 1.0 / n))
+        """Uniform law over the given sample rows."""
+        return cls(samples)
 
     @classmethod
     def dirac(cls, point: np.ndarray | float) -> "EmpiricalLaw":
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        return cls(point[None, :], np.ones(1))
+        return cls(np.atleast_1d(np.asarray(point, dtype=float))[None, :])
 
     @property
     def dim(self) -> int:
@@ -69,41 +56,6 @@ class EmpiricalLaw:
     @property
     def mean(self) -> np.ndarray:
         return self.cached_mean
-
-    def is_uniform(self) -> bool:
-        """Whether every atom carries exactly the same weight."""
-        return bool(np.all(self.weights == self.weights[0]))
-
-
-def _w2_exact_1d(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """Weighted quantile matching; exact for one-dimensional laws.  Two
-    clouds of equal size with exactly constant weights match in sorted
-    order, as a stack of one pair."""
-    if a.n_atoms == b.n_atoms and a.is_uniform() and b.is_uniform():
-        return float(wasserstein2_stack(a.samples[None], b.samples[None])[0])
-    xa = a.samples[:, 0]
-    xb = b.samples[:, 0]
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], a.weights[ia]
-    xb, wb = xb[ib], b.weights[ib]
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
-    # walk the merged quantile breakpoints
-    cost = 0.0
-    i = j = 0
-    prev = 0.0
-    while i < len(xa) and j < len(xb):
-        level = min(ca[i], cb[j])
-        seg = level - prev
-        if seg > 0:
-            cost += seg * (xa[i] - xb[j]) ** 2
-        prev = level
-        if ca[i] <= level + WEIGHT_TOL:
-            i += 1
-        if cb[j] <= level + WEIGHT_TOL:
-            j += 1
-    return float(np.sqrt(max(cost, 0.0)))
 
 
 # a stack's cost matrices are built this many bytes at a time: 2 MiB was as
@@ -158,53 +110,25 @@ def wasserstein2_stack(
     return np.sqrt(np.mean(np.sum((a - matched) ** 2, axis=2), axis=1))
 
 
-def _w2_sliced(
-    a: EmpiricalLaw, b: EmpiricalLaw, projections: int, seed: int
-) -> float:
-    """Monte Carlo sliced approximation: RMS of 1-d distances over random directions."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(projections):
-        direction = rng.standard_normal(a.dim)
-        direction /= np.linalg.norm(direction)
-        pa = EmpiricalLaw(a.samples @ direction[:, None], a.weights)
-        pb = EmpiricalLaw(b.samples @ direction[:, None], b.weights)
-        total += _w2_exact_1d(pa, pb) ** 2
-    return float(np.sqrt(total / projections))
+def wasserstein2(a: EmpiricalLaw, b: EmpiricalLaw, method: str = "exact_1d") -> float:
+    """Exact 2-Wasserstein distance between two uniform clouds of equal size,
+    the one-pair form of ``wasserstein2_stack``.
 
-
-def wasserstein2(
-    a: EmpiricalLaw,
-    b: EmpiricalLaw,
-    method: str = "exact_1d",
-    *,
-    projections: int = 64,
-    seed: int = 0,
-) -> float:
-    """2-Wasserstein distance between two sample clouds.
-
-    ``exact_1d`` requires dimension 1 (weights allowed); ``assignment`` solves
-    the optimal matching exactly for uniform clouds of equal size up to
-    ``ASSIGNMENT_CAP`` atoms; ``sliced`` is a seeded Monte Carlo approximation
-    using ``projections`` random directions.
+    ``exact_1d`` requires dimension 1; ``assignment`` takes any dimension,
+    with at most ``ASSIGNMENT_CAP`` atoms in more than one.
     """
+    if method not in ("exact_1d", "assignment"):
+        raise ValueError(f"unknown method {method!r}")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if method == "exact_1d":
-        if a.dim != 1:
-            raise ValueError("exact_1d requires dimension 1")
-        return _w2_exact_1d(a, b)
-    if method == "assignment":
-        if a.n_atoms != b.n_atoms:
-            raise ValueError("assignment requires equal atom counts")
-        if a.n_atoms > ASSIGNMENT_CAP:
-            raise ValueError(f"assignment capped at {ASSIGNMENT_CAP} atoms")
-        if not (a.is_uniform() and b.is_uniform()):
-            raise ValueError("assignment requires uniform weights")
-        return float(wasserstein2_stack(a.samples[None], b.samples[None])[0])
-    if method == "sliced":
-        return _w2_sliced(a, b, projections, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if method == "exact_1d" and a.dim != 1:
+        raise ValueError("exact_1d requires dimension 1")
+    if a.n_atoms != b.n_atoms:
+        raise ValueError(
+            f"no exact transport method for {a.n_atoms} vs {b.n_atoms} atoms: "
+            f"{method} requires equal atom counts"
+        )
+    return float(wasserstein2_stack(a.samples[None], b.samples[None])[0])
 
 
 class MeanW2Bounds(NamedTuple):
@@ -229,9 +153,8 @@ def check_mean_w2_bounds(
 
     ``coupling_samples`` is a pair of equal-length sample arrays whose rows are
     paired draws with marginals ``a`` and ``b``.  Marginal means are verified
-    against the laws' means within ``MARGINAL_TOL``.  The distance is exact:
-    quantile matching in one dimension, else assignment, which needs uniform
-    clouds of equal size; other inputs raise ValueError.
+    against the laws' means within ``MARGINAL_TOL``.  The distance is
+    ``wasserstein2``'s, so laws of unequal size raise ValueError.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -247,11 +170,6 @@ def check_mean_w2_bounds(
             f"tolerance {MARGINAL_TOL:.3e}"
         )
     mean_gap = float(np.linalg.norm(a.mean - b.mean))
-    if a.dim == 1:
-        w2 = wasserstein2(a, b, "exact_1d")
-    elif a.n_atoms == b.n_atoms <= ASSIGNMENT_CAP and a.is_uniform() and b.is_uniform():
-        w2 = wasserstein2(a, b, "assignment")
-    else:
-        raise ValueError("no exact transport method for this input shape")
+    w2 = wasserstein2(a, b, "exact_1d" if a.dim == 1 else "assignment")
     coupling_l2 = float(np.sqrt(np.mean(np.sum((xs - ys) ** 2, axis=1))))
     return MeanW2Bounds(mean_gap, w2, coupling_l2)

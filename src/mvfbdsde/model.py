@@ -102,8 +102,8 @@ class NodeMoments:
     @classmethod
     def of(cls, samples: np.ndarray) -> "NodeMoments":
         """The moments of the uniform law on the sample rows (n, flat): the
-        weighted sum w @ samples, bit for bit the mean of ``measure``'s
-        uniform clouds, which ``samples.mean(axis=0)`` does not always match."""
+        weighted sum w @ samples, which ``samples.mean(axis=0)`` does not
+        always match bit for bit.  ``measure``'s laws take their mean here."""
         w = np.full(samples.shape[0], 1.0 / samples.shape[0])
         return cls((w / w.sum()) @ samples)
 

@@ -693,6 +693,23 @@ class TestCost:
         with pytest.raises(ValueError, match=f"node {problem.grid.steps}"):
             estimate_cost(problem, u, drivers, REG)
 
+    def test_first_node_outside_the_box_is_named(self):
+        problem = zero_cost_problem()  # box [-2, 2]
+        u = np.zeros((problem.grid.steps + 1, 1))
+        u[3], u[7] = -2.5, 2.5
+        with pytest.raises(ValueError, match="outside the box at node 3$"):
+            problem.check_admissible(u)
+        # the box is widened by a 1e-9 slack on both sides
+        u[3], u[7] = -2.0 - 5e-10, 2.0 + 5e-10
+        problem.check_admissible(u)
+
+    def test_nan_control_rejected(self):
+        problem = zero_cost_problem()
+        u = np.zeros((problem.grid.steps + 1, 1))
+        u[4] = np.nan
+        with pytest.raises(ValueError, match="outside the box at node 4$"):
+            problem.check_admissible(u)
+
     def test_vector_control_costs_as_its_column(self):
         problem = lq_control_scenario(TimeGrid(1.0, 12))
         drivers = sample_driver_pair(problem.grid, 1, 1, 60, seed=33)

@@ -12,14 +12,12 @@ from mvfbdsde.measure import (
     EmpiricalLaw,
     check_mean_w2_bounds,
     wasserstein2,
+    wasserstein2_stack,
 )
 
 
-def law_1d(values, weights=None):
-    values = np.asarray(values, dtype=float)[:, None]
-    if weights is None:
-        return EmpiricalLaw.from_samples(values)
-    return EmpiricalLaw(values, np.asarray(weights, dtype=float))
+def law_1d(values):
+    return EmpiricalLaw.from_samples(np.asarray(values, dtype=float)[:, None])
 
 
 def brute_force_w2(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
@@ -50,20 +48,9 @@ class TestEmpiricalMean:
     def test_two_atom_symmetry(self):
         assert law_1d([1.0, 3.0]).mean[0] == pytest.approx(2.0)
 
-    def test_weighted_hand_sum(self):
-        # 0.4*1 + 0.3*2 + 0.2*3 + 0.1*4 = 2.0
-        law = law_1d([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1])
-        assert law.mean[0] == pytest.approx(2.0, abs=1e-12)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty measure"):
             EmpiricalLaw.from_samples(np.zeros((0, 1)))
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            law_1d([1.0, 2.0], [0.7, 0.7])
-        with pytest.raises(ValueError):
-            law_1d([1.0, 2.0], [1.5, -0.5])
 
     def test_cached_mean_matches(self):
         rng = np.random.default_rng(0)
@@ -111,12 +98,6 @@ class TestWasserstein:
             assert abs(wasserstein2(a, b, "exact_1d") - ref) <= 1e-9
             assert abs(wasserstein2(a, b, "assignment") - ref) <= 1e-9
 
-    def test_weighted_exact_1d(self):
-        # split atom: {0 w 1} vs {0 w .5, 2 w .5} -> cost = .5*4 -> sqrt(2)
-        a = law_1d([0.0])
-        b = law_1d([0.0, 2.0], [0.5, 0.5])
-        assert wasserstein2(a, b, "exact_1d") == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
@@ -161,33 +142,38 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="equal atom counts"):
             wasserstein2(a, c, "assignment")
 
-    def test_assignment_rejects_nonuniform_weights(self):
-        samples = np.arange(6.0).reshape(3, 2)
-        uniform = EmpiricalLaw.from_samples(samples)
-        # within 1e-12 of uniform, but not constant
-        near = EmpiricalLaw(samples, np.array([1 / 3 + 1e-13, 1 / 3 - 1e-13, 1 / 3]))
-        for a, b in ((uniform, near), (near, uniform)):
-            with pytest.raises(ValueError, match="assignment requires uniform weights"):
-                wasserstein2(a, b, "assignment")
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_methods_are_the_stacked_distance(self, dim):
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 30):
+            xa, xb = rng.standard_normal((n, dim)), 2.0 * rng.standard_normal((n, dim))
+            want = wasserstein2_stack(xa[None], xb[None])[0]
+            a, b = EmpiricalLaw.from_samples(xa), EmpiricalLaw.from_samples(xb)
+            for method in ("exact_1d", "assignment") if dim == 1 else ("assignment",):
+                got = wasserstein2(a, b, method)
+                assert type(got) is float and got == want
 
-    def test_sliced_approximates_exact(self):
-        rng = np.random.default_rng(6)
-        a = EmpiricalLaw.from_samples(rng.standard_normal((64, 2)))
-        b = EmpiricalLaw.from_samples(rng.standard_normal((64, 2)) + 3.0)
-        exact = wasserstein2(a, b, "assignment")
-        sliced = wasserstein2(a, b, "sliced", projections=256, seed=0)
-        # sliced is a lower-bound style approximation; just require the mean
-        # shift to dominate and reproducibility
-        assert sliced > 0.5 * exact
-        assert sliced == wasserstein2(a, b, "sliced", projections=256, seed=0)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unequal_atom_counts_rejected(self, dim):
+        rng = np.random.default_rng(10)
+        a = EmpiricalLaw.from_samples(rng.standard_normal((5, dim)))
+        b = EmpiricalLaw.from_samples(rng.standard_normal((6, dim)))
+        with pytest.raises(ValueError, match="no exact transport method for 5 vs 6 atoms"):
+            wasserstein2(a, b, "assignment")
+
+    def test_sliced_is_an_unknown_method(self):
+        a = EmpiricalLaw.from_samples(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="unknown method 'sliced'"):
+            wasserstein2(a, a, "sliced")
 
 
 def _reference_quantile_walk(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
-    """The weighted quantile walk, for any pair of one-dimensional laws."""
+    """The quantile walk of two one-dimensional uniform laws, each atom
+    carrying mass 1/n."""
     ia = np.argsort(a.samples[:, 0], kind="stable")
     ib = np.argsort(b.samples[:, 0], kind="stable")
-    xa, ca = a.samples[ia, 0], np.cumsum(a.weights[ia])
-    xb, cb = b.samples[ib, 0], np.cumsum(b.weights[ib])
+    xa, ca = a.samples[ia, 0], np.cumsum(np.full(a.n_atoms, 1.0 / a.n_atoms))
+    xb, cb = b.samples[ib, 0], np.cumsum(np.full(b.n_atoms, 1.0 / b.n_atoms))
     cost, i, j, prev = 0.0, 0, 0, 0.0
     while i < len(xa) and j < len(xb):
         level = min(ca[i], cb[j])
@@ -199,8 +185,8 @@ def _reference_quantile_walk(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
 
 
 class TestSortedFastPath:
-    """Equal-size clouds with constant weights take the sorted-difference
-    path; everything else walks the quantiles."""
+    """Equal-size clouds match in sorted order, which is the quantile walk;
+    clouds of unequal size are rejected."""
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_quantile_walk(self, ties):
@@ -214,17 +200,12 @@ class TestSortedFastPath:
             ref = _reference_quantile_walk(a, b)
             assert wasserstein2(a, b, "exact_1d") == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_nonuniform_or_unequal_clouds_walk(self):
+    def test_unequal_clouds_rejected(self):
         rng = np.random.default_rng(6)
-        w = rng.random(7)
-        cases = [
-            (law_1d(rng.standard_normal(7), w / w.sum()), law_1d(rng.standard_normal(7))),
-            (law_1d(rng.standard_normal(7)), law_1d(rng.standard_normal(9))),
-        ]
-        for a, b in cases:
-            assert wasserstein2(a, b, "exact_1d") == pytest.approx(
-                _reference_quantile_walk(a, b), rel=1e-12, abs=0.0
-            )
+        a, b = law_1d(rng.standard_normal(7)), law_1d(rng.standard_normal(9))
+        with pytest.raises(ValueError, match="no exact transport method for 7 vs 9 atoms: "
+                                             "exact_1d requires equal atom counts"):
+            wasserstein2(a, b, "exact_1d")
 
 
 class TestMeanW2Chain:
@@ -284,11 +265,10 @@ class TestMeanW2Chain:
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-    st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-)
-def test_mean_gap_lower_bound_property(xs, ys):
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=12))
+def test_mean_gap_lower_bound_property(pairs):
+    # unequal clouds are no W2 input, so the two clouds are drawn pairwise
+    xs, ys = zip(*pairs)
     a = law_1d(xs)
     b = law_1d(ys)
     gap = abs(float(a.mean[0] - b.mean[0]))
