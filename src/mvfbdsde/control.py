@@ -56,6 +56,9 @@ _CONTRACT = "...f,...fi->...i"
 # verify_smp: each (M, K) temporary stays within 128 KiB, so the call's
 # dozen or so temporaries add little to the peak RSS at any M.
 _STACK_FLOATS = 1 << 14
+# Picard iterations an adjoint solve may take, above picard_solve's default
+# 60: without a warm state it starts at zero, with no ladder to climb
+ADJOINT_MAX_ITER = 80
 
 
 # ----------------------------------------------------------------------------
@@ -469,7 +472,6 @@ def solve_adjoint(
     drivers: BrownianPair,
     reg: RegressionConfig,
     tol: float = 1e-6,
-    max_iter: int = 80,
     warm: EnsembleState | None = None,
 ) -> SolveReport:
     """Picard solve of the (linear) adjoint system; the adjoint (p, P, q, Q)
@@ -484,16 +486,16 @@ def solve_adjoint(
     adj_problem = build_adjoint_coefficients(problem, state, control_values)
     if warm is not None:
         try:
-            report = picard_solve(adj_problem, warm, drivers, reg, tol, max_iter)
+            report = picard_solve(adj_problem, warm, drivers, reg, tol, ADJOINT_MAX_ITER)
             if report.converged:
                 return report
         except (SolverError, CoefficientError):
             pass
     zero = EnsembleState.zeros(state.particles, problem.dims, state.grid, x=adj_problem.x)
     try:
-        return picard_solve(adj_problem, zero, drivers, reg, tol, max_iter)
+        return picard_solve(adj_problem, zero, drivers, reg, tol, ADJOINT_MAX_ITER)
     except SolverError:
-        return picard_solve(adj_problem, zero, drivers, reg, tol, max_iter, damping=0.5)
+        return picard_solve(adj_problem, zero, drivers, reg, tol, ADJOINT_MAX_ITER, damping=0.5)
 
 
 # ----------------------------------------------------------------------------

@@ -22,19 +22,19 @@ MARGINAL_TOL = 1e-8  # check_mean_w2_bounds' tolerance on the coupling's means
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Uniform sample cloud with a cached mean: the input of the W2 distance
-    and of the mean-bound check (coefficient maps read ``model.NodeMoments``,
-    whose mean rule this shares)."""
+    """Uniform sample cloud with its mean, computed once: the input of the
+    W2 distance and of the mean-bound check (coefficient maps read
+    ``model.NodeMoments``, whose mean rule this shares)."""
 
     samples: np.ndarray  # (n, dim)
-    cached_mean: np.ndarray = field(init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if samples.size == 0:
             raise ValueError("empty measure")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "cached_mean", NodeMoments.of(samples).mean)
+        object.__setattr__(self, "mean", NodeMoments.of(samples).mean)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalLaw":
@@ -52,10 +52,6 @@ class EmpiricalLaw:
     @property
     def n_atoms(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.cached_mean
 
 
 # a stack's cost matrices are built this many bytes at a time: 2 MiB was as

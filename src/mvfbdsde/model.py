@@ -262,14 +262,20 @@ class HomotopyProblem:
         be a read-only broadcast or an array the map shares with ``v``: the
         caller only reads it.  Below alpha = 1 the damping is added to
         alpha times the map output as one scaled block, -(1 - alpha) theta
-        times y, z, Y or Z."""
+        times y, z, Y or Z.  At alpha = 0 no base map is called: the damped
+        pair is its damping block alone and the other pair a read-only
+        broadcast zero."""
         if self.case == "case1":
             theta, damped = self.theta1, {"F": v.y, "G": v.z}
         else:
             theta, damped = self.theta2, {"f": v.Y, "g": v.Z}
+        blocks = (("f", v.y), ("g", v.Z), ("F", v.y), ("G", v.z))
+        if self.alpha == 0.0:
+            return tuple(-theta * damped[name] if name in damped
+                         else np.broadcast_to(0.0, block.shape) for name, block in blocks)
         damping = self.alpha != 1.0
         out = []
-        for name, block in (("f", v.y), ("g", v.Z), ("F", v.y), ("G", v.z)):
+        for name, block in blocks:
             # damping before the map output, which alpha times it replaces:
             # with the output first, glibc returns the heap top that is free
             # between Picard steps and the sweeps fault it back in

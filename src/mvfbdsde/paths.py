@@ -59,13 +59,10 @@ class BrownianPair:
     def particles(self) -> int:
         return self.dW.shape[0]
 
+    @cached_property
     def b_tail(self) -> np.ndarray:
         """B_T - B_{t_k} on every node, shape (M, N+1, d_B); zero at the last
-        node.  Computed on the first call and kept, read-only."""
-        return self._b_tail
-
-    @cached_property
-    def _b_tail(self) -> np.ndarray:
+        node.  Computed on the first read and kept, read-only."""
         m, n, db = self.dB.shape
         tail = np.zeros((m, n + 1, db))
         tail[:, :-1] = np.cumsum(self.dB[:, ::-1], axis=1)[:, ::-1]

@@ -33,6 +33,13 @@ from .paths import BrownianPair, TimeGrid
 BASES = ("constant", "affine_y", "poly2_y_plus_Btail")
 # step halvings a continuation ladder may take before it gives up
 MAX_HALVINGS = 3
+# cap on the forward phase's (y, z) fixed-point sweeps: the built-in models'
+# z settles in the first, and the cap bounds a phase whose z never settles
+FORWARD_SWEEPS = 5
+# the moment oracle scans Y(0) at SCAN_POINTS guesses over +-BRACKET_SCALE
+# (1 + |x|), a bracket well beyond the built-in models' roots
+BRACKET_SCALE = 8.0
+SCAN_POINTS = 161
 
 
 class SolverError(RuntimeError):
@@ -78,7 +85,7 @@ class RegressionConfig:
 
 def _btail(reg: RegressionConfig, drivers: BrownianPair) -> np.ndarray | None:
     """The driver tail B_T - B_{t_k} for the basis that reads it, else None."""
-    return drivers.b_tail() if reg.basis == "poly2_y_plus_Btail" else None
+    return drivers.b_tail if reg.basis == "poly2_y_plus_Btail" else None
 
 
 def _node_features(reg: RegressionConfig, y: np.ndarray, btail: np.ndarray | None
@@ -256,7 +263,6 @@ def _forward_phase(
     x0: np.ndarray,
     reg: RegressionConfig,
     btail: np.ndarray | None,
-    max_sweeps: int = 5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler propagation of the forward pair (y, z).
 
@@ -264,7 +270,7 @@ def _forward_phase(
     (M, N+1, d, d_w), only read.  z rides the backward increments at the
     right node and is recovered per sweep by regressing the one-step
     martingale residual g dW - z dB on dB; the pair is iterated to a small
-    fixed point (at most ``max_sweeps``).  Every node's z regression is
+    fixed point (at most ``FORWARD_SWEEPS``).  Every node's z regression is
     solved in one batch, its -1/dt applied to the coefficients.
 
     y_k is the drive x0 + sum_{j<k} (f_j dt + g_j dW_j), which does not
@@ -295,7 +301,7 @@ def _forward_phase(
         return out
 
     y, z_nodes = drive, None
-    for _ in range(max_sweeps):
+    for _ in range(FORWARD_SWEEPS):
         # outputs are allocated before the sweep's temporaries, which keeps
         # the heap from fragmenting around them (peak RSS)
         z_new = np.empty((n + 1, m, d, d_b))
@@ -415,70 +421,34 @@ def solve_decoupled_step(
     grid = frozen.grid
     if drivers.grid.steps != grid.steps or drivers.particles != frozen.particles:
         raise ValueError("frozen state and drivers disagree in shape")
-    n = grid.steps
-    m = frozen.particles
     v, laws = frozen.at(slice(None)), frozen.node_laws()
     f_hat, g_hat, fb_hat, gb_hat = problem.evaluate(grid.nodes, v, laws)
 
     btail = _btail(reg, drivers)
-    x0 = problem.initial(m)
+    x0 = problem.initial(frozen.particles)
     y, z_nodes = _forward_phase(f_hat, g_hat, drivers, x0, reg, btail)
-    y_t = y[:, n]
-    terminal = problem.terminal(y_t)
+    terminal = problem.terminal(y[:, grid.steps])
     big_y, big_z = _backward_phase(terminal, fb_hat, gb_hat, drivers, y, reg, btail)
     return EnsembleState(y=y, Y=big_y, z=z_nodes, Z=big_z, grid=grid)
 
 
-def linear_base_solve(
-    problem: HomotopyProblem,
-    drivers: BrownianPair,
-    reg: RegressionConfig,
-) -> EnsembleState:
-    """Exact-sweep solution of the alpha = 0 member.
+def linear_base_solve(problem: HomotopyProblem, drivers: BrownianPair,
+                      reg: RegressionConfig) -> EnsembleState:
+    """Exact solution of the alpha = 0 member by the frozen step.
 
-    In case1 the forward pair decouples (zero coefficients) and the backward pair is
-    linear in the already-known (y, z); in case2 the backward pair decouples
-    and the forward drift/noise are linear in the known (Y, Z).  Either way a
-    single pass of explicit sweeps suffices; only the small (y, z) fixed point
-    is iterated.
+    The member is triangular, so the step solves it from the zero state
+    carrying x.  In case1 the forward pair has zero coefficients, which that
+    state already solves; one step then solves the backward pair, whose
+    damping reads the frozen (y, z).  In case2 the first step solves the
+    backward pair, which has zero coefficients, and a second solves the
+    forward pair on that pair's (Y, Z).
     """
     if problem.alpha != 0.0:
         raise ValueError("linear base solve requires alpha = 0")
-    grid = drivers.grid
-    n = grid.steps
-    m = drivers.particles
-    dims = problem.dims
-    btail = _btail(reg, drivers)
-    x0 = problem.initial(m)
-    # the member's own drifts and noises, all zero, kept particle-major, in
-    # this allocation order and in the sums below: a node-major layout
-    # changed the bits, and allocation order alone moves the peak RSS
-    f_zero = np.zeros((m, n + 1, dims.d))
-    g_zero = np.zeros((m, n + 1, dims.d, dims.d_w))
-    fb_zero = np.zeros((m, n + 1, dims.d))
-    gb_zero = np.zeros((m, n + 1, dims.d, dims.d_b))
-
-    if problem.case == "case1":
-        y, z_nodes = _forward_phase(f_zero, g_zero, drivers, x0, reg, btail)
-        y_t = y[:, n]
-        terminal = problem.terminal(y_t)
-        drifts = -problem.theta1 * y + fb_zero
-        noises_b = -problem.theta1 * z_nodes + gb_zero
-        big_y, big_z = _backward_phase(
-            terminal, drifts, noises_b, drivers, y, reg, btail
-        )
-        return EnsembleState(y=y, Y=big_y, z=z_nodes, Z=big_z, grid=grid)
-
-    # case2: backward pair first (terminal = xi only), then the damped forward
-    zeros_y = np.zeros((m, n + 1, dims.d))
-    terminal = problem.terminal(x0)  # alpha*h == 0
-    big_y, big_z = _backward_phase(
-        terminal, fb_zero, gb_zero, drivers, zeros_y, reg, btail
-    )
-    drifts = -problem.theta2 * big_y + f_zero
-    noises = -problem.theta2 * big_z + g_zero
-    y, z_nodes = _forward_phase(drifts, noises, drivers, x0, reg, btail)
-    return EnsembleState(y=y, Y=big_y, z=z_nodes, Z=big_z, grid=grid)
+    state = EnsembleState.zeros(drivers.particles, problem.dims, drivers.grid, x=problem.x)
+    for _ in range(1 if problem.case == "case1" else 2):
+        state = solve_decoupled_step(problem, state, drivers, reg)
+    return state
 
 
 # ----------------------------------------------------------------------------
@@ -564,7 +534,8 @@ def continuation_solve(
 ) -> SolveReport:
     """Climb the alpha ladder 0 -> 1 in steps of ``delta``.
 
-    The base rung is solved exactly; each later rung runs the Picard iteration
+    The base rung is solved exactly, by ``linear_base_solve``'s one or two
+    frozen steps; each later rung runs the Picard iteration
     warm-started at the previous rung, to ``tol`` on the squared contraction
     metric (a converged iterate can still move by about sqrt(tol) per step).
     A failed rung halves the step (up to ``MAX_HALVINGS`` times) before giving
@@ -743,13 +714,12 @@ def _terminal_residual(model: CoefficientSet, grid: TimeGrid, x0: float,
     return path[:, n, 1] - h_val, path
 
 
-def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid,
-                      bracket_scale: float) -> None:
+def _check_noise_free(model: CoefficientSet, x: np.ndarray, grid: TimeGrid) -> None:
     """Raise ValueError unless g and G vanish on deterministic inputs with
     z = Z = 0.  Probes y and Y at the bracket ends and at x, on the first,
     middle and last node, each under its own Dirac law: one ``eval_system``
     call over the stack of probes, and the first failing probe is named."""
-    reach = bracket_scale * (1.0 + np.abs(x))
+    reach = BRACKET_SCALE * (1.0 + np.abs(x))
     levels = (-reach, x, reach)
     nodes = grid.nodes
     probes = list(product((nodes[0], nodes[grid.steps // 2], nodes[-1]), levels, levels))
@@ -774,16 +744,14 @@ def moment_ode_oracle(
     model: CoefficientSet,
     x: np.ndarray | float,
     grid: TimeGrid,
-    *,
-    bracket_scale: float = 8.0,
-    scan_points: int = 161,
 ) -> MomentOracleResult:
     """Shooting solution of the noise-free mean reduction.
 
     Applies to first-moment models whose forward/backward noise coefficients
     vanish on deterministic inputs with z = Z = 0 and whose components
-    decouple.  Each component's unknown Y(0) is scanned over a bracket, all
-    guesses integrated together as one stack; each sign change is rooted by
+    decouple.  Each component's unknown Y(0) is scanned at ``SCAN_POINTS``
+    guesses over +-``BRACKET_SCALE`` (1 + |x|), all integrated together as
+    one stack; each sign change is rooted by
     Brent's method (``scipy.optimize.brentq``) to 1e-15 (1 + |root|), one
     guess at a time.  Finding several distinct roots (or a root continuum)
     flags the boundary-value problem as non-unique.
@@ -792,7 +760,7 @@ def moment_ode_oracle(
     from scipy.optimize import brentq
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_noise_free(model, x, grid, bracket_scale)
+    _check_noise_free(model, x, grid)
     d = model.dims.d
     n = grid.steps
     y_out = np.zeros((n + 1, d))
@@ -801,9 +769,9 @@ def moment_ode_oracle(
     unique = True
     for comp in range(d):
         x0 = float(x[comp])
-        lo = -bracket_scale * (1.0 + abs(x0))
-        hi = bracket_scale * (1.0 + abs(x0))
-        guesses = np.linspace(lo, hi, scan_points)
+        lo = -BRACKET_SCALE * (1.0 + abs(x0))
+        hi = BRACKET_SCALE * (1.0 + abs(x0))
+        guesses = np.linspace(lo, hi, SCAN_POINTS)
         values = _terminal_residual(model, grid, x0, guesses, comp)[0]
         scale = max(1.0, float(np.max(np.abs(values))))
         ztol = 1e-9 * scale
@@ -814,7 +782,7 @@ def moment_ode_oracle(
             roots = [float(g) for g in guesses[np.abs(values) <= ztol][:8]]
             unique = False
         else:
-            for i in range(scan_points - 1):
+            for i in range(SCAN_POINTS - 1):
                 a, b = guesses[i], guesses[i + 1]
                 fa, fb = values[i], values[i + 1]
                 if abs(fa) <= ztol:

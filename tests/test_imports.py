@@ -1,8 +1,8 @@
 """Every name a module of the package imports is referenced by that module,
 every module-level private function and class is referenced somewhere in
 the package, every public one somewhere in the package or the benchmark,
-importing the package does not load scipy.optimize, and no module but
-measure names EmpiricalLaw."""
+importing the package does not load scipy.optimize, no module but
+measure names EmpiricalLaw, and only the frozen step runs the sweeps."""
 
 import ast
 import os
@@ -119,3 +119,16 @@ def test_only_measure_names_the_sample_cloud_law():
     naming = sorted(p.name for p in MODULES
                     if p.name != "measure.py" and "EmpiricalLaw" in p.read_text(encoding="utf-8"))
     assert not naming, f"modules besides measure.py name EmpiricalLaw: {naming}"
+
+
+def test_only_the_frozen_step_runs_the_sweeps():
+    # every rung, the alpha = 0 base included, goes through one step kernel:
+    # a second function naming a sweep phase is a second sweep path
+    users = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in ("_forward_phase", "_backward_phase"):
+                    users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert users == {"solver.solve_decoupled_step"}, users

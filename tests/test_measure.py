@@ -56,7 +56,7 @@ class TestEmpiricalMean:
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 3))
         law = EmpiricalLaw.from_samples(samples)
-        assert np.allclose(law.cached_mean, samples.mean(axis=0), atol=1e-12)
+        assert np.allclose(law.mean, samples.mean(axis=0), atol=1e-12)
 
 
 class TestWasserstein:

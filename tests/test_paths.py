@@ -91,14 +91,14 @@ class TestSampling:
     def test_b_tail(self):
         grid = TimeGrid(1.0, 8)
         drv = sample_driver_pair(grid, 1, 1, 3, seed=2)
-        tail = drv.b_tail()
+        tail = drv.b_tail
         assert np.allclose(tail[:, -1], 0.0)
         assert np.allclose(tail[:, 0, 0], drv.dB[:, :, 0].sum(axis=1))
 
     def test_b_tail_is_kept_and_read_only(self):
         drv = sample_driver_pair(TimeGrid(1.0, 8), 1, 2, 5, seed=2)
-        tail = drv.b_tail()
-        assert drv.b_tail() is tail
+        tail = drv.b_tail
+        assert drv.b_tail is tail
         with pytest.raises(ValueError):
             tail[0, 0, 0] = 1.0
         want = np.zeros((5, 9, 2))

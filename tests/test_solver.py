@@ -178,7 +178,7 @@ class TestSweepsAgainstReference:
     def test_phases_match_per_node_reference(self, basis, d):
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(d, 2, 1)
         reg = RegressionConfig(basis)
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y, z = _forward_phase(drifts, noises, drivers, x0, reg, btail)
         y_ref, z_ref = _reference_forward(drifts, noises, drivers, x0, reg, btail)
         assert np.max(np.abs(y - y_ref)) <= 1e-10
@@ -199,7 +199,7 @@ class TestSweepsAgainstReference:
         # retries with an escalated ridge
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(1, 1, 1)
         reg = RegressionConfig("affine_y", ridge=0.0)
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
         big_y, big_z = _backward_phase(y_ref[:, -1], fb, noises_b, drivers, y_ref, reg, btail)
         ref_y, ref_z = _reference_backward(
@@ -211,7 +211,7 @@ class TestSweepsAgainstReference:
     def test_nonfinite_features_name_the_node(self):
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 1, 1)
         reg = RegressionConfig("poly2_y_plus_Btail")
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
         bad_tail = btail.copy()
         bad_tail[:, 7] = np.inf
@@ -239,7 +239,7 @@ class TestBackwardRecursion:
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 2, 1)
         noises_b *= 4.0  # scale 2
         reg = RegressionConfig(basis)
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
         terminal = np.sin(3.0 * y_ref[:, -1]) + y_ref[:, -1] ** 2
         big_y, big_z = _backward_phase(terminal, fb, noises_b, drivers, y_ref, reg, btail)
@@ -253,7 +253,7 @@ class TestBackwardRecursion:
     @pytest.mark.parametrize("backward", [_backward_phase, _reference_backward])
     def test_nonfinite_terminal_names_last_node(self, backward):
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(1, 1, 1)
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y_ref, _ = _reference_forward(drifts, noises, drivers, x0, REG, btail)
         terminal = y_ref[:, -1].copy()
         terminal[5] = np.inf
@@ -266,7 +266,7 @@ class TestBackwardRecursion:
     def test_first_failing_node_in_descending_order(self, backward):
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 1, 1)
         reg = RegressionConfig("poly2_y_plus_Btail")
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y_ref, _ = _reference_forward(drifts, noises, drivers, x0, reg, btail)
         bad_path = y_ref.copy()
         bad_path[:, 3] = np.nan
@@ -288,7 +288,7 @@ class TestForwardSweeps:
             solver, "_ridge_fit", lambda *a, **k: fits.append(1) or fit(*a, **k)
         )
         y, z = _forward_phase(drifts, noises, drivers, x0, REG, None)
-        assert len(fits) == 5  # one z regression per sweep, max_sweeps of them
+        assert len(fits) == 5  # one z regression per sweep, FORWARD_SWEEPS of them
         # y_{k+1} - y_k = f_k dt + g_k dW_k - z_{k+1} dB_k at every node
         drift = drifts[:, :-1] * drivers.grid.dt
         gdw = np.einsum("mkij,mkj->mki", noises[:, :-1], drivers.dW)
@@ -333,7 +333,7 @@ class TestSweepsLeaveInputsAlone:
     def test_phases_run_on_read_only_inputs(self):
         drivers, drifts, noises, fb, noises_b, x0 = _sweep_inputs(2, 2, 1)
         reg = RegressionConfig("poly2_y_plus_Btail")
-        btail = drivers.b_tail()
+        btail = drivers.b_tail
         y, z = _forward_phase(drifts, noises, drivers, x0, reg, btail)
         terminal = np.sin(y[:, -1])
         big_y, big_z = _backward_phase(terminal, fb, noises_b, drivers, y, reg, btail)
@@ -375,7 +375,7 @@ class TestNormalEquations:
     def test_against_explicit_products(self, basis, d, d_b):
         m, n = 300, 9
         reg = RegressionConfig(basis)
-        btail = sample_driver_pair(TimeGrid(1.0, n), 1, d_b, m, seed=5).b_tail()
+        btail = sample_driver_pair(TimeGrid(1.0, n), 1, d_b, m, seed=5).b_tail
         rng = np.random.default_rng(5)
         y = rng.standard_normal((n + 1, m, d)).transpose(1, 0, 2)
         y[:, 0] = np.linspace(1.0, -0.5, d)  # collinear node: y_0 = x on every particle
@@ -615,6 +615,77 @@ class TestLinearBase:
         )
         with pytest.raises(ValueError):
             linear_base_solve(prob, drivers, REG)
+
+
+    @pytest.mark.parametrize("dims", [DIMS, Dimensions(1, 2, 2)], ids=["1-1-1", "1-2-2"])
+    @pytest.mark.parametrize("basis", solver.BASES)
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_one_more_step_changes_nothing(self, case, basis, dims):
+        # the base solve is the frozen step's fixed point at alpha = 0: bit
+        # for bit in case1, to the backward pair's regression round-off in
+        # case2, whose fits the second step redoes on the new y
+        reg = RegressionConfig(basis)
+        drivers = sample_driver_pair(TimeGrid(1.0, 20), dims.d_w, dims.d_b, 200, seed=29)
+        prob = HomotopyProblem(
+            base=builtin_example_meanfield(dims), alpha=0.0, case=case, theta1=0.25,
+            theta2=0.25, x=np.array([1.0]), xi=np.array([0.3]),
+        )
+        base = linear_base_solve(prob, drivers, reg)
+        again = solve_decoupled_step(prob, base, drivers, reg)
+        if case == "case1":
+            assert _same_bits(base, again)
+        else:
+            for u, v in ((base.y, again.y), (base.Y, again.Y), (base.z, again.z),
+                         (base.Z, again.Z)):
+                assert np.max(np.abs(u - v)) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_no_base_map_call_at_alpha_zero(self, case):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        model = builtin_example_meanfield(DIMS)
+        model = dataclasses.replace(
+            model, **{name: counted(name, getattr(model, name)) for name in "fgFGh"}
+        )
+        grid = TimeGrid(1.0, 10)
+        state = sinusoid_state(grid, 30, DIMS, noise=0.1, seed=3)
+        rng = np.random.default_rng(4)
+        state.z[:] = rng.standard_normal(state.z.shape)
+        state.Z[:] = rng.standard_normal(state.Z.shape)
+        prob = HomotopyProblem(base=model, alpha=0.0, case=case, theta1=0.25, theta2=0.5,
+                               x=np.array([1.0]))
+        f, g, big_f, big_g = prob.evaluate(grid.nodes, state.at(slice(None)), state.node_laws())
+        assert calls == []
+        if case == "case1":
+            theta, damped = prob.theta1, ((big_f, state.y), (big_g, state.z))
+            undamped = ((f, state.y), (g, state.Z))
+        else:
+            theta, damped = prob.theta2, ((f, state.Y), (g, state.Z))
+            undamped = ((big_f, state.y), (big_g, state.z))
+        for out, block in damped:
+            assert np.array_equal(out, -theta * block)
+        for out, block in undamped:
+            assert out.shape == block.shape and not np.any(out)
+            assert not out.flags.writeable
+        # the base solve reads only the terminal map, once per step
+        drivers = sample_driver_pair(grid, 1, 1, 30, seed=30)
+        linear_base_solve(prob, drivers, REG)
+        assert calls == ["h"] * (1 if case == "case1" else 2)
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_ladder_base_row(self, case, tmp_path):
+        drivers = sample_driver_pair(TimeGrid(1.0, 20), 1, 1, 200, seed=31)
+        report = continuation_solve(builtin_example_meanfield(DIMS), case, 0.25, 0.25, 0.5,
+                                    drivers, REG, x=np.array([1.0]))
+        path = tmp_path / "ladder.csv"
+        write_csv(str(path), *ladder_rows(report))
+        assert path.read_text().splitlines()[1] == "0,0,0,0"
 
 
 class TestDecoupledStep:
